@@ -22,7 +22,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
-from .errors import ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul
+from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul,
+                     combine)
 from .ontology import Role, check_individual
 from .chase import Anon, BagInterpretation, ChaseResult, Element, Named
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
@@ -83,55 +84,27 @@ class AnswerBag:
         return "".join(f"({','.join(tup)}) {m}\n" for tup, m in self.items())
 
 
-def _pointwise(b1: AnswerBag, b2: AnswerBag, keys, combine) -> AnswerBag:
-    out = {}
-    for k in keys:
-        m = combine(b1.get(k), b2.get(k))
-        if m:
-            out[k] = m
-    return AnswerBag(b1.arity, out)
+def bag_ops(op: str, b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
+    """Dispatch on op in {intersection, max-union, arith-union, difference}."""
+    if b1.arity != b2.arity:
+        raise ArityMismatch(f"arity {b1.arity} vs {b2.arity}")
+    return AnswerBag(b1.arity, combine(op, b1._entries, b2._entries))
 
 
 def bag_intersect(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    _check_arity(b1, b2)
-    return _pointwise(b1, b2, b1.support() & b2.support(), min)
+    return bag_ops("intersection", b1, b2)
 
 
 def bag_max_union(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    _check_arity(b1, b2)
-    return _pointwise(b1, b2, b1.support() | b2.support(), max)
+    return bag_ops("max-union", b1, b2)
 
 
 def bag_arith_union(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    _check_arity(b1, b2)
-    return _pointwise(b1, b2, b1.support() | b2.support(), checked_add)
+    return bag_ops("arith-union", b1, b2)
 
 
 def bag_diff(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    _check_arity(b1, b2)
-    return _pointwise(b1, b2, b1.support(), lambda a, b: max(0, a - b))
-
-
-_BAG_OPS = {
-    "intersection": bag_intersect,
-    "max-union": bag_max_union,
-    "arith-union": bag_arith_union,
-    "difference": bag_diff,
-}
-
-
-def bag_ops(op: str, b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    """Dispatch on op in {intersection, max-union, arith-union, difference}."""
-    try:
-        fn = _BAG_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown bag operation {op!r}") from None
-    return fn(b1, b2)
-
-
-def _check_arity(b1, b2):
-    if b1.arity != b2.arity:
-        raise ArityMismatch(f"arity {b1.arity} vs {b2.arity}")
+    return bag_ops("difference", b1, b2)
 
 
 def parse_answer_tuple(text: str) -> tuple[str, ...]:
@@ -475,6 +448,13 @@ def eval_balg(q: BALGQuery, i: BagInterpretation) -> AnswerBag:
     return AnswerBag(len(q.answer_vars), table)
 
 
+_NODE_OPS = {
+    BalgMaxUnion: "max-union",
+    BalgArithUnion: "arith-union",
+    BalgDiff: "difference",
+}
+
+
 def _eval_node(q, interp) -> dict[tuple[str, ...], int]:
     if isinstance(q, BalgAtom):
         return _eval_atom(q, interp)
@@ -491,26 +471,14 @@ def _eval_node(q, interp) -> dict[tuple[str, ...], int]:
             key = tuple(tup[i] for i in keep)
             out[key] = checked_add(out.get(key, 0), m)
         return out
+    op = _NODE_OPS.get(type(q))
+    if op is None:
+        raise IllFormedQuery(f"unknown query node {type(q).__name__}")
     left = _eval_node(q.left, interp)
     right = _eval_node(q.right, interp)
     perm = [q.right.answer_vars.index(v) for v in q.left.answer_vars]
-    remapped: dict[tuple[str, ...], int] = {}
-    for tup, m in right.items():
-        remapped[tuple(tup[i] for i in perm)] = m
-    if isinstance(q, BalgMaxUnion):
-        keys, combine = set(left) | set(remapped), max
-    elif isinstance(q, BalgArithUnion):
-        keys, combine = set(left) | set(remapped), checked_add
-    elif isinstance(q, BalgDiff):
-        keys, combine = set(left), lambda a, b: max(0, a - b)
-    else:
-        raise IllFormedQuery(f"unknown query node {type(q).__name__}")
-    out = {}
-    for k in keys:
-        m = combine(left.get(k, 0), remapped.get(k, 0))
-        if m:
-            out[k] = m
-    return out
+    remapped = {tuple(tup[i] for i in perm): m for tup, m in right.items()}
+    return combine(op, left, remapped)
 
 
 def _eval_atom(q: BalgAtom, interp) -> dict[tuple[str, ...], int]:

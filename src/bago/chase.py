@@ -8,17 +8,20 @@ anonymous role successors, each with one role edge of multiplicity 1. Fresh
 elements carry no concept memberships at birth; the next stage picks them up.
 
 Stages grow monotonically under bag containment, so the bag union of stages
-0..d equals stage d. Evaluating a rooted query with n concept/role atoms over
-stage n already yields its answers over the full (infinite) union, which is
-why callers always pass an explicit depth.
+0..d equals stage d. The chase therefore grows one interpretation in place,
+stage by stage, and keeps only the last; `ChaseResult.stages` rebuilds an
+earlier stage on request by chasing to that depth. Evaluating a rooted query
+with n concept/role atoms over stage n already yields its answers over the
+full (infinite) union, which is why callers always pass an explicit depth.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import UnsatisfiableOntology, UnsupportedTBoxKind
+from .errors import UnsatisfiableOntology, UnsupportedTBoxKind, combine
 from .ontology import (
     CORE,
     AtomicConcept,
@@ -101,33 +104,29 @@ class BagInterpretation:
         concepts: Mapping[str, Mapping[Element, int]],
         roles: Mapping[str, Mapping[tuple[Element, Element], int]],
     ):
-        self.domain = frozenset(domain)
-        self.concepts = {
-            name: {el: m for el, m in ext.items() if m > 0}
-            for name, ext in concepts.items()
-        }
-        self.concepts = {n: e for n, e in self.concepts.items() if e}
-        self.roles = {
-            name: {pair: m for pair, m in ext.items() if m > 0}
-            for name, ext in roles.items()
-        }
-        self.roles = {n: e for n, e in self.roles.items() if e}
-        for ext in self.concepts.values():
-            for el in ext:
-                if el not in self.domain:
-                    raise ValueError(f"element {el} outside the domain")
+        self.domain = set(domain)
+        self.concepts: dict[str, dict[Element, int]] = {}
+        for name, ext in concepts.items():
+            for el, m in ext.items():
+                if m > 0:
+                    if el not in self.domain:
+                        raise ValueError(f"element {el} outside the domain")
+                    self.concepts.setdefault(name, {})[el] = m
+        self.roles: dict[str, dict[tuple[Element, Element], int]] = {}
         self._fwd: dict[str, dict[Element, dict[Element, int]]] = {}
         self._bwd: dict[str, dict[Element, dict[Element, int]]] = {}
-        for name, ext in self.roles.items():
-            fwd: dict[Element, dict[Element, int]] = {}
-            bwd: dict[Element, dict[Element, int]] = {}
+        for name, ext in roles.items():
             for (u, v), m in ext.items():
-                if u not in self.domain or v not in self.domain:
-                    raise ValueError(f"pair ({u},{v}) outside the domain")
-                fwd.setdefault(u, {})[v] = m
-                bwd.setdefault(v, {})[u] = m
-            self._fwd[name] = fwd
-            self._bwd[name] = bwd
+                if m > 0:
+                    if u not in self.domain or v not in self.domain:
+                        raise ValueError(f"pair ({u},{v}) outside the domain")
+                    self._add_edge(name, (u, v), m)
+
+    def _add_edge(self, name: str, pair: tuple[Element, Element], m: int) -> None:
+        u, v = pair
+        self.roles.setdefault(name, {})[pair] = m
+        self._fwd.setdefault(name, {}).setdefault(u, {})[v] = m
+        self._bwd.setdefault(name, {}).setdefault(v, {})[u] = m
 
     def concept_mult(self, name: str, el: Element) -> int:
         return self.concepts.get(name, {}).get(el, 0)
@@ -142,16 +141,9 @@ class BagInterpretation:
     def exists_mult(self, role: Role, u: Element) -> int:
         return sum(self.successors(role, u).values())
 
-    def named(self) -> list[Named]:
-        return sorted((el for el in self.domain if isinstance(el, Named)),
-                      key=element_key)
-
     def anonymous(self) -> list[Anon]:
         return sorted((el for el in self.domain if isinstance(el, Anon)),
                       key=element_key)
-
-    def role_names(self) -> list[str]:
-        return sorted(self.roles)
 
     def __eq__(self, other):
         return (
@@ -162,7 +154,7 @@ class BagInterpretation:
         )
 
     def __hash__(self):
-        return hash(self.domain)
+        return hash(frozenset(self.domain))
 
     def __repr__(self):
         return (f"BagInterpretation(|domain|={len(self.domain)}, "
@@ -170,17 +162,12 @@ class BagInterpretation:
 
     def contains(self, other: "BagInterpretation") -> bool:
         """Bag containment: other's extensions are pointwise dominated."""
-        if not other.domain <= self.domain:
-            return False
-        for name, ext in other.concepts.items():
-            for el, m in ext.items():
-                if self.concept_mult(name, el) < m:
-                    return False
-        for name, ext in other.roles.items():
-            for (u, v), m in ext.items():
-                if self.role_mult(name, u, v) < m:
-                    return False
-        return True
+        pairs = ((self.concepts, other.concepts), (self.roles, other.roles))
+        return other.domain <= self.domain and not any(
+            combine("difference", ext, mine.get(name, {}))
+            for mine, theirs in pairs
+            for name, ext in theirs.items()
+        )
 
     def to_text(self) -> str:
         lines = []
@@ -198,19 +185,13 @@ class BagInterpretation:
 
 def bag_union(a: BagInterpretation, b: BagInterpretation) -> BagInterpretation:
     """Pointwise-max union of two interpretations over a shared domain."""
-    concepts: dict[str, dict[Element, int]] = {}
-    for src in (a.concepts, b.concepts):
-        for name, ext in src.items():
-            dst = concepts.setdefault(name, {})
-            for el, m in ext.items():
-                dst[el] = max(dst.get(el, 0), m)
-    roles: dict[str, dict[tuple[Element, Element], int]] = {}
-    for src in (a.roles, b.roles):
-        for name, ext in src.items():
-            dst = roles.setdefault(name, {})
-            for pair, m in ext.items():
-                dst[pair] = max(dst.get(pair, 0), m)
-    return BagInterpretation(a.domain | b.domain, concepts, roles)
+
+    def union(x, y):
+        return {n: combine("max-union", x.get(n, {}), y.get(n, {}))
+                for n in x.keys() | y.keys()}
+
+    return BagInterpretation(a.domain | b.domain, union(a.concepts, b.concepts),
+                             union(a.roles, b.roles))
 
 
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
@@ -247,42 +228,72 @@ def concept_closure(i: BagInterpretation, u: Element, tbox: TBox) -> dict[Concep
     return closure
 
 
-def _step(prev: BagInterpretation, tbox: TBox, process) -> tuple[BagInterpretation, list]:
-    domain = set(prev.domain)
-    concepts: dict[str, dict[Element, int]] = {
-        name: dict(ext) for name, ext in prev.concepts.items()
-    }
-    roles = {name: dict(ext) for name, ext in prev.roles.items()}
+def _stage(i: BagInterpretation, tbox: TBox, process: Iterable[Element]) -> list[Element]:
+    """Extend i in place by one stage over `process`; return the elements born.
+
+    In place is sound: processing u reads only u's own entries and writes only
+    those plus the edges to u's fresh witnesses.
+    """
     born: list[Element] = []
     for u in sorted(process, key=element_key):
-        closure = concept_closure(prev, u, tbox)
-        for c, m in closure.items():
+        for c, m in concept_closure(i, u, tbox).items():
             if isinstance(c, AtomicConcept):
-                concepts.setdefault(c.name, {})[u] = m
+                i.concepts.setdefault(c.name, {})[u] = m
                 continue
             role = c.role
-            deficit = m - prev.exists_mult(role, u)
+            deficit = m - i.exists_mult(role, u)
             for j in range(1, deficit + 1):
                 w = Anon(u, role, j)
-                if w in domain:  # stabilization argument makes this unreachable
+                if w in i.domain:  # stabilization argument makes this unreachable
                     raise AssertionError(f"witness {w} created twice")
-                domain.add(w)
                 born.append(w)
-                ext = roles.setdefault(role.name, {})
-                ext[(w, u) if role.inverted else (u, w)] = 1
-    return BagInterpretation(domain, concepts, roles), born
+                i.domain.add(w)
+                i._add_edge(role.name, (w, u) if role.inverted else (u, w), 1)
+    return born
 
 
 def chase_step(prev: BagInterpretation, tbox: TBox) -> BagInterpretation:
     """One stage of the canonical construction over the previous stage."""
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("the canonical bag model is defined for core TBoxes")
-    return _step(prev, tbox, prev.domain)[0]
+    nxt = BagInterpretation(prev.domain, prev.concepts, prev.roles)
+    _stage(nxt, tbox, prev.domain)
+    return nxt
+
+
+def _grow(k: BagOntology, depth: int) -> BagInterpretation:
+    i = interpretation_from_abox(k.abox)
+    # After its first processing step an element is saturated (its closure
+    # and role deficits never change again), so later steps only need to
+    # process the elements born in the previous one.
+    frontier: Iterable[Element] = list(i.domain)
+    for _ in range(depth):
+        frontier = _stage(i, k.tbox, frontier)
+    return i
+
+
+class _Stages(Sequence):
+    """Stages 0..depth of one chase; only the last is stored, the rest are rebuilt."""
+
+    def __init__(self, k: BagOntology, last: BagInterpretation, depth: int):
+        self._k, self._last, self._depth = k, last, depth
+
+    def __len__(self):
+        return self._depth + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(len(self))))
+        j = index + len(self) if index < 0 else index
+        if not 0 <= j <= self._depth:
+            raise IndexError("chase stage out of range")
+        # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
+        return self._last if j == self._depth else _grow(self._k, j)
 
 
 @dataclass(frozen=True)
 class ChaseResult:
-    stages: tuple[BagInterpretation, ...]
+    stages: Sequence[BagInterpretation]
     depth: int
 
     @property
@@ -299,18 +310,7 @@ def chase(k: BagOntology, depth: int) -> ChaseResult:
         raise ValueError("depth must be nonnegative")
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
-    stages = [interpretation_from_abox(k.abox)]
-    # After its first processing step an element is saturated (its closure
-    # and role deficits never change again), so later steps only need to
-    # process the elements born in the previous one.
-    frontier = None
-    for _ in range(depth):
-        nxt, frontier = _step(
-            stages[-1], k.tbox,
-            stages[-1].domain if frontier is None else frontier,
-        )
-        stages.append(nxt)
-    return ChaseResult(tuple(stages), depth)
+    return ChaseResult(_Stages(k, _grow(k, depth), depth), depth)
 
 
 def required_depth(q: CQ) -> int:

@@ -86,7 +86,7 @@ def _parse_threshold(text: str) -> float:
     lowered = text.strip().lower()
     if lowered in ("inf", "infinity"):
         return math.inf
-    if not lowered.isdigit():
+    if not (lowered.isascii() and lowered.isdigit()):
         raise ParseError(f"threshold must be a nonnegative integer or 'inf', got {text!r}")
     return int(lowered)
 
@@ -94,8 +94,11 @@ def _parse_threshold(text: str) -> float:
 def _cmd_cert(args) -> int:
     k = _load_ontology(args)
     q = parse_cq(_read(args.query))
-    request = CertRequest(q, k, parse_answer_tuple(args.tuple),
-                          _parse_threshold(args.threshold))
+    answer, threshold = parse_answer_tuple(args.tuple), _parse_threshold(args.threshold)
+    try:
+        request = CertRequest(q, k, answer, threshold)
+    except ValueError as exc:  # --tuple arity differs from the query's
+        raise ParseError(str(exc)) from None
     if bag_cert(request, via=args.via):
         print("TRUE")
         return EXIT_OK

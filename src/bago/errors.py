@@ -3,6 +3,9 @@
 Multiplicities live in the unsigned 64-bit range. Evaluation never wraps or
 saturates: any intermediate product or sum above U64_MAX raises
 MultiplicityOverflow so that cross-checks cannot silently diverge.
+
+`combine` is the one pointwise kernel behind every bag union, intersection,
+difference and containment test (bags as the N-semiring of Green et al.).
 """
 
 U64_MAX = 2**64 - 1
@@ -88,3 +91,26 @@ def checked_mul(a, b):
     if c > U64_MAX:
         raise MultiplicityOverflow(f"product {a} * {b} exceeds the 64-bit range")
     return c
+
+
+# op -> (pointwise function, the keys whose result can be nonzero)
+_COMBINE = {
+    "intersection": (min, lambda a, b: a.keys() & b.keys()),
+    "max-union": (max, lambda a, b: a.keys() | b.keys()),
+    "arith-union": (checked_add, lambda a, b: a.keys() | b.keys()),
+    "difference": (lambda a, b: max(a - b, 0), lambda a, b: a.keys()),
+}
+
+
+def combine(op, a, b):
+    """Pointwise `op` of two multiplicity maps; zero results are dropped."""
+    try:
+        fn, keys = _COMBINE[op]
+    except KeyError:
+        raise ValueError(f"unknown bag operation {op!r}") from None
+    out = {}
+    for k in keys(a, b):
+        m = fn(a.get(k, 0), b.get(k, 0))
+        if m:
+            out[k] = m
+    return out

@@ -441,8 +441,7 @@ def evaluate_rewriting(rw: Rewriting, abox: BagABox) -> AnswerBag:
             if not consts:
                 raise InternalStructureError(f"no column for answer variable {v}")
             columns.append(consts[0].name)
-    out: dict[tuple[str, ...], int] = {}
-    for tup, m in bag.items():
-        key = tuple(tup[c] if isinstance(c, int) else c for c in columns)
-        out[key] = out.get(key, 0) + m
-    return AnswerBag(len(head), out)
+    return AnswerBag(len(head), (
+        (tuple(tup[c] if isinstance(c, int) else c for c in columns), m)
+        for tup, m in bag.items()
+    ))

@@ -118,6 +118,15 @@ def test_bag_ops_examples():
     assert bag_diff(b3, b2) == AnswerBag(1, {("a",): 1})
     assert bag_intersect(AnswerBag(1, {("a",): 2, ("b",): 1}), b3) == b2
     assert bag_max_union(b2, b3) == b3
+    # disjoint supports: a key on one side survives each union and a
+    # difference from the left, and never survives an intersection
+    a2, b1 = AnswerBag(1, {("a",): 2}), AnswerBag(1, {("b",): 1})
+    both = AnswerBag(1, {("a",): 2, ("b",): 1})
+    assert bag_max_union(a2, b1) == both
+    assert bag_arith_union(a2, b1) == both
+    assert bag_diff(a2, b1) == a2
+    assert bag_diff(AnswerBag(1), b1) == AnswerBag(1)
+    assert bag_intersect(a2, b1) == AnswerBag(1)
     with pytest.raises(ArityMismatch):
         bag_ops("difference", b2, AnswerBag(2))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from bago import (
     AtomicConcept,
+    BagInterpretation,
     BagOntology,
     ExistsRole,
     Named,
@@ -186,3 +187,15 @@ def test_model_property_on_random_instances():
             for concept, m in concept_closure(stage0, el, tbox).items():
                 if isinstance(concept, AtomicConcept):
                     assert union.concept_mult(concept.name, el) >= m
+
+
+def test_contains_fails_on_a_smaller_entry_or_a_missing_element():
+    stage0 = interpretation_from_abox(parse_abox("A(a) 2\nR(a,b) 3\n"))
+    a, b = Named("a"), Named("b")
+    smaller_concept = interpretation_from_abox(parse_abox("A(a) 1\nR(a,b) 3\n"))
+    smaller_edge = interpretation_from_abox(parse_abox("A(a) 2\nR(a,b) 2\n"))
+    assert stage0.contains(smaller_concept) and not smaller_concept.contains(stage0)
+    assert stage0.contains(smaller_edge) and not smaller_edge.contains(stage0)
+    c = Named("c")
+    extra = BagInterpretation({a, b, c}, stage0.concepts, stage0.roles)
+    assert extra.contains(stage0) and not stage0.contains(extra)

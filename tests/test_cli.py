@@ -109,6 +109,8 @@ def test_cert_exit_codes(capsys, fixtures_dir):
     assert run(capsys, *base, "-k", "0")[0] == 0
     assert run(capsys, *base, "-k", "inf")[0] == 1
     assert run(capsys, *base, "-k", "3", "--via", "both")[0] == 0
+    assert run(capsys, *base, "-k", "\u00b2")[0] == 2
+    assert run(capsys, *base, "--tuple", "(Lee,Hill)", "-k", "3")[0] == 2
 
 
 def test_rewrite_output_feeds_eval_balg(capsys, tmp_path, fixtures_dir):
