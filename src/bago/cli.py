@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error;
 3 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
-4 internal cross-check failure.
+4 internal cross-check failure; 5 resource limit (recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_MISMATCH = 4
+EXIT_RESOURCE = 5
 
 
 def _read(path: str) -> str:
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
     except BagoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

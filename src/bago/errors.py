@@ -72,7 +72,7 @@ class CrosscheckMismatch(BagoError):
 
 
 class RewriteLimitExceeded(BagoError):
-    """Query has too many existential variables for subset enumeration."""
+    """Query has too many existential variables for rewriting."""
 
 
 class InternalStructureError(BagoError):

@@ -1,21 +1,25 @@
 """Compilation of rooted queries into bag-algebra queries.
 
-For every subset z of the existential variables that could be sent to the
-anonymous part of the canonical model, the compiler (1) decides realisability
-by evaluating a two-individual probe, (2) collapses each maximally connected
-z-cluster to its single linking atom plus identifying equalities, and
-(3) chases the collapsed query back through the TBox: concept atoms become
-max unions of entailed subsumees, and the linking atoms become those unions
-minus the atoms already accounted for by named successors, so that anonymous
-witnesses are counted exactly once. The arithmetic union of the surviving
-branches evaluates over the bare ABox to the same bag as the chase path.
+A subset z of the existential variables is sent to the anonymous part of the
+canonical model. It can be exactly when each of its maximal clusters
+(connected unions of equality classes that hold only existential variables)
+is realisable, and a cluster's verdict depends on the cluster alone, since
+all its Gaifman neighbours lie outside z. The compiler therefore (1) decides
+the realisability of every cluster once, by evaluating a two-individual
+probe, (2) forms every z as a set of pairwise non-adjacent realisable
+clusters, (3) collapses each cluster of z to its single linking atom plus
+identifying equalities, and (4) chases the collapsed query back through the
+TBox: concept atoms become max unions of entailed subsumees, and the linking
+atoms become those unions minus the atoms already accounted for by named
+successors, so that anonymous witnesses are counted exactly once. The
+arithmetic union of the branches, one per z, evaluates over the bare ABox to
+the same bag as the chase path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
     InternalStructureError,
@@ -191,37 +195,31 @@ def is_realisable(
     return RealisabilityCertificate(zset, REALISABLE, witnesses=tuple(witnesses))
 
 
-def collapse(
-    q: CQ,
-    z: Iterable[Var],
-    link_chooser: Optional[LinkChooser] = None,
-) -> CQ:
-    """Replace each ma-connected cluster by its linking atom plus equalities."""
-    zset = frozenset(z)
-    if not zset:
-        return q
-    subsets = ma_connected_partition(q, zset)
-    replacement: dict[frozenset[Var], list] = {}
-    owner: dict[Var, frozenset[Var]] = {}
-    for subset in subsets:
-        alpha = _choose(link_chooser, q, subset, zset)
-        outward = outward_terms(q, subset, zset)
-        atoms: list = [alpha]
-        seen_pairs = set()
-        for y in outward:
-            if not isinstance(y, Var):
+def _link_atoms(q: CQ, subset: frozenset[Var], zset: frozenset[Var],
+                alpha: RoleAtom) -> list:
+    """A cluster's replacement: its linking atom plus identifying equalities."""
+    outward = outward_terms(q, subset, zset)
+    atoms: list = [alpha]
+    seen_pairs = set()
+    for y in outward:
+        if not isinstance(y, Var):
+            continue
+        for t in outward:
+            if t == y:
                 continue
-            for t in outward:
-                if t == y:
-                    continue
-                pair = frozenset((y, t))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                atoms.append(EqualityAtom(y, t))
-        replacement[subset] = atoms
-        for v in subset:
-            owner[v] = subset
+            pair = frozenset((y, t))
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            atoms.append(EqualityAtom(y, t))
+    return atoms
+
+
+def _substitute(q: CQ, replacement: Mapping[frozenset[Var], list]) -> CQ:
+    """Put each cluster's replacement where the cluster's first atom stood."""
+    if not replacement:
+        return q
+    owner = {v: subset for subset in replacement for v in subset}
     emitted: set[frozenset[Var]] = set()
     new_atoms = []
     for atom in q.atoms:
@@ -234,6 +232,19 @@ def collapse(
             emitted.add(subset)
             new_atoms.extend(replacement[subset])
     return CQ(q.answer_vars, new_atoms)
+
+
+def collapse(
+    q: CQ,
+    z: Iterable[Var],
+    link_chooser: Optional[LinkChooser] = None,
+) -> CQ:
+    """Replace each ma-connected cluster by its linking atom plus equalities."""
+    zset = frozenset(z)
+    return _substitute(q, {
+        subset: _link_atoms(q, subset, zset, _choose(link_chooser, q, subset, zset))
+        for subset in ma_connected_partition(q, zset)
+    })
 
 
 class _FreshVars:
@@ -382,15 +393,67 @@ class Rewriting:
     certificates: tuple[RealisabilityCertificate, ...]
 
 
-def _subsets_in_order(vars_: tuple[Var, ...]):
-    ordered = sorted(vars_, key=term_key)
-    for size in range(len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            yield frozenset(combo)
+def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
+    """Every connected union of equality classes that hold only existential
+    variables: its variables, its classes as a bitmask, and the bitmask of
+    the classes in it or adjacent to it.
+
+    A class holding an answer variable or an individual is never part of an
+    equality-consistent z, so no cluster contains one.
+    """
+    head = set(q.answer_vars)
+    eq, graph = q.equality_classes(), q.gaifman()
+    bit: dict[frozenset[Term], int] = {}
+    for v in q.existential_vars():
+        cls = eq.class_of(v)
+        if cls not in bit and all(isinstance(t, Var) and t not in head for t in cls):
+            bit[cls] = 1 << len(bit)
+    classes = list(bit)
+    adjacent = [sum(bit[n] for n in graph.neighbours(cls) if n in bit) for cls in classes]
+
+    def members(mask: int) -> list[int]:
+        return [i for i in range(len(classes)) if mask >> i & 1]
+
+    def reach(mask: int) -> int:
+        out = mask
+        for i in members(mask):
+            out |= adjacent[i]
+        return out
+
+    found = set(bit.values())
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for mask in frontier:
+            for i in members(reach(mask) & ~mask):
+                bigger = mask | 1 << i
+                if bigger not in found:
+                    found.add(bigger)
+                    grown.append(bigger)
+        frontier = grown
+    return [
+        (frozenset(v for i in members(mask) for v in classes[i]), mask, reach(mask))
+        for mask in found
+    ]
+
+
+def _balanced_union(nodes: list[BALGQuery]) -> BALGQuery:
+    """Arithmetic union of the nodes, pairing neighbours level by level, so
+    the tree is logarithmically deep in the number of branches."""
+    while len(nodes) > 1:
+        paired = [BalgArithUnion(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = paired + nodes[len(paired) * 2:]
+    return nodes[0]
 
 
 def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Rewriting:
-    """Compile a rooted query over a core TBox into its bag-algebra rewriting."""
+    """Compile a rooted query over a core TBox into its bag-algebra rewriting.
+
+    Branches come in subset order: by size of z, then lexicographically by
+    the positions of z's variables among the sorted existential variables.
+    The certificates are one per branch, in branch order, followed by one per
+    cluster whose probe failed.
+    """
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("rewriting is defined for core TBoxes")
     if not is_rooted(q):
@@ -398,24 +461,52 @@ def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Re
     existential = q.existential_vars()
     if len(existential) > MAX_EXISTENTIAL_VARS:
         raise RewriteLimitExceeded(
-            f"{len(existential)} existential variables; subset enumeration is "
+            f"{len(existential)} existential variables; rewriting is "
             f"capped at {MAX_EXISTENTIAL_VARS}"
         )
+    position = {v: i for i, v in enumerate(existential)}
+
+    def subset_order(z: frozenset[Var]):
+        return len(z), sorted(position[v] for v in z)
+
+    witness: dict[frozenset[Var], ProbeWitness] = {}
+    replacement: dict[frozenset[Var], list] = {}
+    realisable = []
+    failed = []
+    for cluster, mask, closed in sorted(_clusters(q), key=lambda c: subset_order(c[0])):
+        cert = is_realisable(tbox, q, cluster, link_chooser=link_chooser)
+        if not cert.realisable:
+            failed.append(cert)
+            continue
+        (witness[cluster],) = cert.witnesses
+        replacement[cluster] = _link_atoms(q, cluster, cluster, witness[cluster].alpha)
+        realisable.append((cluster, mask, closed))
+
+    # Each realisable z is a set of pairwise disjoint, non-adjacent realisable
+    # clusters, which are then exactly its maximal clusters.
+    zs = []
+    stack = [(0, frozenset(), 0)]
+    while stack:
+        start, zset, blocked = stack.pop()
+        zs.append(zset)
+        for i in range(start, len(realisable)):
+            cluster, mask, closed = realisable[i]
+            if not mask & blocked:
+                stack.append((i + 1, zset | cluster, blocked | closed))
+
     branches = []
     certificates = []
     fresh = _FreshVars()  # shared across branches: no shadowing in the output
-    for zset in _subsets_in_order(existential):
-        cert = is_realisable(tbox, q, zset, link_chooser=link_chooser)
-        certificates.append(cert)
-        if not cert.realisable:
-            continue
-        collapsed = collapse(q, zset, link_chooser=link_chooser)
+    for zset in sorted(zs, key=subset_order):
+        parts = ma_connected_partition(q, zset)
+        certificates.append(RealisabilityCertificate(
+            zset, REALISABLE, witnesses=tuple(witness[s] for s in parts)
+        ))
+        collapsed = _substitute(q, {s: replacement[s] for s in parts})
         compiled = chase_back(collapsed, zset, tbox, fresh=fresh)
         branches.append(RewriteBranch(zset, collapsed, compiled))
-    combined = branches[0].compiled
-    for branch in branches[1:]:
-        combined = BalgArithUnion(combined, branch.compiled)
-    return Rewriting(q, tbox, tuple(branches), combined, tuple(certificates))
+    combined = _balanced_union([b.compiled for b in branches])
+    return Rewriting(q, tbox, tuple(branches), combined, tuple(certificates + failed))
 
 
 def evaluate_rewriting(rw: Rewriting, abox: BagABox) -> AnswerBag:

@@ -1,4 +1,6 @@
+import importlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -280,3 +282,72 @@ def test_empty_branch_for_contradictory_equalities():
         q = parse_cq('q() :- R("b", v), "b" = "c"')
     rw = rewrite(q, t)
     assert evaluate_rewriting(rw, parse_abox("R(b,c) 5\n")) == AnswerBag(0)
+
+
+def _subsets_in_order(vars_):
+    """Every subset of vars_: by size, then lexicographically by position."""
+    ordered = sorted(vars_, key=lambda v: v.name)
+    for size in range(len(ordered) + 1):
+        for combo in combinations(ordered, size):
+            yield frozenset(combo)
+
+
+@pytest.mark.parametrize("chooser", [None, lambda cands: cands[-1]],
+                         ids=["default", "last"])
+def test_rewrite_branches_match_per_subset_realisability(chooser):
+    from bago.randgen import random_core_tbox, random_rooted_cq
+
+    rng = random.Random(31)
+    several = 0
+    for i in range(60):
+        tbox = random_core_tbox(rng)
+        q = random_rooted_cq(rng, max_atoms=6, max_vars=5) if i % 2 else random_rooted_cq(rng)
+        rw = rewrite(q, tbox, link_chooser=chooser)
+        want = []
+        for zset in _subsets_in_order(q.existential_vars()):
+            cert = is_realisable(tbox, q, zset, link_chooser=chooser)
+            if cert.realisable:
+                want.append(cert)
+        assert [b.z for b in rw.branches] == [c.z for c in want]
+        assert list(rw.certificates[:len(want)]) == want
+        assert not any(c.realisable for c in rw.certificates[len(want):])
+        several += len(want) > 2
+    assert several > 5
+
+
+QUERY_WIDTH_TBOX = "A SUB EX R\nEX R- SUB A\n"
+
+
+def test_rewrite_probes_each_cluster_once(monkeypatch):
+    # The package re-exports the function `rewrite`, which shadows the module.
+    rewrite_mod = importlib.import_module("bago.rewrite")
+    real, calls = rewrite_mod.is_realisable, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite_mod, "is_realisable", counted)
+    t = parse_tbox(QUERY_WIDTH_TBOX)
+    path = ", ".join(f"R(y{i}, y{i + 1})" for i in range(12))
+    rw = rewrite(parse_cq(f"q(y0) :- {path}"), t)
+    assert len(calls) == 78 == len(set(calls))
+    assert len(rw.branches) == 13
+    calls.clear()
+    star = ", ".join(f"R(x, y{i})" for i in range(8))
+    rw = rewrite(parse_cq(f"q(x) :- {star}"), t)
+    assert len(calls) == 8
+    assert len(rw.branches) == 256
+
+
+def test_rewrite_union_is_balanced():
+    star = ", ".join(f"R(x, y{i})" for i in range(6))
+    rw = rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox(QUERY_WIDTH_TBOX))
+    assert len(rw.branches) == 64
+    depth, stack = 0, [(rw.combined, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, BalgArithUnion):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+        depth = max(depth, d)
+    assert depth <= 6
