@@ -13,6 +13,18 @@ stage by stage, and keeps only the last; `ChaseResult.stages` rebuilds an
 earlier stage on request by chasing to that depth. Evaluating a rooted query
 with n concept/role atoms over stage n already yields its answers over the
 full (infinite) union, which is why callers always pass an explicit depth.
+
+The chase never computes a concept closure per element. Stage 1 processes
+the named individuals: their seeds (atomic multiplicities and EX R / EX R-
+out-degree sums) are gathered in one pass over the extensions, and the
+closure is memoised per seed signature. Every later stage processes only the
+witnesses born in the stage before, and a witness born for role R starts with
+nothing but its R-edge of multiplicity 1, so it is expanded from a plan fixed
+per role: the closure of EX R- at multiplicity 1, with one child per role
+S != R- in it. `concept_closure`, `_stage` and `chase_step` keep the literal
+per-element construction as the reference the tests compare against. A chase
+that would need more than MAX_CHASE_ELEMENTS anonymous elements raises
+ChaseLimitExceeded before allocating them.
 """
 
 from __future__ import annotations
@@ -21,7 +33,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import UnsatisfiableOntology, UnsupportedTBoxKind, combine
+from .errors import (
+    ChaseLimitExceeded,
+    UnsatisfiableOntology,
+    UnsupportedTBoxKind,
+    combine,
+)
 from .ontology import (
     CORE,
     AtomicConcept,
@@ -35,6 +52,10 @@ from .ontology import (
     is_satisfiable,
 )
 from .query import CQ, ConceptAtom, RoleAtom
+
+# Budget of anonymous elements for one chase; a chase that would pass it
+# raises ChaseLimitExceeded before allocating.
+MAX_CHASE_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +282,130 @@ def chase_step(prev: BagInterpretation, tbox: TBox) -> BagInterpretation:
     return nxt
 
 
+# Plan for one element: its concept entries as (name, multiplicity) and its
+# births as (role, count), both in canonical order. Births sorted by role make
+# every frontier come out in element_key order, the order _stage processes in.
+_Plan = tuple[tuple[tuple[str, int], ...], tuple[tuple[Role, int], ...]]
+
+
+def _plan(closure: Mapping[Concept, int], seeds: Mapping[Concept, int]) -> _Plan:
+    """Atomic entries of the closure, and each EX R's deficit over its seed."""
+    writes, births = [], []
+    for c, m in closure.items():
+        if isinstance(c, AtomicConcept):
+            writes.append((c.name, m))
+        elif m > seeds.get(c, 0):
+            births.append((c.role, m - seeds.get(c, 0)))
+    # Names and roles are distinct, so these sort by name and by Role order.
+    return tuple(sorted(writes)), tuple(sorted(births))
+
+
+def _named_seeds(i: BagInterpretation) -> dict[Element, dict[Concept, int]]:
+    """Every element's seeds, gathered in one pass over the extensions.
+
+    A seed is an atomic concept's multiplicity or an EX R / EX R- out-degree
+    sum; a self-loop R(a,a) counts toward both EX R and EX R- of a.
+    """
+    seeds: dict[Element, dict[Concept, int]] = {u: {} for u in i.domain}
+    for name, ext in i.concepts.items():
+        c = AtomicConcept(name)
+        for u, m in ext.items():
+            seeds[u][c] = m
+    for name, ext in i.roles.items():
+        out, back = ExistsRole(Role(name)), ExistsRole(Role(name, True))
+        for (u, v), m in ext.items():
+            su, sv = seeds[u], seeds[v]
+            su[out] = su.get(out, 0) + m
+            sv[back] = sv.get(back, 0) + m
+    return seeds
+
+
+def _named_plans(i: BagInterpretation, tbox: TBox) -> list[tuple[Element, _Plan]]:
+    """Stage-1 plans of the named individuals in element_key order.
+
+    The closure is computed once per distinct seed signature.
+    """
+    seeds = _named_seeds(i)
+    memo: dict[frozenset, _Plan] = {}
+    plans = []
+    for u in sorted(i.domain, key=element_key):
+        signature = frozenset(seeds[u].items())
+        plan = memo.get(signature)
+        if plan is None:
+            closure: dict[Concept, int] = {}
+            for c0, m in seeds[u].items():
+                for c in tbox.concepts_entailed_by(c0):
+                    if closure.get(c, 0) < m:
+                        closure[c] = m
+            plan = memo[signature] = _plan(closure, seeds[u])
+        plans.append((u, plan))
+    return plans
+
+
 def _grow(k: BagOntology, depth: int) -> BagInterpretation:
+    """Chase k to `depth` in place: what iterating `_stage` builds, from plans."""
     i = interpretation_from_abox(k.abox)
-    # After its first processing step an element is saturated (its closure
-    # and role deficits never change again), so later steps only need to
-    # process the elements born in the previous one.
-    frontier: Iterable[Element] = list(i.domain)
-    for _ in range(depth):
-        frontier = _stage(i, k.tbox, frontier)
+    tbox = k.tbox
+    named = len(i.domain)
+    concepts, roles, fwd_index, bwd_index = i.concepts, i.roles, i._fwd, i._bwd
+
+    def expand(u: Element, plan: _Plan, born: list[Anon]) -> None:
+        writes, births = plan
+        for name, m in writes:
+            concepts.setdefault(name, {})[u] = m
+        for role, count in births:
+            if len(i.domain) - named + count > MAX_CHASE_ELEMENTS:
+                raise ChaseLimitExceeded(
+                    f"the chase needs more than {MAX_CHASE_ELEMENTS:,} anonymous "
+                    "elements; answer with --via rewrite, whose cost does not grow "
+                    "with multiplicities"
+                )
+            name = role.name
+            ext = roles.setdefault(name, {})
+            fwd = fwd_index.setdefault(name, {})
+            bwd = bwd_index.setdefault(name, {})
+            witnesses = [Anon(u, role, j) for j in range(1, count + 1)]
+            if role.inverted:  # edges w -> u
+                row = bwd.setdefault(u, {})
+                for w in witnesses:
+                    ext[(w, u)] = 1
+                    fwd[w] = {u: 1}
+                    row[w] = 1
+            else:  # edges u -> w
+                row = fwd.setdefault(u, {})
+                for w in witnesses:
+                    ext[(u, w)] = 1
+                    row[w] = 1
+                    bwd[w] = {u: 1}
+            size = len(i.domain)
+            i.domain.update(witnesses)
+            if len(i.domain) != size + count:  # stabilization makes this unreachable
+                raise AssertionError(f"a witness of {u} for {role} was created twice")
+            born.extend(witnesses)
+
+    if depth == 0:
+        return i
+    frontier: list[Anon] = []
+    for u, plan in _named_plans(i, tbox):
+        expand(u, plan, frontier)
+
+    role_plans: dict[Role, _Plan] = {}
+    for _ in range(depth - 1):
+        if not frontier:  # the chase terminated; later stages add nothing
+            break
+        born: list[Anon] = []
+        role = None
+        for w in frontier:
+            # Siblings share their Role object, so `is` skips most lookups.
+            if w.role is not role:
+                role = w.role
+                plan = role_plans.get(role)
+                if plan is None:
+                    seed = ExistsRole(role.inverse)
+                    plan = role_plans[role] = _plan(
+                        dict.fromkeys(tbox.concepts_entailed_by(seed), 1), {seed: 1})
+            expand(w, plan, born)
+        frontier = born
     return i
 
 

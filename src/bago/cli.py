@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error;
 3 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
-4 internal cross-check failure; 5 resource limit (recursion depth or memory).
+4 internal cross-check failure; 5 resource limit (recursion depth, memory, or
+the chase's anonymous-element budget).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from .errors import (
     BagoError,
+    ChaseLimitExceeded,
     CrosscheckMismatch,
     NotRooted,
     ParseError,
@@ -302,12 +304,12 @@ def main(argv=None) -> int:
     except CrosscheckMismatch as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except (ChaseLimitExceeded, RecursionError, MemoryError) as exc:
+        print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_RESOURCE
     except BagoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RecursionError, MemoryError) as exc:
-        print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ class CrosscheckMismatch(BagoError):
     """The chase and rewriting evaluation paths disagree."""
 
 
+class ChaseLimitExceeded(BagoError):
+    """The chase would need more anonymous elements than its budget."""
+
+
 class RewriteLimitExceeded(BagoError):
     """Query has too many existential variables for rewriting."""
 
