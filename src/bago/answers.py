@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
+    ChaseLimitExceeded,
     CrosscheckMismatch,
     NotRooted,
     UnsatisfiableOntology,
@@ -131,6 +132,8 @@ def crosscheck_one(tbox, abox, q: CQ, label: str = "instance") -> CrosscheckOutc
     try:
         via_chase = certain_answers(q, k, via=VIA_CHASE)
         via_rewrite = certain_answers(q, k, via=VIA_REWRITE)
+    except (ChaseLimitExceeded, RecursionError, MemoryError):
+        raise  # a resource limit is not a failed comparison; the CLI exits 5
     except Exception as exc:  # per-instance: report, do not abort a batch
         return CrosscheckOutcome(label, False, detail=f"error: {exc}")
     if via_chase == via_rewrite:

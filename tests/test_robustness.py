@@ -36,6 +36,16 @@ def test_huge_multiplicity_via_chase_exits_with_resource_limit(capsys, tmp_path,
     assert elapsed < 1.0  # the budget is checked before any witness is allocated
 
 
+def test_huge_multiplicity_in_crosscheck_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
+    files = _employee_files(tmp_path, fixtures_dir, U64_MAX)
+    code = main(["crosscheck", *files])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert "--via rewrite" in captured.err
+    assert "error: error:" not in captured.err
+
+
 def test_huge_multiplicity_via_rewrite_answers_exactly(capsys, tmp_path, fixtures_dir):
     files = _employee_files(tmp_path, fixtures_dir, U64_MAX)
     code = main(["answer", *files, "--via", "rewrite"])
