@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
-    ChaseLimitExceeded,
+    RESOURCE_LIMITS,
     CrosscheckMismatch,
     NotRooted,
     UnsatisfiableOntology,
@@ -132,7 +132,7 @@ def crosscheck_one(tbox, abox, q: CQ, label: str = "instance") -> CrosscheckOutc
     try:
         via_chase = certain_answers(q, k, via=VIA_CHASE)
         via_rewrite = certain_answers(q, k, via=VIA_REWRITE)
-    except (ChaseLimitExceeded, RecursionError, MemoryError):
+    except RESOURCE_LIMITS:
         raise  # a resource limit is not a failed comparison; the CLI exits 5
     except Exception as exc:  # per-instance: report, do not abort a batch
         return CrosscheckOutcome(label, False, detail=f"error: {exc}")

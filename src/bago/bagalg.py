@@ -8,23 +8,28 @@ multiplicities of its atom images, each repeated atom counted separately, as
 in bag relational algebra. Answer tuples range over named elements only;
 existential variables may pass through anonymous elements.
 
-Bag-algebra queries are evaluated by structural recursion: atoms look up
-multiplicities, joins multiply on shared variables, equality filters zero out
-mismatches (or append a pinned column for a fresh variable), projections sum
-out columns, and the three bag unions / difference act pointwise. Every node
-carries its answer-variable list; the variable side conditions are checked at
-construction time and violations raise IllFormedQuery.
+Bag-algebra queries are evaluated over relations of individual names: one
+bag of name tuples per (predicate, arity), read straight from a BagABox (or
+from the named part of a BagInterpretation). These are the N-semiring
+relations of Green, Karvounarakis and Tannen. Evaluation is structural
+recursion: atoms select and rename their relation's tuples, joins multiply on
+shared variables, equality filters zero out mismatches (or append a pinned
+column for a fresh variable), projections sum out columns, and the three bag
+unions / difference act pointwise through `errors.combine`. The four binary
+nodes share one base class carrying their s-expression tag and combine op.
+Every node carries its answer-variable list; the variable side conditions are
+checked at construction time and violations raise IllFormedQuery.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Union
 
 from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul,
                      combine)
-from .ontology import Role, check_individual
+from .ontology import BagABox, ConceptAssertion, Role, check_individual, check_name
 from .chase import Anon, BagInterpretation, ChaseResult, Element, Named
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
@@ -44,10 +49,6 @@ class AnswerBag:
             if m:
                 store[tuple(tup)] = checked_add(store.get(tuple(tup), 0), m)
         self._entries = store
-
-    @classmethod
-    def empty(cls, arity: int) -> "AnswerBag":
-        return cls(arity)
 
     def get(self, tup: tuple[str, ...]) -> int:
         return self._entries.get(tuple(tup), 0)
@@ -213,7 +214,7 @@ def _kind_ok(el: Element, kind: str) -> bool:
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
     if compiled.empty:
-        return AnswerBag.empty(len(q.answer_vars))
+        return AnswerBag(len(q.answer_vars))
     patterns = _order_patterns(_atom_patterns(q, compiled), interp)
     inequalities = [
         (compiled.resolve(a.left), compiled.resolve(a.right))
@@ -349,19 +350,6 @@ class BalgAtom:
 
 
 @dataclass(frozen=True)
-class BalgJoin:
-    left: "BALGQuery"
-    right: "BALGQuery"
-    answer_vars: tuple[Var, ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "answer_vars",
-            _merge_vars(self.left.answer_vars, self.right.answer_vars),
-        )
-
-
-@dataclass(frozen=True)
 class BalgEqFilter:
     child: "BALGQuery"
     var: Var
@@ -398,42 +386,45 @@ class BalgProject:
         )
 
 
-def _same_vars(left, right, what):
-    if set(left.answer_vars) != set(right.answer_vars):
-        raise IllFormedQuery(f"{what} requires identical answer variables")
-
-
 @dataclass(frozen=True)
-class BalgMaxUnion:
+class BalgBinary:
+    """Two operands; unions and difference need equal answer variables, joins merge them."""
+
     left: "BALGQuery"
     right: "BALGQuery"
     answer_vars: tuple[Var, ...] = field(init=False, compare=False)
+    tag: ClassVar[str]  # s-expression head
+    combine: ClassVar[Optional[str]]  # the errors.combine op applied pointwise
 
     def __post_init__(self):
-        _same_vars(self.left, self.right, "max union")
+        if set(self.left.answer_vars) != set(self.right.answer_vars):
+            raise IllFormedQuery(f"{self.tag} requires identical answer variables")
         object.__setattr__(self, "answer_vars", self.left.answer_vars)
 
 
-@dataclass(frozen=True)
-class BalgArithUnion:
-    left: "BALGQuery"
-    right: "BALGQuery"
-    answer_vars: tuple[Var, ...] = field(init=False, compare=False)
+class BalgJoin(BalgBinary):
+    tag, combine = "join", None  # multiplies on the shared variables instead
 
     def __post_init__(self):
-        _same_vars(self.left, self.right, "arithmetic union")
-        object.__setattr__(self, "answer_vars", self.left.answer_vars)
+        object.__setattr__(
+            self, "answer_vars",
+            _merge_vars(self.left.answer_vars, self.right.answer_vars),
+        )
 
 
-@dataclass(frozen=True)
-class BalgDiff:
-    left: "BALGQuery"
-    right: "BALGQuery"
-    answer_vars: tuple[Var, ...] = field(init=False, compare=False)
+class BalgMaxUnion(BalgBinary):
+    tag, combine = "max-union", "max-union"
 
-    def __post_init__(self):
-        _same_vars(self.left, self.right, "difference")
-        object.__setattr__(self, "answer_vars", self.left.answer_vars)
+
+class BalgArithUnion(BalgBinary):
+    tag, combine = "arith-union", "arith-union"
+
+
+class BalgDiff(BalgBinary):
+    tag, combine = "diff", "difference"
+
+
+_BINARY_BY_TAG = {cls.tag: cls for cls in (BalgJoin, BalgMaxUnion, BalgArithUnion, BalgDiff)}
 
 
 BALGQuery = Union[
@@ -442,28 +433,43 @@ BALGQuery = Union[
 ]
 
 
-def eval_balg(q: BALGQuery, i: BagInterpretation) -> AnswerBag:
-    """Structural evaluation; tuple positions follow q.answer_vars."""
-    table = _eval_node(q, i)
-    return AnswerBag(len(q.answer_vars), table)
+# (predicate, arity) -> bag of name tuples; a name can be a concept and a role.
+Relations = dict[tuple[str, int], dict[tuple[str, ...], int]]
 
 
-_NODE_OPS = {
-    BalgMaxUnion: "max-union",
-    BalgArithUnion: "arith-union",
-    BalgDiff: "difference",
-}
+def _relations(source: Union[BagABox, BagInterpretation]) -> Relations:
+    """The source as name relations; anonymous elements of an interpretation drop out."""
+    rels: Relations = {}
+    if isinstance(source, BagABox):
+        for a, m in source.entries():
+            if isinstance(a, ConceptAssertion):
+                rels.setdefault((a.concept, 1), {})[(a.individual,)] = m
+            else:
+                rels.setdefault((a.role, 2), {})[(a.subject, a.object)] = m
+        return rels
+    for name, ext in source.concepts.items():
+        rels[(name, 1)] = {(el.name,): m for el, m in ext.items() if isinstance(el, Named)}
+    for name, ext in source.roles.items():
+        rels[(name, 2)] = {(u.name, v.name): m for (u, v), m in ext.items()
+                           if isinstance(u, Named) and isinstance(v, Named)}
+    return rels
 
 
-def _eval_node(q, interp) -> dict[tuple[str, ...], int]:
+def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> AnswerBag:
+    """Structural evaluation over the source's name relations.
+
+    Tuple positions follow q.answer_vars.
+    """
+    return AnswerBag(len(q.answer_vars), _eval_node(q, _relations(source)))
+
+
+def _eval_node(q, rels: Relations) -> dict[tuple[str, ...], int]:
     if isinstance(q, BalgAtom):
-        return _eval_atom(q, interp)
-    if isinstance(q, BalgJoin):
-        return _eval_join(q, interp)
+        return _eval_atom(q, rels)
     if isinstance(q, BalgEqFilter):
-        return _eval_eqfilter(q, interp)
+        return _eval_eqfilter(q, rels)
     if isinstance(q, BalgProject):
-        child = _eval_node(q.child, interp)
+        child = _eval_node(q.child, rels)
         keep = [i for i, v in enumerate(q.child.answer_vars)
                 if v not in set(q.projected)]
         out: dict[tuple[str, ...], int] = {}
@@ -471,45 +477,34 @@ def _eval_node(q, interp) -> dict[tuple[str, ...], int]:
             key = tuple(tup[i] for i in keep)
             out[key] = checked_add(out.get(key, 0), m)
         return out
-    op = _NODE_OPS.get(type(q))
-    if op is None:
+    if not isinstance(q, BalgBinary):
         raise IllFormedQuery(f"unknown query node {type(q).__name__}")
-    left = _eval_node(q.left, interp)
-    right = _eval_node(q.right, interp)
+    left = _eval_node(q.left, rels)
+    right = _eval_node(q.right, rels)
+    if isinstance(q, BalgJoin):
+        return _join(q, left, right)
     perm = [q.right.answer_vars.index(v) for v in q.left.answer_vars]
     remapped = {tuple(tup[i] for i in perm): m for tup, m in right.items()}
-    return combine(op, left, remapped)
+    return combine(q.combine, left, remapped)
 
 
-def _eval_atom(q: BalgAtom, interp) -> dict[tuple[str, ...], int]:
+def _eval_atom(q: BalgAtom, rels: Relations) -> dict[tuple[str, ...], int]:
     out: dict[tuple[str, ...], int] = {}
-    if len(q.terms) == 1:
-        entries = [((el,), m) for el, m in interp.concepts.get(q.predicate, {}).items()]
-    else:
-        entries = [((u, v), m) for (u, v), m in interp.roles.get(q.predicate, {}).items()]
-    for elements, m in entries:
-        if any(not isinstance(el, Named) for el in elements):
-            continue
+    for names, m in rels.get((q.predicate, len(q.terms)), {}).items():
         bound: dict[Var, str] = {}
-        ok = True
-        for t, el in zip(q.terms, elements):
+        for t, name in zip(q.terms, names):
             if isinstance(t, Const):
-                if t.name != el.name:
-                    ok = False
+                if t.name != name:
                     break
-            elif bound.setdefault(t, el.name) != el.name:
-                ok = False
+            elif bound.setdefault(t, name) != name:
                 break
-        if not ok:
-            continue
-        key = tuple(bound[v] for v in q.answer_vars)
-        out[key] = checked_add(out.get(key, 0), m)
+        else:
+            key = tuple(bound[v] for v in q.answer_vars)
+            out[key] = checked_add(out.get(key, 0), m)
     return out
 
 
-def _eval_join(q: BalgJoin, interp) -> dict[tuple[str, ...], int]:
-    left = _eval_node(q.left, interp)
-    right = _eval_node(q.right, interp)
+def _join(q: BalgJoin, left, right) -> dict[tuple[str, ...], int]:
     lvars, rvars = q.left.answer_vars, q.right.answer_vars
     shared = [v for v in rvars if v in set(lvars)]
     lpos = [lvars.index(v) for v in shared]
@@ -528,8 +523,8 @@ def _eval_join(q: BalgJoin, interp) -> dict[tuple[str, ...], int]:
     return out
 
 
-def _eval_eqfilter(q: BalgEqFilter, interp) -> dict[tuple[str, ...], int]:
-    child = _eval_node(q.child, interp)
+def _eval_eqfilter(q: BalgEqFilter, rels: Relations) -> dict[tuple[str, ...], int]:
+    child = _eval_node(q.child, rels)
     pos = q.child.answer_vars.index(q.var)
     if isinstance(q.term, Const):
         return {tup: m for tup, m in child.items() if tup[pos] == q.term.name}
@@ -556,15 +551,9 @@ def to_sexpr(q: BALGQuery, indent: int = 0) -> str:
         names = " ".join(v.name for v in q.projected)
         child = to_sexpr(q.child, indent + 1)
         return f"{pad}(project ({names})\n{child})"
-    tag = {
-        BalgJoin: "join",
-        BalgMaxUnion: "max-union",
-        BalgArithUnion: "arith-union",
-        BalgDiff: "diff",
-    }[type(q)]
     left = to_sexpr(q.left, indent + 1)
     right = to_sexpr(q.right, indent + 1)
-    return f"{pad}({tag}\n{left}\n{right})"
+    return f"{pad}({q.tag}\n{left}\n{right})"
 
 
 _SEXPR_TOKEN_RE = re.compile(r'\(|\)|"[^"\n]*"|[^\s()"]+')
@@ -593,13 +582,19 @@ def parse_balg(text: str) -> BALGQuery:
             raise ParseError(f"invalid term {tok!r}")
         return Var(tok)
 
+    def parse_var(tok, what) -> Var:
+        term = parse_term(tok)
+        if not isinstance(term, Var):
+            raise ParseError(f"{what} expects a variable, found {tok!r}")
+        return term
+
     def parse_node() -> BALGQuery:
         tok = next_token()
         if tok != "(":
             raise ParseError(f"expected '(', found {tok!r}")
         head = next_token()
         if head == "atom":
-            pred = next_token()
+            pred = check_name(next_token(), "predicate")
             terms = []
             while tokens[pos] != ")":
                 terms.append(parse_term(next_token()))
@@ -608,35 +603,27 @@ def parse_balg(text: str) -> BALGQuery:
         if head == "project":
             if next_token() != "(":
                 raise ParseError("expected a variable list after project")
-            names = []
+            projected = []
             while tokens[pos] != ")":
-                names.append(next_token())
+                projected.append(parse_var(next_token(), "project"))
             next_token()
             child = parse_node()
             if next_token() != ")":
                 raise ParseError("expected ')' to close project")
-            return BalgProject(tuple(Var(n) for n in names), child)
+            return BalgProject(tuple(projected), child)
         if head == "eq-filter":
             child = parse_node()
-            var_tok = parse_term(next_token())
-            if not isinstance(var_tok, Var):
-                raise ParseError("eq-filter expects a variable before the term")
+            var = parse_var(next_token(), "eq-filter")
             term = parse_term(next_token())
             if next_token() != ")":
                 raise ParseError("expected ')' to close eq-filter")
-            return BalgEqFilter(child, var_tok, term)
-        if head in ("join", "max-union", "arith-union", "diff"):
+            return BalgEqFilter(child, var, term)
+        if head in _BINARY_BY_TAG:
             left = parse_node()
             right = parse_node()
             if next_token() != ")":
                 raise ParseError(f"expected ')' to close {head}")
-            cls = {
-                "join": BalgJoin,
-                "max-union": BalgMaxUnion,
-                "arith-union": BalgArithUnion,
-                "diff": BalgDiff,
-            }[head]
-            return cls(left, right)
+            return _BINARY_BY_TAG[head](left, right)
         raise ParseError(f"unknown operator {head!r}")
 
     try:

@@ -216,16 +216,14 @@ def bag_union(a: BagInterpretation, b: BagInterpretation) -> BagInterpretation:
 
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     """Stage 0: assertions become extensions over the named individuals."""
-    domain = {Named(name) for name in abox.individuals()}
-    concepts: dict[str, dict[Element, int]] = {}
-    roles: dict[str, dict[tuple[Element, Element], int]] = {}
-    for assertion, m in abox.items():
-        if isinstance(assertion, ConceptAssertion):
-            concepts.setdefault(assertion.concept, {})[Named(assertion.individual)] = m
+    named = {name: Named(name) for name in abox.individuals()}
+    i = BagInterpretation(named.values(), {}, {})
+    for a, m in abox.entries():
+        if isinstance(a, ConceptAssertion):
+            i.concepts.setdefault(a.concept, {})[named[a.individual]] = m
         else:
-            pair = (Named(assertion.subject), Named(assertion.object))
-            roles.setdefault(assertion.role, {})[pair] = m
-    return BagInterpretation(domain, concepts, roles)
+            i._add_edge(a.role, (named[a.subject], named[a.object]), m)
+    return i
 
 
 def concept_closure(i: BagInterpretation, u: Element, tbox: TBox) -> dict[Concept, int]:

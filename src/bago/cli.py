@@ -15,16 +15,16 @@ from pathlib import Path
 
 from .errors import (
     BagoError,
-    ChaseLimitExceeded,
     CrosscheckMismatch,
     NotRooted,
+    RESOURCE_LIMITS,
     ParseError,
     UnsatisfiableOntology,
     UnsupportedTBoxKind,
 )
 from .ontology import BagOntology, is_satisfiable, parse_abox, parse_tbox
 from .query import parse_cq
-from .chase import chase, dump_chase, interpretation_from_abox
+from .chase import chase, dump_chase
 from .bagalg import eval_balg, eval_cq, parse_answer_tuple, parse_balg, to_sexpr
 from .answers import (
     VIA_BOTH,
@@ -138,7 +138,7 @@ def _cmd_rewrite(args) -> int:
 def _cmd_eval_balg(args) -> int:
     abox = parse_abox(_read(args.abox))
     node = parse_balg(_read(args.query))
-    bag = eval_balg(node, interpretation_from_abox(abox))
+    bag = eval_balg(node, abox)
     if node.answer_vars:
         print("# columns: " + ", ".join(v.name for v in node.answer_vars))
     print(bag.to_text(), end="")
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except CrosscheckMismatch as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ChaseLimitExceeded, RecursionError, MemoryError) as exc:
+    except RESOURCE_LIMITS as exc:
         print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except BagoError as exc:

@@ -75,6 +75,11 @@ class ChaseLimitExceeded(BagoError):
     """The chase would need more anonymous elements than its budget."""
 
 
+# What ends a run for want of resources: the CLI exits 5 on each of these, and
+# a cross-check lets them through rather than count a failed comparison.
+RESOURCE_LIMITS = (ChaseLimitExceeded, RecursionError, MemoryError)
+
+
 class RewriteLimitExceeded(BagoError):
     """Query has too many existential variables for rewriting."""
 

@@ -44,7 +44,7 @@ _INDIVIDUAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_INDIVIDUAL_PREFIX = "_probe_"
 
 
-def _check_name(name, what, line=None):
+def check_name(name, what, line=None):
     if not _NAME_RE.match(name):
         raise ParseError(f"invalid {what} name {name!r}", line=line)
     return name
@@ -306,6 +306,10 @@ class BagABox:
     def items(self):
         return sorted(self._entries.items(), key=lambda kv: _assertion_key(kv[0]))
 
+    def entries(self):
+        """(assertion, multiplicity) pairs in insertion order; `items` sorts them."""
+        return self._entries.items()
+
     def multiplicity(self, assertion: Assertion) -> int:
         return self._entries.get(assertion, 0)
 
@@ -435,13 +439,13 @@ def _strip_comment(line: str) -> str:
 def _parse_role_token(token: str, line=None) -> Role:
     inverted = token.endswith("-")
     name = token[:-1] if inverted else token
-    _check_name(name, "role", line)
+    check_name(name, "role", line)
     return Role(name, inverted)
 
 
 def _parse_concept_tokens(tokens: list[str], lineno: int) -> Concept:
     if len(tokens) == 1:
-        return AtomicConcept(_check_name(tokens[0], "concept", lineno))
+        return AtomicConcept(check_name(tokens[0], "concept", lineno))
     if len(tokens) == 2 and tokens[0] == "EX":
         return ExistsRole(_parse_role_token(tokens[1], lineno))
     raise ParseError(f"malformed concept {' '.join(tokens)!r}", line=lineno)

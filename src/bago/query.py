@@ -157,14 +157,8 @@ class EqClasses:
             for t in members:
                 self._class_of[t] = cls
 
-    def terms(self):
-        return self._class_of.keys()
-
     def class_of(self, t: Term) -> frozenset[Term]:
         return self._class_of.get(t, frozenset((t,)))
-
-    def rep(self, t: Term) -> Term:
-        return min(self.class_of(t), key=term_key)
 
     def classes(self) -> list[frozenset[Term]]:
         return sorted(set(self._class_of.values()), key=lambda c: term_key(min(c, key=term_key)))
@@ -184,7 +178,6 @@ class GaifmanGraph:
         for a in atoms:
             if isinstance(a, RoleAtom):
                 edges.add(frozenset((eq.class_of(a.subject), eq.class_of(a.object))))
-        self.edges = frozenset(edges)
         adjacency: dict[frozenset[Term], set[frozenset[Term]]] = {n: set() for n in self.nodes}
         for edge in edges:
             pair = list(edge)
@@ -261,10 +254,6 @@ class CQ:
         head = set(self.answer_vars)
         return tuple(sorted((v for v in self.variables() if v not in head),
                             key=term_key))
-
-    def constants(self) -> tuple[Const, ...]:
-        out = {t for a in self.atoms for t in a.terms if isinstance(t, Const)}
-        return tuple(sorted(out, key=term_key))
 
     def positive_atoms(self) -> list[QueryAtom]:
         return [a for a in self.atoms if isinstance(a, (ConceptAtom, RoleAtom))]

@@ -39,6 +39,7 @@ from .ontology import (
     RoleAssertion,
     TBox,
 )
+# Unused here; kept because perfbench's traced run wraps bago.rewrite.interpretation_from_abox.
 from .chase import chase, interpretation_from_abox, required_depth
 from .bagalg import (
     AnswerBag,
@@ -248,13 +249,12 @@ def collapse(
 
 
 class _FreshVars:
-    def __init__(self, prefix: str = "_z"):
-        self.prefix = prefix
+    def __init__(self):
         self.counter = 0
 
     def __call__(self) -> Var:
         self.counter += 1
-        return Var(f"{self.prefix}{self.counter}")
+        return Var(f"_z{self.counter}")
 
 
 def _zeta(concept: Concept, t: Term, fresh: _FreshVars) -> BALGQuery:
@@ -516,8 +516,7 @@ def evaluate_rewriting(rw: Rewriting, abox: BagABox) -> AnswerBag:
     equality class is pinned to an individual and they occur in no atom) are
     filled in from that individual here.
     """
-    stage0 = interpretation_from_abox(abox)
-    bag = eval_balg(rw.combined, stage0)
+    bag = eval_balg(rw.combined, abox)
     head = rw.source.answer_vars
     node_vars = rw.combined.answer_vars
     if tuple(node_vars) == tuple(head):

@@ -242,6 +242,23 @@ def test_eval_balg_matches_brute_force():
         assert dict(eval_balg(node, interp).items()) == brute_eval_balg(node, interp)
 
 
+def test_eval_balg_over_abox_matches_its_stage_zero():
+    from bago.randgen import random_bag_abox
+
+    rng = random.Random(45)
+    for _ in range(200):
+        abox = random_bag_abox(rng)
+        node = random_balg(rng)
+        assert eval_balg(node, abox) == eval_balg(node, interpretation_from_abox(abox))
+
+
+def test_concept_and_role_of_one_name_stay_separate():
+    abox = parse_abox("A(a) 2\nA(a,b) 3\n")
+    for source in (abox, interpretation_from_abox(abox)):
+        assert eval_balg(BalgAtom("A", (x,)), source) == AnswerBag(1, {("a",): 2})
+        assert eval_balg(BalgAtom("A", (x, y)), source) == AnswerBag(2, {("a", "b"): 3})
+
+
 def test_eval_partitioned_matches_brute_force_over_chase_stages():
     from itertools import combinations
 

@@ -218,8 +218,14 @@ def test_chase_refuses_unsatisfiable(capsys, tmp_path):
     assert code == 3 and "refused" in err
 
 
-def test_eval_balg_rejects_ill_formed(capsys, tmp_path, fixtures_dir):
-    (tmp_path / "bad.balg").write_text("(diff (atom A x) (atom A y))\n")
+@pytest.mark.parametrize("text", [
+    "(diff (atom A x) (atom A y))",
+    '(atom "a" x)',
+    "(atom ( x)",
+    '(project ("a") (atom R x y))',
+], ids=["side-condition", "quoted-predicate", "paren-predicate", "quoted-projection"])
+def test_eval_balg_rejects_ill_formed(capsys, tmp_path, fixtures_dir, text):
+    (tmp_path / "bad.balg").write_text(text + "\n")
     code, _, err = run(
         capsys, "eval-balg",
         "-A", str(fixtures_dir / "managers" / "abox.bag"),

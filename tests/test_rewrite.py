@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import pathlib
 import random
 from itertools import combinations
 
@@ -12,6 +14,7 @@ from bago import (
     NotRooted,
     UnsupportedTBoxKind,
     build_probe,
+    certain_answers,
     chase,
     chase_back,
     collapse,
@@ -24,6 +27,7 @@ from bago import (
     required_depth,
     rewrite,
 )
+from bago.chase import BagInterpretation
 from bago.bagalg import (
     BalgArithUnion,
     BalgAtom,
@@ -351,3 +355,25 @@ def test_rewrite_union_is_balanced():
             stack += [(node.left, d + 1), (node.right, d + 1)]
         depth = max(depth, d)
     assert depth <= 6
+
+
+def test_evaluate_rewriting_builds_no_interpretation(managers, monkeypatch):
+    k, q, _ = managers
+    rw = rewrite(q, k.tbox)
+    expected = certain_answers(q, k, via="chase")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("evaluate_rewriting built a BagInterpretation")
+
+    monkeypatch.setattr(BagInterpretation, "__init__", refuse)
+    assert evaluate_rewriting(rw, k.abox) == expected
+
+
+def test_benchmark_trace_sites_exist():
+    # The traced benchmark run wraps these module attributes by name.
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _span, _count in tracer.INNER_SITES:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
