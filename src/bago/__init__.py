@@ -53,7 +53,6 @@ from .chase import (
     Anon,
     BagInterpretation,
     ChaseResult,
-    Named,
     bag_union,
     chase,
     chase_step,

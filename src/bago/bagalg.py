@@ -30,7 +30,7 @@ from typing import ClassVar, Iterable, Mapping, Optional, Union
 from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul,
                      combine)
 from .ontology import BagABox, ConceptAssertion, Role, check_individual, check_name
-from .chase import Anon, BagInterpretation, ChaseResult, Element, Named
+from .chase import Anon, BagInterpretation, ChaseResult, Element
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
 
@@ -124,30 +124,31 @@ def parse_answer_tuple(text: str) -> tuple[str, ...]:
 
 # -- conjunctive query evaluation --------------------------------------------
 
-NAMED_ONLY = "named"
-ANON_ONLY = "anon"
-ANY_ELEMENT = "any"
+# Kinds a variable may range over, as the type its elements must have.
+NAMED_ONLY = str
+ANON_ONLY = Anon
+ANY_ELEMENT = object
 
 
 class _CompiledQuery:
     """Equality classes resolved to constants or representative variables."""
 
-    def __init__(self, q: CQ, rep_kind: Mapping[Var, str]):
+    def __init__(self, q: CQ, rep_kind: Mapping[Var, type]):
         eq = q.equality_classes()
         self.resolution: dict[Term, object] = {}
         self.empty = False
-        self.rep_kind: dict[Var, str] = {}
+        self.rep_kind: dict[Var, type] = {}
         for cls in eq.classes():
             consts = sorted({t for t in cls if isinstance(t, Const)})
             if len(consts) > 1:
                 self.empty = True
                 return
             if consts:
-                value = Named(consts[0].name)
+                value = consts[0].name
                 for t in cls:
                     self.resolution[t] = value
                 # A class pinned to an individual cannot be anonymous.
-                if any(rep_kind.get(t) == ANON_ONLY for t in cls if isinstance(t, Var)):
+                if any(rep_kind.get(t) is ANON_ONLY for t in cls if isinstance(t, Var)):
                     self.empty = True
                     return
             else:
@@ -166,7 +167,7 @@ class _CompiledQuery:
         r = self.resolution.get(t)
         if r is not None:
             return r
-        return Named(t.name) if isinstance(t, Const) else t
+        return t.name if isinstance(t, Const) else t
 
 
 def _atom_patterns(q: CQ, compiled: _CompiledQuery):
@@ -203,14 +204,6 @@ def _order_patterns(patterns, interp):
     return [patterns[i] for i in ordered]
 
 
-def _kind_ok(el: Element, kind: str) -> bool:
-    if kind == NAMED_ONLY:
-        return isinstance(el, Named)
-    if kind == ANON_ONLY:
-        return isinstance(el, Anon)
-    return True
-
-
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
     if compiled.empty:
@@ -232,13 +225,8 @@ def _eval_resolved(q, interp, compiled):
         for left, right in inequalities:
             if value_of(left) == value_of(right):
                 return
-        tup = []
-        for rep in answer_reps:
-            el = value_of(rep)
-            if not isinstance(el, Named):
-                return
-            tup.append(el.name)
-        key = tuple(tup)
+        # Answer variables are bound to names only (their kind is NAMED_ONLY).
+        key = tuple(value_of(rep) for rep in answer_reps)
         answers[key] = checked_add(answers.get(key, 0), weight)
 
     def matches(pattern):
@@ -284,17 +272,14 @@ def _eval_resolved(q, interp, compiled):
             emit(weight)
             return
         for new_binding, m in matches(patterns[i]):
-            ok = True
             for var, el in new_binding.items():
-                if not _kind_ok(el, kind_of(var)):
-                    ok = False
+                if not isinstance(el, kind_of(var)):
                     break
-            if not ok:
-                continue
-            binding.update(new_binding)
-            walk(i + 1, checked_mul(weight, m))
-            for var in new_binding:
-                del binding[var]
+            else:
+                binding.update(new_binding)
+                walk(i + 1, checked_mul(weight, m))
+                for var in new_binding:
+                    del binding[var]
 
     walk(0, 1)
     return AnswerBag(len(q.answer_vars), answers)
@@ -448,10 +433,10 @@ def _relations(source: Union[BagABox, BagInterpretation]) -> Relations:
                 rels.setdefault((a.role, 2), {})[(a.subject, a.object)] = m
         return rels
     for name, ext in source.concepts.items():
-        rels[(name, 1)] = {(el.name,): m for el, m in ext.items() if isinstance(el, Named)}
+        rels[(name, 1)] = {(el,): m for el, m in ext.items() if type(el) is str}
     for name, ext in source.roles.items():
-        rels[(name, 2)] = {(u.name, v.name): m for (u, v), m in ext.items()
-                           if isinstance(u, Named) and isinstance(v, Named)}
+        rels[(name, 2)] = {pair: m for pair, m in ext.items()
+                           if type(pair[0]) is str and type(pair[1]) is str}
     return rels
 
 
@@ -489,19 +474,26 @@ def _eval_node(q, rels: Relations) -> dict[tuple[str, ...], int]:
 
 
 def _eval_atom(q: BalgAtom, rels: Relations) -> dict[tuple[str, ...], int]:
-    out: dict[tuple[str, ...], int] = {}
-    for names, m in rels.get((q.predicate, len(q.terms)), {}).items():
-        bound: dict[Var, str] = {}
-        for t, name in zip(q.terms, names):
-            if isinstance(t, Const):
-                if t.name != name:
-                    break
-            elif bound.setdefault(t, name) != name:
-                break
+    """The relation's tuples matching q's constants and repeated variables, by position.
+
+    Kept positions hold each variable's first occurrence; every other position
+    is fixed by them, so distinct tuples keep distinct keys.
+    """
+    consts, repeats, first = [], [], {}
+    for i, t in enumerate(q.terms):
+        if isinstance(t, Const):
+            consts.append((i, t.name))
+        elif t in first:
+            repeats.append((i, first[t]))
         else:
-            key = tuple(bound[v] for v in q.answer_vars)
-            out[key] = checked_add(out.get(key, 0), m)
-    return out
+            first[t] = i
+    keep = [first[v] for v in q.answer_vars]
+    rel = rels.get((q.predicate, len(q.terms)), {})
+    if len(keep) == len(q.terms):  # distinct variables only: the relation itself
+        return dict(rel)
+    return {tuple(names[i] for i in keep): m for names, m in rel.items()
+            if all(names[i] == name for i, name in consts)
+            and all(names[i] == names[j] for i, j in repeats)}
 
 
 def _join(q: BalgJoin, left, right) -> dict[tuple[str, ...], int]:

@@ -1,31 +1,31 @@
 """Staged construction of the canonical bag model.
 
+Elements are of two kinds. A named individual is its name, a plain `str`. An
+anonymous witness is an `Anon(parent, role, index)`: the index-th fresh
+role-successor born for its parent. Elements print as their name or as
+`_w(parent,role,index)`, and sort names first, then witnesses by depth, then
+by (parent, role, index).
+
 Stage 0 reads the bag ABox as an interpretation over the named individuals.
 Each later stage (i) resets every old element's concept multiplicities to its
 concept-closure values over the previous stage and (ii) repairs every
 existential deficit delta = ccl(u)(EX R) - (EX R)(u) by attaching delta fresh
-anonymous role successors, each with one role edge of multiplicity 1. Fresh
-elements carry no concept memberships at birth; the next stage picks them up.
+witnesses, each with one role edge of multiplicity 1 and no concepts yet.
 
 Stages grow monotonically under bag containment, so the bag union of stages
-0..d equals stage d. The chase therefore grows one interpretation in place,
-stage by stage, and keeps only the last; `ChaseResult.stages` rebuilds an
-earlier stage on request by chasing to that depth. Evaluating a rooted query
-with n concept/role atoms over stage n already yields its answers over the
-full (infinite) union, which is why callers always pass an explicit depth.
+0..d equals stage d: the chase grows one interpretation in place and keeps
+only the last; `ChaseResult.stages` rebuilds an earlier stage by chasing to
+that depth. A rooted query with n concept/role atoms has all its answers over
+stage n, which is why callers always pass an explicit depth.
 
-Stage 1 processes the named individuals: their seeds (atomic multiplicities
-and EX R / EX R- out-degree sums) are gathered in one pass over the
-extensions, not probed predicate by predicate. Every later stage processes
-only the witnesses born in the stage before, and a witness born for role R
-starts with nothing but its R-edge of multiplicity 1, so it is expanded from
-a plan fixed per role: the closure of EX R- at multiplicity 1, with one child
-per role S != R- in it. `concept_closure`, `_stage` and `chase_step` keep the
-literal per-element construction as the reference the tests compare against.
-A chase that would need more than MAX_CHASE_ELEMENTS anonymous elements
-raises ChaseLimitExceeded before allocating them.
+Stage 1 gathers the named individuals' seeds (atomic multiplicities and
+EX R / EX R- out-degree sums) in one pass. A witness born for role R starts
+with nothing but its R-edge, so every later stage expands it from a plan
+fixed per role: the closure of EX R- at multiplicity 1. `concept_closure`,
+`_stage` and `chase_step` keep the literal per-element construction as the
+tests' reference. A chase that would need more than MAX_CHASE_ELEMENTS
+anonymous elements raises ChaseLimitExceeded before allocating them.
 """
-
 from __future__ import annotations
 
 from collections.abc import Sequence
@@ -57,62 +57,80 @@ from .query import CQ, ConceptAtom, RoleAtom
 MAX_CHASE_ELEMENTS = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class Named:
-    name: str
-
-    def __post_init__(self):
-        # Elements are dict keys everywhere; precompute the hash.
-        object.__setattr__(self, "_hash", hash(("n", self.name)))
-
-    def __eq__(self, other):
-        return type(other) is Named and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True, eq=False)
 class Anon:
-    parent: "Element"
-    role: Role
-    index: int
+    """The index-th fresh role-successor born for `parent`, a name or a witness.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("a", self.parent, self.role, self.index))
-        )
+    Hash and depth (1 under a name) are fixed at birth; nothing recurses on
+    the parent chain, so a witness may sit any number of levels deep.
+    """
+
+    __slots__ = ("parent", "role", "index", "depth", "_hash")
+
+    def __init__(self, parent: "Element", role: Role, index: int):
+        self.parent, self.role, self.index = parent, role, index
+        self.depth = parent.depth + 1 if type(parent) is Anon else 1
+        self._hash = hash((parent, role, index))
 
     def __eq__(self, other):
-        return (
-            type(other) is Anon
-            and other.index == self.index
-            and other.role == self.role
-            and other.parent == self.parent
-        )
+        a, b = self, other
+        while type(a) is Anon and a is not b:
+            if type(b) is not Anon or (a._hash, a.index, a.role) != (b._hash, b.index, b.role):
+                return False
+            a, b = a.parent, b.parent
+        return a is b or a == b
 
     def __hash__(self):
         return self._hash
 
     def __str__(self):
-        return f"_w({self.parent},{self.role},{self.index})"
+        return _texts(_ranks([self]))[self]
+
+    __repr__ = __str__
 
 
-Element = Union[Named, Anon]
+# A named element is its individual name.
+Element = Union[str, Anon]
 
 
-def element_key(el: Element):
-    key = getattr(el, "_key", None)
-    if key is None:
-        if isinstance(el, Named):
-            key = (0, el.name)
-        else:
-            key = (1, element_key(el.parent), el.role.name, el.role.inverted, el.index)
-        object.__setattr__(el, "_key", key)
-    return key
+def _ranks(elements: Iterable[Element]) -> dict[Element, int]:
+    """Positions in the canonical element order, for the elements and their ancestors.
+
+    Names come first, sorted; witnesses follow level by level, shallower
+    first, and a level sorts by (parent's rank, role, index). That is the
+    order of comparing ancestor paths from the root down, computed without
+    building the paths.
+    """
+    levels: list[list[Element]] = [[]]
+    seen: set[Element] = set()
+    for el in elements:
+        while el not in seen:
+            seen.add(el)
+            if type(el) is not Anon:
+                levels[0].append(el)
+                break
+            levels.extend([] for _ in range(el.depth + 1 - len(levels)))
+            levels[el.depth].append(el)
+            el = el.parent
+    rank = {name: r for r, name in enumerate(sorted(levels[0]))}
+    for level in levels[1:]:
+        level.sort(key=lambda w: (rank[w.parent], w.role.name, w.role.inverted, w.index))
+        for w in level:
+            rank[w] = len(rank)
+    return rank
+
+
+def _texts(rank: Mapping[Element, int]) -> dict[Element, str]:
+    """Each ranked element's text, built once: a witness ranks after its parent."""
+    text: dict[Element, str] = {}
+    for el in rank:
+        text[el] = el if type(el) is str else f"_w({text[el.parent]},{el.role},{el.index})"
+    return text
+
+
+def ordered(elements: Iterable[Element]) -> list[Element]:
+    """The elements in canonical order (see `_ranks`)."""
+    elements = list(elements)
+    return sorted(elements, key=_ranks(elements).__getitem__)
 
 
 class BagInterpretation:
@@ -162,8 +180,7 @@ class BagInterpretation:
         return sum(self.successors(role, u).values())
 
     def anonymous(self) -> list[Anon]:
-        return sorted((el for el in self.domain if isinstance(el, Anon)),
-                      key=element_key)
+        return ordered(el for el in self.domain if type(el) is Anon)
 
     def __eq__(self, other):
         return (
@@ -190,16 +207,17 @@ class BagInterpretation:
         )
 
     def to_text(self) -> str:
+        rank = _ranks(self.domain)
+        text = _texts(rank)
         lines = []
         for name in sorted(self.concepts):
             for el, m in sorted(self.concepts[name].items(),
-                                key=lambda kv: element_key(kv[0])):
-                lines.append(f"{name}({el}) {m}")
+                                key=lambda kv: rank[kv[0]]):
+                lines.append(f"{name}({text[el]}) {m}")
         for name in sorted(self.roles):
             for (u, v), m in sorted(self.roles[name].items(),
-                                    key=lambda kv: (element_key(kv[0][0]),
-                                                    element_key(kv[0][1]))):
-                lines.append(f"{name}({u},{v}) {m}")
+                                    key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])):
+                lines.append(f"{name}({text[u]},{text[v]}) {m}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -216,13 +234,12 @@ def bag_union(a: BagInterpretation, b: BagInterpretation) -> BagInterpretation:
 
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     """Stage 0: assertions become extensions over the named individuals."""
-    named = {name: Named(name) for name in abox.individuals()}
-    i = BagInterpretation(named.values(), {}, {})
+    i = BagInterpretation(abox.individuals(), {}, {})
     for a, m in abox.entries():
         if isinstance(a, ConceptAssertion):
-            i.concepts.setdefault(a.concept, {})[named[a.individual]] = m
+            i.concepts.setdefault(a.concept, {})[a.individual] = m
         else:
-            i._add_edge(a.role, (named[a.subject], named[a.object]), m)
+            i._add_edge(a.role, (a.subject, a.object), m)
     return i
 
 
@@ -258,7 +275,7 @@ def _stage(i: BagInterpretation, tbox: TBox, process: Iterable[Element]) -> list
     those plus the edges to u's fresh witnesses.
     """
     born: list[Element] = []
-    for u in sorted(process, key=element_key):
+    for u in ordered(process):
         for c, m in concept_closure(i, u, tbox).items():
             if isinstance(c, AtomicConcept):
                 i.concepts.setdefault(c.name, {})[u] = m
@@ -286,7 +303,7 @@ def chase_step(prev: BagInterpretation, tbox: TBox) -> BagInterpretation:
 
 # Plan for one element: its concept entries as (name, multiplicity) and its
 # births as (role, count), both in canonical order. Births sorted by role make
-# every frontier come out in element_key order, the order _stage processes in.
+# every frontier come out in canonical order, the order _stage processes in.
 _Plan = tuple[tuple[tuple[str, int], ...], tuple[tuple[Role, int], ...]]
 
 
@@ -367,7 +384,7 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
     if depth == 0:
         return i
     frontier: list[Anon] = []
-    for u, seeds in sorted(_named_seeds(i).items(), key=lambda kv: element_key(kv[0])):
+    for u, seeds in sorted(_named_seeds(i).items()):  # names are unique keys
         expand(u, _plan(_close(seeds, tbox), seeds), frontier)
 
     role_plans: dict[Role, _Plan] = {}

@@ -32,7 +32,7 @@ from .ontology import (
     RoleInclusion,
     TBox,
 )
-from .chase import BagInterpretation, Named
+from .chase import BagInterpretation
 from .query import CQ, ConceptAtom, RoleAtom, Var
 
 AUX_VERTEX = "_aux"
@@ -211,38 +211,27 @@ def coloring_model(graph: Graph, coloring: dict[str, str],
                    variant: str = "core") -> BagInterpretation:
     """The hand-built model induced by a color assignment for the vertices."""
     n = len(graph.vertices)
-    aux = Named(AUX_VERTEX)
-    colors = {c: Named(name) for c, name in COLOR_NAMES.items()}
-    domain = {Named(u) for u in graph.vertices} | {aux} | set(colors.values())
-    vertex_ext = {Named(u): 1 for u in graph.vertices}
-    vertex_ext[aux] = 1
+    aux, colors = AUX_VERTEX, COLOR_NAMES
+    nodes = [*graph.vertices, aux]
+    domain = {*nodes, *colors.values()}
+    vertex_ext = dict.fromkeys(nodes, 1)
     edge_ext = {}
     for u, v in graph.edge_pairs():
-        edge_ext[(Named(u), Named(v))] = 1
-        edge_ext[(Named(v), Named(u))] = 1
+        edge_ext[(u, v)] = 1
+        edge_ext[(v, u)] = 1
     edge_ext[(aux, aux)] = 1
-    colour_ext = {(Named(u), colors[coloring[u]]): 1 for u in graph.vertices}
+    colour_ext = {(u, colors[coloring[u]]): 1 for u in graph.vertices}
     colour_ext[(aux, colors["r"])] = 1
     concepts = {"Vertex": vertex_ext}
     roles = {"Edge": edge_ext, "hasColour": colour_ext}
     if variant == "core":
         concepts["ACol"] = {colors["r"]: n + 1, colors["g"]: n, colors["b"]: n}
     elif variant == "r":
-        assign_ext = {}
-        for u in graph.vertices:
-            for c in colors.values():
-                assign_ext[(Named(u), c)] = 1
+        assign_ext = {(u, c): 1 for u in graph.vertices for c in colors.values()}
         assign_ext[(aux, colors["r"])] = 1
-        reach_ext = {(aux, aux): 1}
-        for u in graph.vertices:
-            reach_ext[(aux, Named(u))] = 1
-            reach_ext[(Named(u), aux)] = 1
-        for u in graph.vertices:
-            for v in graph.vertices:
-                if u != v:
-                    reach_ext[(Named(u), Named(v))] = 1
         roles["Assign"] = assign_ext
-        roles["Reachable"] = reach_ext
+        # Every ordered pair of distinct nodes, plus the auxiliary vertex's loop.
+        roles["Reachable"] = {(u, v): 1 for u in nodes for v in nodes if u != v or u == aux}
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return BagInterpretation(domain, concepts, roles)

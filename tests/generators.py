@@ -3,7 +3,7 @@
 import random
 
 from bago import CQ
-from bago.chase import Anon, BagInterpretation, Named
+from bago.chase import Anon, BagInterpretation
 from bago.ontology import Role
 from bago.query import ConceptAtom, Const, EqualityAtom, RoleAtom, Var
 from bago.bagalg import (
@@ -32,7 +32,7 @@ def random_interp(rng: random.Random, max_elements=6, allow_anon=True) -> BagInt
                      rng.randint(1, 2))
             )
         else:
-            elements.append(Named(NAMES[i % 4] + ("" if i < 4 else str(i))))
+            elements.append(NAMES[i % 4] + ("" if i < 4 else str(i)))
     elements = list(dict.fromkeys(elements))
     concepts = {}
     roles = {}

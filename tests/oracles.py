@@ -9,7 +9,7 @@ None of it shares evaluation code with the package.
 
 from itertools import product
 
-from bago.chase import Anon, Named
+from bago.chase import Anon
 from bago.ontology import (
     AtomicConcept,
     ConceptAssertion,
@@ -43,7 +43,7 @@ def brute_eval_cq(q, interp, z_anon=None):
         lam = dict(zip(variables, values))
 
         def resolve(t):
-            return lam[t] if isinstance(t, Var) else Named(t.name)
+            return lam[t] if isinstance(t, Var) else t.name
 
         if any(resolve(a.left) != resolve(a.right)
                for a in q.atoms if isinstance(a, EqualityAtom)):
@@ -54,9 +54,9 @@ def brute_eval_cq(q, interp, z_anon=None):
         if z_anon is not None:
             if any(not isinstance(lam[v], Anon) for v in existential if v in z_anon):
                 continue
-            if any(not isinstance(lam[v], Named) for v in existential if v not in z_anon):
+            if any(type(lam[v]) is not str for v in existential if v not in z_anon):
                 continue
-        if any(not isinstance(lam[v], Named) for v in answer_vars):
+        if any(type(lam[v]) is not str for v in answer_vars):
             continue
         weight = 1
         for atom in q.atoms:
@@ -70,21 +70,21 @@ def brute_eval_cq(q, interp, z_anon=None):
                 break
         if weight == 0:
             continue
-        key = tuple(lam[v].name for v in answer_vars)
+        key = tuple(lam[v] for v in answer_vars)
         answers[key] = answers.get(key, 0) + weight
     return answers
 
 
 def brute_eval_balg(node, interp):
     """Literal structural recursion over all named tuples."""
-    named = sorted(el.name for el in interp.domain if isinstance(el, Named))
+    named = sorted(el for el in interp.domain if type(el) is str)
 
     def value(n, lam):
         if isinstance(n, BalgAtom):
             names = [lam[t] if isinstance(t, Var) else t.name for t in n.terms]
             if len(names) == 1:
-                return interp.concept_mult(n.predicate, Named(names[0]))
-            return interp.role_mult(n.predicate, Named(names[0]), Named(names[1]))
+                return interp.concept_mult(n.predicate, names[0])
+            return interp.role_mult(n.predicate, names[0], names[1])
         if isinstance(n, BalgJoin):
             return value(n.left, lam) * value(n.right, lam)
         if isinstance(n, BalgEqFilter):

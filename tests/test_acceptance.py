@@ -16,7 +16,6 @@ from bago import (
     AnswerBag,
     BagOntology,
     NotRooted,
-    Named,
     Var,
     bag_ops,
     certain_answers,
@@ -103,7 +102,7 @@ def test_criterion_1_running_example_golden(employees):
 def test_criterion_2_canonical_model_example(managers):
     with criterion(2, "canonical model and non-rooted refusal"):
         k, _, q_nr = managers
-        lee, hill = Named("Lee"), Named("Hill")
+        lee, hill = "Lee", "Hill"
         w = Anon(lee, Role("hasMngr"), 1)
         stage1 = chase(k, 1).union
         assert stage1.domain == {lee, hill, w}

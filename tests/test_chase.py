@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from bago import (
     BagInterpretation,
     BagOntology,
     ExistsRole,
-    Named,
     Role,
     UnsatisfiableOntology,
     UnsupportedTBoxKind,
@@ -25,7 +25,8 @@ from bago.chase import Anon, bag_union, dump_chase
 from bago.ontology import BagABox
 from bago.randgen import random_instance
 
-LEE = Named("Lee")
+LEE = "Lee"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 # The package re-exports the function `chase`, which shadows the module name.
 chase_module = importlib.import_module("bago.chase")
 
@@ -38,13 +39,13 @@ def test_concept_closure_running_example(employees):
     assert ccl[ExistsRole(Role("hasMngr"))] == 3
     assert ccl[AtomicConcept("SalEmp")] == 3
     assert ccl[AtomicConcept("ITEmp")] == 2
-    hill = concept_closure(stage0, Named("Hill"), k.tbox)
+    hill = concept_closure(stage0, "Hill", k.tbox)
     assert hill[AtomicConcept("Mngr")] == 2
 
 
 def test_concept_closure_empty_tbox_is_reflexive():
     stage0 = interpretation_from_abox(parse_abox("A(a) 4\nR(a,b) 2\n"))
-    ccl = concept_closure(stage0, Named("a"), parse_tbox(""))
+    ccl = concept_closure(stage0, "a", parse_tbox(""))
     assert ccl == {
         AtomicConcept("A"): 4,
         ExistsRole(Role("R")): 2,
@@ -58,7 +59,7 @@ def test_chase_stage_one_running_example(employees):
     w = Anon(LEE, Role("hasMngr"), 1)
     # deficit 3 - 2 = 1: exactly one fresh manager edge
     assert stage1.role_mult("hasMngr", LEE, w) == 1
-    assert stage1.role_mult("hasMngr", LEE, Named("Hill")) == 2
+    assert stage1.role_mult("hasMngr", LEE, "Hill") == 2
     assert stage1.concept_mult("Emp", LEE) == 3
     assert [el for el in stage1.anonymous()] == [w]
 
@@ -67,14 +68,14 @@ def test_chase_example_model(managers):
     k, _, _ = managers
     w = Anon(LEE, Role("hasMngr"), 1)
     stage1 = chase(k, 1).union
-    assert stage1.domain == {LEE, Named("Hill"), w}
-    assert stage1.concepts == {"Emp": {LEE: 1}, "Mngr": {Named("Hill"): 1}}
+    assert stage1.domain == {LEE, "Hill", w}
+    assert stage1.concepts == {"Emp": {LEE: 1}, "Mngr": {"Hill": 1}}
     assert stage1.roles == {"hasMngr": {(LEE, w): 1}}
     # the full canonical model adds the witness's derived membership
     full = chase(k, 2).union
     assert full.concepts == {
         "Emp": {LEE: 1},
-        "Mngr": {Named("Hill"): 1, w: 1},
+        "Mngr": {"Hill": 1, w: 1},
     }
     assert full.roles == {"hasMngr": {(LEE, w): 1}}
     assert chase(k, 3).union == full
@@ -95,13 +96,13 @@ def test_chase_empty_tbox_is_stage_zero():
 
 def test_chase_prime_fixture(prime):
     k, _ = prime
-    w = Anon(Named("a"), Role("R"), 1)
+    w = Anon("a", Role("R"), 1)
     union = chase(k, 1).union
-    assert union.domain == {Named("a"), Named("b"), w}
-    assert union.roles["R"] == {(Named("a"), Named("b")): 2, (Named("a"), w): 1}
-    assert union.concepts["B"] == {Named("b"): 3}
+    assert union.domain == {"a", "b", w}
+    assert union.roles["R"] == {("a", "b"): 2, ("a", w): 1}
+    assert union.concepts["B"] == {"b": 3}
     union2 = chase(k, 2).union
-    assert union2.concepts["B"] == {Named("b"): 3, w: 1}
+    assert union2.concepts["B"] == {"b": 3, w: 1}
 
 
 def test_chase_refuses_non_core_and_unsat():
@@ -216,12 +217,12 @@ def test_model_property_on_random_instances():
 
 def test_contains_fails_on_a_smaller_entry_or_a_missing_element():
     stage0 = interpretation_from_abox(parse_abox("A(a) 2\nR(a,b) 3\n"))
-    a, b = Named("a"), Named("b")
+    a, b = "a", "b"
     smaller_concept = interpretation_from_abox(parse_abox("A(a) 1\nR(a,b) 3\n"))
     smaller_edge = interpretation_from_abox(parse_abox("A(a) 2\nR(a,b) 2\n"))
     assert stage0.contains(smaller_concept) and not smaller_concept.contains(stage0)
     assert stage0.contains(smaller_edge) and not smaller_edge.contains(stage0)
-    c = Named("c")
+    c = "c"
     extra = BagInterpretation({a, b, c}, stage0.concepts, stage0.roles)
     assert extra.contains(stage0) and not stage0.contains(extra)
 
@@ -240,3 +241,21 @@ def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
     union = chase(big, 5).union
     assert len(union.anonymous()) >= 500
     assert len(calls) <= len(big.abox.individuals())
+
+
+# dump_chase texts committed under tests/golden/, as (name, depth); the
+# self-feeding chain grows one witness per stage.
+GOLDEN_DUMPS = [("employees", 3), ("managers", 3), ("prime", 3), ("prime_pair", 3),
+                ("self_feeding", 6)]
+SELF_FEEDING = ("A SUB EX R\nEX R- SUB A\n", "A(a) 2\nR(a,b)\nR(b,a)\n")
+
+
+@pytest.mark.parametrize("name,depth", GOLDEN_DUMPS)
+def test_dump_matches_golden_file(fixtures_dir, name, depth):
+    if name == "self_feeding":
+        tbox, abox = SELF_FEEDING
+    else:
+        tbox, abox = ((fixtures_dir / name / f).read_text() for f in ("tbox.dl", "abox.bag"))
+    k = BagOntology(parse_tbox(tbox), parse_abox(abox))
+    expected = (GOLDEN / f"{name}.depth{depth}.txt").read_text()
+    assert dump_chase(chase(k, depth)) == expected

@@ -1,5 +1,6 @@
 import pytest
 
+from bago import parse_abox, parse_cq, parse_tbox
 from bago.cli import main
 
 FIXTURE_SETS = [
@@ -156,6 +157,42 @@ def test_crosscheck_single_and_random(capsys, fixtures_dir):
     assert code == 0 and out.strip() == "crosscheck: 25/25 PASS"
 
 
+# Inputs that `answer` refuses (exit 3): a non-rooted query, a KIND R TBox and
+# an unsatisfiable ontology, as (TBox, ABox, query) texts.
+REFUSED_INPUTS = {
+    "non_rooted": ("Emp SUB EX hasMngr\n", "Emp(Lee)\n", "q() :- Mngr(y)\n"),
+    "kind_r": ("KIND R\nR SUBR S\n", "R(a,b)\n", "q(x) :- S(x, y)\n"),
+    "unsatisfiable": ("DISJ A B\n", "A(a)\nB(a)\n", "q(x) :- A(x)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_crosscheck_exits_as_answer_does_on_refused_input(capsys, tmp_path, name):
+    for text, file in zip(REFUSED_INPUTS[name], ("t.dl", "a.bag", "q.cq")):
+        (tmp_path / file).write_text(text)
+    files = ["-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+             "-q", str(tmp_path / "q.cq")]
+    answer_code, _, answer_err = run(capsys, "answer", *files)
+    code, out, err = run(capsys, "crosscheck", *files)
+    assert answer_code == 3
+    assert (code, out, err) == (answer_code, "", answer_err)
+
+
+def test_crosscheck_random_counts_a_refused_instance_as_failed(capsys, monkeypatch):
+    import bago.answers as answers_mod
+
+    tbox, abox, query = REFUSED_INPUTS["non_rooted"]
+    instance = (parse_tbox(tbox), parse_abox(abox), parse_cq(query))
+    monkeypatch.setattr(answers_mod, "random_instance", lambda rng: instance)
+    code, out, _ = run(capsys, "crosscheck", "--random", "2")
+    assert code == 4
+    assert out.splitlines() == [
+        "instance 0: FAIL error: certain answers are supported for rooted queries only",
+        "instance 1: FAIL error: certain answers are supported for rooted queries only",
+        "crosscheck: 0/2 PASS",
+    ]
+
+
 def test_gen_3col_files_round_trip(capsys, tmp_path, fixtures_dir):
     out_dir = tmp_path / "gen"
     code, _, _ = run(
@@ -164,8 +201,6 @@ def test_gen_3col_files_round_trip(capsys, tmp_path, fixtures_dir):
         "--out-dir", str(out_dir),
     )
     assert code == 0
-    from bago import parse_abox, parse_cq, parse_tbox
-
     parse_tbox((out_dir / "tbox.dl").read_text())
     parse_abox((out_dir / "abox.bag").read_text())
     parse_cq((out_dir / "query.cq").read_text())

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bago import (
     AnswerBag,
     BagOntology,
-    Named,
     TBox,
     bag_ops,
     certain_answers,
@@ -122,11 +121,11 @@ def test_universality_consequence_on_example(managers):
 def _is_bag_model(interp: BagInterpretation, k: BagOntology) -> bool:
     for assertion, m in k.abox.items():
         if isinstance(assertion, ConceptAssertion):
-            if interp.concept_mult(assertion.concept, Named(assertion.individual)) < m:
+            if interp.concept_mult(assertion.concept, assertion.individual) < m:
                 return False
         else:
             if interp.role_mult(
-                assertion.role, Named(assertion.subject), Named(assertion.object)
+                assertion.role, assertion.subject, assertion.object
             ) < m:
                 return False
 

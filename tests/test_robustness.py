@@ -1,11 +1,13 @@
 """Inputs that must end in an answer or a documented exit code, quickly."""
 
 import importlib
+import sys
 import time
 
 import pytest
 
 from bago import BagOntology, ChaseLimitExceeded, chase, parse_abox, parse_tbox
+from bago.chase import dump_chase
 from bago.cli import EXIT_RESOURCE, main
 
 # The package re-exports the function `chase`, which shadows the module name.
@@ -63,6 +65,24 @@ def test_deep_chase_of_a_self_feeding_tbox_stops_at_the_budget(capsys, tmp_path,
     assert code == EXIT_RESOURCE
     assert captured.out == ""
     assert "1,000 anonymous elements" in captured.err
+
+
+def test_deep_self_feeding_chain_chases_and_dumps_quickly():
+    # One witness per stage, each a level deeper: past the recursion limit,
+    # equality, hashing, ordering and printing must not recurse.
+    depth = 1_200
+    assert depth > sys.getrecursionlimit()
+    k = BagOntology(parse_tbox(SELF_FEEDING), parse_abox("A(a) 2\nR(a,b)\nR(b,a)\n"))
+    start = time.process_time()
+    result = chase(k, depth)
+    text = dump_chase(result)
+    deepest = result.union.anonymous()[-1]
+    twin = chase(k, depth).union.anonymous()[-1]  # equal, but built apart
+    elapsed = time.process_time() - start
+    assert deepest.depth == depth
+    assert deepest is not twin and deepest == twin and hash(deepest) == hash(twin)
+    assert text.endswith(f"R({deepest.parent},{deepest}) 1\n")
+    assert elapsed < 2.0
 
 
 def test_budget_counts_anonymous_elements_only(monkeypatch):
