@@ -489,8 +489,6 @@ def _eval_atom(q: BalgAtom, rels: Relations) -> dict[tuple[str, ...], int]:
             first[t] = i
     keep = [first[v] for v in q.answer_vars]
     rel = rels.get((q.predicate, len(q.terms)), {})
-    if len(keep) == len(q.terms):  # distinct variables only: the relation itself
-        return dict(rel)
     return {tuple(names[i] for i in keep): m for names, m in rel.items()
             if all(names[i] == name for i, name in consts)
             and all(names[i] == names[j] for i, j in repeats)}

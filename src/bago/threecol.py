@@ -211,10 +211,11 @@ def coloring_model(graph: Graph, coloring: dict[str, str],
                    variant: str = "core") -> BagInterpretation:
     """The hand-built model induced by a color assignment for the vertices."""
     n = len(graph.vertices)
-    aux, colors = AUX_VERTEX, COLOR_NAMES
-    nodes = [*graph.vertices, aux]
-    domain = {*nodes, *colors.values()}
-    vertex_ext = dict.fromkeys(nodes, 1)
+    aux = AUX_VERTEX
+    colors = COLOR_NAMES
+    domain = set(graph.vertices) | {aux} | set(colors.values())
+    vertex_ext = {u: 1 for u in graph.vertices}
+    vertex_ext[aux] = 1
     edge_ext = {}
     for u, v in graph.edge_pairs():
         edge_ext[(u, v)] = 1
@@ -227,11 +228,21 @@ def coloring_model(graph: Graph, coloring: dict[str, str],
     if variant == "core":
         concepts["ACol"] = {colors["r"]: n + 1, colors["g"]: n, colors["b"]: n}
     elif variant == "r":
-        assign_ext = {(u, c): 1 for u in graph.vertices for c in colors.values()}
+        assign_ext = {}
+        for u in graph.vertices:
+            for c in colors.values():
+                assign_ext[(u, c)] = 1
         assign_ext[(aux, colors["r"])] = 1
+        reach_ext = {(aux, aux): 1}
+        for u in graph.vertices:
+            reach_ext[(aux, u)] = 1
+            reach_ext[(u, aux)] = 1
+        for u in graph.vertices:
+            for v in graph.vertices:
+                if u != v:
+                    reach_ext[(u, v)] = 1
         roles["Assign"] = assign_ext
-        # Every ordered pair of distinct nodes, plus the auxiliary vertex's loop.
-        roles["Reachable"] = {(u, v): 1 for u in nodes for v in nodes if u != v or u == aux}
+        roles["Reachable"] = reach_ext
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return BagInterpretation(domain, concepts, roles)
