@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error;
 3 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
-4 internal cross-check failure; 5 resource limit (recursion depth, memory, or
-the chase's anonymous-element budget).
+4 internal cross-check failure; 5 resource limit (recursion depth, memory,
+the chase's anonymous-element budget, the rewriting's budget of clusters and
+alternatives, or a branch table too long to list).
 """
 
 from __future__ import annotations
@@ -114,24 +115,27 @@ def _cmd_rewrite(args) -> int:
     q = parse_cq(_read(args.query))
     rw = rewrite(q, tbox)
     text = to_sexpr(rw.combined) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
+    table = []  # built before any output, since listing branches can hit a limit
     if args.explain:
-        print(f"# branches: {len(rw.branches)}")
+        table.append(f"# branches: {len(rw.branches)}")
         for cert in rw.certificates:
             z = "{" + ",".join(sorted(v.name for v in cert.z)) + "}"
             line = f"# z={z} verdict={cert.verdict}"
             if cert.failing is not None:
                 line += " failing={" + ",".join(sorted(v.name for v in cert.failing)) + "}"
-            print(line)
+            table.append(line)
             for wit in cert.witnesses:
                 subset = "{" + ",".join(sorted(v.name for v in wit.subset)) + "}"
-                print(
+                table.append(
                     f"#   subset={subset} alpha={wit.alpha} anchor={wit.anchor} "
                     f"probe={wit.value}"
                 )
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        print(text, end="")
+    for line in table:
+        print(line)
     return EXIT_OK
 
 

@@ -6,19 +6,30 @@ canonical model. It can be exactly when each of its maximal clusters
 is realisable, and a cluster's verdict depends on the cluster alone, since
 all its Gaifman neighbours lie outside z. The compiler therefore (1) decides
 the realisability of every cluster once, by evaluating a two-individual
-probe, (2) forms every z as a set of pairwise non-adjacent realisable
-clusters, (3) collapses each cluster of z to its single linking atom plus
-identifying equalities, and (4) chases the collapsed query back through the
-TBox: concept atoms become max unions of entailed subsumees, and the linking
-atoms become those unions minus the atoms already accounted for by named
-successors, so that anonymous witnesses are counted exactly once. The
-arithmetic union of the branches, one per z, evaluates over the bare ABox to
-the same bag as the chase path.
+probe. The all-existential classes fall into connected components; a cluster
+never spans two of them and an atom touches at most one, so the choices of z
+inside different components are independent. For each component on its own,
+the compiler (2) forms every alternative as a set of pairwise non-adjacent
+realisable clusters, (3) collapses each cluster of it to its single linking
+atom plus identifying equalities, and (4) chases the collapsed atoms of the
+component back through the TBox: concept atoms become max unions of
+entailed subsumees, and the linking atoms become those unions minus the
+atoms already accounted for by named successors, so that anonymous
+witnesses are counted exactly once. Each component compiles to the
+arithmetic union of its alternatives, with its own existential variables
+projected inside; joined with the atoms outside every component, this is
+the arithmetic union over every z (joins and projections distribute over
+arithmetic unions in the N-semiring), and it evaluates over the bare ABox
+to the same bag as the chase path. A branch, one per z, is built only when
+it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
@@ -58,6 +69,7 @@ from .query import (
     CQ,
     ConceptAtom,
     Const,
+    EqClasses,
     EqualityAtom,
     InequalityAtom,
     RoleAtom,
@@ -80,7 +92,12 @@ REALISABLE = "realisable"
 NOT_EQUALITY_CONSISTENT = "not-equality-consistent"
 UNREALISABLE = "unrealisable"
 
-MAX_EXISTENTIAL_VARS = 20
+# Clusters found plus component alternatives emitted, per rewriting. Every
+# cluster found is probed, so this bounds the probes too.
+REWRITE_BUDGET = 1024
+# Reading a branch or its certificate first puts every z in subset order, in
+# time and memory linear in their number; past this many, reading refuses.
+MAX_LISTED_BRANCHES = 1 << 16
 
 LinkChooser = Callable[[list[RoleAtom]], RoleAtom]
 
@@ -291,13 +308,26 @@ def chase_back(
     """Rewrite a collapsed query so it evaluates over the bare ABox."""
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("chase-back is defined for core TBoxes")
-    zset = frozenset(z) & set(q_z.existential_vars())
+    existential = set(q_z.existential_vars())
+    zset = frozenset(z) & existential
     if fresh is None:
         fresh = _FreshVars()
-    conjuncts: list[BALGQuery] = []
+    conjuncts, equalities, always_empty = _translate(q_z.atoms, zset, tbox, fresh)
+    return _close(conjuncts, equalities, always_empty, q_z.equality_classes(),
+                  existential - zset)
+
+
+def _translate(items: Iterable, zset: frozenset[Var], tbox: TBox, fresh: _FreshVars):
+    """Concept and role atoms as compiled conjuncts, equality atoms as pairs,
+    and whether two distinct individuals are equated.
+
+    Items that are not query atoms (a component's slot) stay in place among
+    the conjuncts.
+    """
+    conjuncts: list = []
     equalities: list[tuple[Term, Term]] = []
     always_empty = False
-    for atom in q_z.atoms:
+    for atom in items:
         if isinstance(atom, ConceptAtom):
             if atom.term in zset:
                 raise InternalStructureError(f"unexpected concept atom {atom} on z")
@@ -320,8 +350,17 @@ def chase_back(
                     always_empty = True
                 continue
             equalities.append((left, right))
-        else:
+        elif isinstance(atom, InequalityAtom):
             raise InternalStructureError("inequality atoms cannot be rewritten")
+        else:
+            conjuncts.append(atom)
+    return conjuncts, equalities, always_empty
+
+
+def _close(conjuncts: list[BALGQuery], equalities: list[tuple[Term, Term]],
+           always_empty: bool, eq: EqClasses, existential: Iterable[Var]) -> BALGQuery:
+    """Join the conjuncts, filter by the equalities, project the existential
+    variables away, and empty the result if two individuals were equated."""
     node = conjuncts[0]
     for piece in conjuncts[1:]:
         node = BalgJoin(node, piece)
@@ -352,7 +391,6 @@ def chase_back(
             # one class make the query empty. Pinned answer variables are
             # restored as constant columns by evaluate_rewriting; the query
             # grammar itself has no constant-column former.
-            eq = q_z.equality_classes()
             for left, right in rest:
                 anchor = left if isinstance(left, Var) else right
                 consts = eq.constants_of(anchor)
@@ -367,8 +405,7 @@ def chase_back(
         pending = rest
 
     project_away = tuple(
-        v for v in sorted(set(q_z.existential_vars()) - zset, key=term_key)
-        if v in set(node.answer_vars)
+        v for v in sorted(existential, key=term_key) if v in set(node.answer_vars)
     )
     if project_away:
         node = BalgProject(project_away, node)
@@ -386,11 +423,18 @@ class RewriteBranch:
 
 @dataclass(frozen=True)
 class Rewriting:
+    """A compiled query, with its branches and certificates as views.
+
+    `branches` (one per realisable z, in subset order) and the leading
+    certificates are built from the per-component alternatives when read;
+    their length is known without building any.
+    """
+
     source: CQ
     tbox: TBox
-    branches: tuple[RewriteBranch, ...]
+    branches: Sequence[RewriteBranch]
     combined: BALGQuery
-    certificates: tuple[RealisabilityCertificate, ...]
+    certificates: Sequence[RealisabilityCertificate]
 
 
 def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
@@ -399,7 +443,8 @@ def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
     the classes in it or adjacent to it.
 
     A class holding an answer variable or an individual is never part of an
-    equality-consistent z, so no cluster contains one.
+    equality-consistent z, so no cluster contains one. Each cluster found
+    counts against REWRITE_BUDGET.
     """
     head = set(q.answer_vars)
     eq, graph = q.equality_classes(), q.gaifman()
@@ -408,6 +453,8 @@ def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
         cls = eq.class_of(v)
         if cls not in bit and all(isinstance(t, Var) and t not in head for t in cls):
             bit[cls] = 1 << len(bit)
+    if len(bit) > REWRITE_BUDGET:
+        raise _over_budget()
     classes = list(bit)
     adjacent = [sum(bit[n] for n in graph.neighbours(cls) if n in bit) for cls in classes]
 
@@ -430,11 +477,20 @@ def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
                 if bigger not in found:
                     found.add(bigger)
                     grown.append(bigger)
+                    if len(found) > REWRITE_BUDGET:
+                        raise _over_budget()
         frontier = grown
     return [
         (frozenset(v for i in members(mask) for v in classes[i]), mask, reach(mask))
         for mask in found
     ]
+
+
+def _over_budget() -> RewriteLimitExceeded:
+    return RewriteLimitExceeded(
+        f"rewriting needs more than {REWRITE_BUDGET:,} clusters and component "
+        "alternatives"
+    )
 
 
 def _balanced_union(nodes: list[BALGQuery]) -> BALGQuery:
@@ -446,67 +502,177 @@ def _balanced_union(nodes: list[BALGQuery]) -> BALGQuery:
     return nodes[0]
 
 
+class _View(Sequence):
+    """A read-only sequence whose items are built when read."""
+
+    def __init__(self, length: int, build: Callable[[int], object]):
+        self._length, self._build = length, build
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(self._length)))
+        j = index + self._length if index < 0 else index
+        if not 0 <= j < self._length:
+            raise IndexError("rewriting view index out of range")
+        return self._build(j)
+
+
+@dataclass
+class _Factors:
+    """The pieces a rewriting is assembled from.
+
+    Per component: its alternatives in subset order, each a z with its
+    clusters, and their compiled nodes. Outside the components: the compiled
+    conjuncts in atom order, with a component's index where its first atom
+    stood, and the equality atoms.
+    """
+
+    q: CQ
+    alternatives: list[list[tuple[frozenset[Var], tuple[frozenset[Var], ...]]]]
+    nodes: list[list[BALGQuery]]
+    conjuncts: list
+    equalities: list[tuple[Term, Term]]
+    always_empty: bool
+    witness: dict[frozenset[Var], ProbeWitness]
+    replacement: dict[frozenset[Var], list]
+    order_key: Callable
+    _order: Optional[list[tuple[int, ...]]] = None
+
+    def count(self) -> int:
+        return prod(len(alts) for alts in self.alternatives)
+
+    def assemble(self, parts: list[BALGQuery]) -> BALGQuery:
+        """The outside conjuncts joined with one node per component."""
+        conjuncts = [parts[c] if isinstance(c, int) else c for c in self.conjuncts]
+        return _close(conjuncts, self.equalities, self.always_empty,
+                      self.q.equality_classes(), self.q.existential_vars())
+
+    def _choice(self, j: int):
+        """The j-th z in subset order: one alternative index per component."""
+        if self._order is None:
+            if self.count() > MAX_LISTED_BRANCHES:
+                raise RewriteLimitExceeded(
+                    f"{self.count():,} branches; at most {MAX_LISTED_BRANCHES:,} can be listed"
+                )
+            self._order = sorted(
+                product(*(range(len(alts)) for alts in self.alternatives)),
+                key=lambda pick: self.order_key(self._z(pick)),
+            )
+        return self._order[j]
+
+    def _z(self, pick) -> frozenset[Var]:
+        return frozenset().union(*(alts[i][0] for alts, i in zip(self.alternatives, pick)))
+
+    def _clusters_of(self, pick) -> list[frozenset[Var]]:
+        return [s for alts, i in zip(self.alternatives, pick) for s in alts[i][1]]
+
+    def branch(self, j: int) -> RewriteBranch:
+        pick = self._choice(j)
+        collapsed = _substitute(
+            self.q, {s: self.replacement[s] for s in self._clusters_of(pick)}
+        )
+        compiled = self.assemble([nodes[i] for nodes, i in zip(self.nodes, pick)])
+        return RewriteBranch(self._z(pick), collapsed, compiled)
+
+    def certificate(self, j: int) -> RealisabilityCertificate:
+        pick = self._choice(j)
+        parts = sorted(self._clusters_of(pick), key=lambda s: min(v.name for v in s))
+        return RealisabilityCertificate(
+            self._z(pick), REALISABLE, witnesses=tuple(self.witness[s] for s in parts)
+        )
+
+
 def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Rewriting:
     """Compile a rooted query over a core TBox into its bag-algebra rewriting.
 
     Branches come in subset order: by size of z, then lexicographically by
     the positions of z's variables among the sorted existential variables.
     The certificates are one per branch, in branch order, followed by one per
-    cluster whose probe failed.
+    cluster whose probe failed. Clusters found plus component alternatives
+    emitted may not exceed REWRITE_BUDGET.
     """
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("rewriting is defined for core TBoxes")
     if not is_rooted(q):
         raise NotRooted("only rooted queries admit a rewriting")
-    existential = q.existential_vars()
-    if len(existential) > MAX_EXISTENTIAL_VARS:
-        raise RewriteLimitExceeded(
-            f"{len(existential)} existential variables; rewriting is "
-            f"capped at {MAX_EXISTENTIAL_VARS}"
-        )
-    position = {v: i for i, v in enumerate(existential)}
+    position = {v: i for i, v in enumerate(q.existential_vars())}
 
     def subset_order(z: frozenset[Var]):
         return len(z), sorted(position[v] for v in z)
 
+    clusters = sorted(_clusters(q), key=lambda c: subset_order(c[0]))
+    budget = REWRITE_BUDGET - len(clusters)
+    # A cluster with no adjacent class outside itself is a whole component.
+    components = [cluster for cluster, mask, closed in clusters if mask == closed]
+    slot = {v: c for c, members in enumerate(components) for v in members}
     witness: dict[frozenset[Var], ProbeWitness] = {}
     replacement: dict[frozenset[Var], list] = {}
-    realisable = []
+    realisable: list[list] = [[] for _ in components]
     failed = []
-    for cluster, mask, closed in sorted(_clusters(q), key=lambda c: subset_order(c[0])):
+    for cluster, mask, closed in clusters:
         cert = is_realisable(tbox, q, cluster, link_chooser=link_chooser)
         if not cert.realisable:
             failed.append(cert)
             continue
         (witness[cluster],) = cert.witnesses
         replacement[cluster] = _link_atoms(q, cluster, cluster, witness[cluster].alpha)
-        realisable.append((cluster, mask, closed))
+        realisable[slot[next(iter(cluster))]].append((cluster, mask, closed))
 
-    # Each realisable z is a set of pairwise disjoint, non-adjacent realisable
-    # clusters, which are then exactly its maximal clusters.
-    zs = []
-    stack = [(0, frozenset(), 0)]
-    while stack:
-        start, zset, blocked = stack.pop()
-        zs.append(zset)
-        for i in range(start, len(realisable)):
-            cluster, mask, closed = realisable[i]
-            if not mask & blocked:
-                stack.append((i + 1, zset | cluster, blocked | closed))
+    alternatives, nodes = [], []
+    fresh = _FreshVars()  # shared: no fresh variable is bound twice in the output
+    for members, candidates in zip(components, realisable):
+        # Each alternative is a set of pairwise disjoint, non-adjacent
+        # realisable clusters, which are then exactly its maximal clusters.
+        found = []
+        stack = [(0, (), 0)]
+        while stack:
+            start, chosen, blocked = stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise _over_budget()
+            found.append((frozenset().union(*chosen), chosen))
+            for i in range(start, len(candidates)):
+                cluster, mask, closed = candidates[i]
+                if not mask & blocked:
+                    stack.append((i + 1, chosen + (cluster,), blocked | closed))
+        found.sort(key=lambda alt: subset_order(alt[0]))
+        atoms = atoms_mentioning(q, members)
+        if len(atoms) == len(q.atoms):
+            sub = q
+        else:
+            # Its boundary terms are its head, so its own existentials are
+            # projected inside it.
+            boundary = {t for a in atoms for t in a.terms if t not in members}
+            sub = CQ([v for v in q.variables() if v in boundary], atoms)
+        alternatives.append(found)
+        nodes.append([
+            chase_back(_substitute(sub, {s: replacement[s] for s in chosen}), zset,
+                       tbox, fresh=fresh)
+            for zset, chosen in found
+        ])
 
-    branches = []
-    certificates = []
-    fresh = _FreshVars()  # shared across branches: no shadowing in the output
-    for zset in sorted(zs, key=subset_order):
-        parts = ma_connected_partition(q, zset)
-        certificates.append(RealisabilityCertificate(
-            zset, REALISABLE, witnesses=tuple(witness[s] for s in parts)
-        ))
-        collapsed = _substitute(q, {s: replacement[s] for s in parts})
-        compiled = chase_back(collapsed, zset, tbox, fresh=fresh)
-        branches.append(RewriteBranch(zset, collapsed, compiled))
-    combined = _balanced_union([b.compiled for b in branches])
-    return Rewriting(q, tbox, tuple(branches), combined, tuple(certificates + failed))
+    # An atom touches at most one component; the component's slot stands
+    # where its first atom stood.
+    items, placed = [], set()
+    for atom in q.atoms:
+        home = next((slot[t] for t in atom.terms if t in slot), None)
+        if home is None:
+            items.append(atom)
+        elif home not in placed:
+            placed.add(home)
+            items.append(home)
+    factors = _Factors(q, alternatives, nodes, *_translate(items, frozenset(), tbox, fresh),
+                       witness, replacement, subset_order)
+    combined = factors.assemble([_balanced_union(n) for n in nodes])
+    n = factors.count()
+    return Rewriting(
+        q, tbox, _View(n, factors.branch), combined,
+        _View(n + len(failed),
+              lambda j: factors.certificate(j) if j < n else failed[j - n]),
+    )
 
 
 def evaluate_rewriting(rw: Rewriting, abox: BagABox) -> AnswerBag:

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pathlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -35,12 +36,14 @@ from bago.bagalg import (
     BalgJoin,
     BalgMaxUnion,
     BalgProject,
+    eval_balg,
     to_sexpr,
 )
+from bago.cli import main
 from bago.errors import RewriteLimitExceeded
 from bago.ontology import BagABox, RoleAssertion
 from bago.query import ConceptAtom, Const, EqualityAtom, InequalityAtom, RoleAtom, Var
-from bago.rewrite import NOT_EQUALITY_CONSISTENT, REALISABLE, UNREALISABLE
+from bago.rewrite import NOT_EQUALITY_CONSISTENT, REALISABLE, UNREALISABLE, _clusters
 
 from bago.randgen import random_bag_abox
 
@@ -217,13 +220,21 @@ def test_rewrite_refusals(managers):
         rewrite(parse_cq("q(x) :- A(x)"), parse_tbox("KIND R\nR SUBR S\n"))
 
 
-def test_rewrite_variable_guard():
-    atoms = [RoleAtom("R", Const("a"), Var("y0"))]
-    for i in range(21):
-        atoms.append(RoleAtom("R", Var(f"y{i}"), Var(f"y{i + 1}")))
+def test_rewrite_variable_guard(monkeypatch):
+    # Thirteen pairwise adjacent existential variables form 2^13 - 1 clusters,
+    # past the budget: refused while the clusters are counted, before any probe.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cluster was probed")
+
+    monkeypatch.setattr(importlib.import_module("bago.rewrite"), "is_realisable", refuse)
+    ys = [Var(f"y{i}") for i in range(13)]
+    atoms = [RoleAtom("R", Const("a"), ys[0])]
+    atoms += [RoleAtom("R", a, b) for a, b in combinations(ys, 2)]
     q = CQ((), atoms)
-    with pytest.raises(RewriteLimitExceeded):
+    start = time.process_time()
+    with pytest.raises(RewriteLimitExceeded, match="rewriting needs more than"):
         rewrite(q, parse_tbox(""))
+    assert time.process_time() - start < 1.0
 
 
 def test_prime_fixture_needs_more_than_unions_of_queries(prime):
@@ -344,17 +355,95 @@ def test_rewrite_probes_each_cluster_once(monkeypatch):
     assert len(rw.branches) == 256
 
 
+def _node_count(node) -> int:
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack += [getattr(node, f) for f in ("child", "left", "right") if hasattr(node, f)]
+    return count
+
+
+def _star(k: int):
+    star = ", ".join(f"R(x, y{i})" for i in range(k))
+    return rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox(QUERY_WIDTH_TBOX))
+
+
 def test_rewrite_union_is_balanced():
-    star = ", ".join(f"R(x, y{i})" for i in range(6))
-    rw = rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox(QUERY_WIDTH_TBOX))
-    assert len(rw.branches) == 64
+    # One component with many alternatives: path L = 12 has 13.
+    path = ", ".join(f"R(y{i}, y{i + 1})" for i in range(12))
+    rw = rewrite(parse_cq(f"q(y0) :- {path}"), parse_tbox(QUERY_WIDTH_TBOX))
+    assert len(rw.branches) == 13
     depth, stack = 0, [(rw.combined, 0)]
     while stack:
         node, d = stack.pop()
         if isinstance(node, BalgArithUnion):
             stack += [(node.left, d + 1), (node.right, d + 1)]
         depth = max(depth, d)
-    assert depth <= 6
+    assert depth <= 4
+    # A star has one component per leaf: k two-way unions and k - 1 joins.
+    leaf = _node_count(_star(1).combined)
+    for k in (6, 30):
+        assert _node_count(_star(k).combined) == k * leaf + k - 1
+
+
+def _component_count(q) -> int:
+    # A cluster with no adjacent class outside itself is a whole component.
+    return sum(1 for _, mask, closed in _clusters(q) if mask == closed)
+
+
+def test_factored_rewriting_equals_union_of_branches_and_chase():
+    from bago.randgen import random_instance
+
+    rng = random.Random(53)
+    several = 0
+    for _ in range(240):
+        tbox, abox, q = random_instance(rng)
+        rw = rewrite(q, tbox)
+        got = evaluate_rewriting(rw, abox)
+        summed = []
+        for b in rw.branches:
+            columns = [b.compiled.answer_vars.index(v) for v in q.answer_vars]
+            summed += [(tuple(tup[i] for i in columns), m)
+                       for tup, m in eval_balg(b.compiled, abox).items()]
+        assert got == AnswerBag(len(q.answer_vars), summed)
+        assert got == eval_cq(q, chase(BagOntology(tbox, abox), required_depth(q)).union)
+        several += _component_count(q) >= 2
+    assert several >= 30
+
+
+def test_star_30_answers_via_rewrite_in_under_a_second(tmp_path, capsys):
+    abox_text = "A(a) 2\nR(a,b) 1\nA(b) 2\nR(b,a) 1\n"
+    k = BagOntology(parse_tbox(QUERY_WIDTH_TBOX), parse_abox(abox_text))
+    for width in range(1, 6):  # the chase shows the pattern: 2^k for each individual
+        star = ", ".join(f"R(x, y{i})" for i in range(width))
+        want = AnswerBag(1, {("a",): 2**width, ("b",): 2**width})
+        assert certain_answers(parse_cq(f"q(x) :- {star}"), k, via="chase") == want
+    (tmp_path / "t.dl").write_text(QUERY_WIDTH_TBOX)
+    (tmp_path / "a.bag").write_text(abox_text)
+    star = ", ".join(f"R(x, y{i})" for i in range(30))
+    (tmp_path / "q.cq").write_text(f"q(x) :- {star}\n")
+    start = time.process_time()
+    code = main(["answer", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+                 "-q", str(tmp_path / "q.cq"), "--via", "rewrite"])
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert capsys.readouterr().out == "(a) 1073741824\n(b) 1073741824\n"
+    assert elapsed < 1.0
+
+
+def test_star_30_counts_branches_without_building_one(monkeypatch):
+    rewrite_mod = importlib.import_module("bago.rewrite")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a branch was built")
+
+    monkeypatch.setattr(rewrite_mod, "RewriteBranch", refuse)
+    rw = _star(30)
+    assert len(rw.branches) == 2**30
+    assert len(rw.certificates) == 2**30  # every leaf is realisable
+    with pytest.raises(RewriteLimitExceeded, match="can be listed"):
+        rw.branches[0]  # ordering 2^30 choices of z would exhaust memory
 
 
 def test_evaluate_rewriting_builds_no_interpretation(managers, monkeypatch):

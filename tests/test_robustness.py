@@ -1,6 +1,8 @@
 """Inputs that must end in an answer or a documented exit code, quickly."""
 
 import importlib
+import pathlib
+import random
 import sys
 import time
 
@@ -104,3 +106,114 @@ def test_huge_depth_on_a_terminating_chase_answers(capsys, fixtures_dir):
     assert main(["chase", *files, "--depth", str(10**12)]) == 0
     deep = capsys.readouterr().out
     assert deep.splitlines()[1:] == shallow.splitlines()[1:]
+
+
+def test_rewriting_past_its_budget_exits_with_resource_limit(capsys, tmp_path):
+    # Thirteen pairwise adjacent existential variables: 8,191 clusters.
+    ys = [f"y{i}" for i in range(13)]
+    pairs = [f"R({a}, {b})" for i, a in enumerate(ys) for b in ys[i + 1:]]
+    body = ", ".join(['R("a", y0)'] + pairs)
+    (tmp_path / "t.dl").write_text(SELF_FEEDING)
+    (tmp_path / "q.cq").write_text(f"q() :- {body}\n")
+    code = main(["rewrite", "-T", str(tmp_path / "t.dl"), "-q", str(tmp_path / "q.cq")])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert "error: resource limit: rewriting needs more than 1,024" in captured.err
+
+
+def test_explaining_too_many_branches_exits_with_resource_limit(capsys, tmp_path):
+    # Star k = 30 rewrites in milliseconds, but its table would list 2^30 branches.
+    star = ", ".join(f"R(x, y{i})" for i in range(30))
+    (tmp_path / "t.dl").write_text(SELF_FEEDING)
+    (tmp_path / "q.cq").write_text(f"q(x) :- {star}\n")
+    files = ["-T", str(tmp_path / "t.dl"), "-q", str(tmp_path / "q.cq")]
+    assert main(["rewrite", *files]) == 0
+    assert capsys.readouterr().out.startswith("(join")
+    code = main(["rewrite", *files, "--explain"])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert "1,073,741,824 branches" in captured.err
+
+
+# -- seeded mutation fuzz of the CLI ---------------------------------------------
+
+FUZZ_SEED = 2017
+FUZZ_MUTANTS = 300
+_FUZZ_CHARS = '()",:=#-\n 0123456789abxyzqRSABEmpSUBEXKIND'
+_FUZZ_NUMBERS = ("18446744073709551616", "0", "-1", "99999999999")
+_FUZZ_FIXTURES = (
+    ("employees", "query.cq"),
+    ("managers", "query_managed.cq"),
+    ("prime", "query.cq"),
+    ("prime_pair", "query.cq"),
+)
+
+
+def _mutate(rng, text):
+    """One to three edits: drop, duplicate or insert text, or swap two lines."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 8))
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:i] + text[j:]
+        elif edit == 1:
+            text = text[:j] + text[i:j] + text[j:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        elif edit == 3:
+            text = text[:i] + rng.choice(_FUZZ_NUMBERS) + text[i:]
+        else:
+            lines = text.split("\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+def test_cli_mutation_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, fixtures_dir):
+    from bago import parse_cq, rewrite
+    from bago.bagalg import to_sexpr
+
+    bases = []
+    for name, query in _FUZZ_FIXTURES:
+        base = fixtures_dir / name
+        texts = {"dl": (base / "tbox.dl").read_text(), "bag": (base / "abox.bag").read_text(),
+                 "cq": (base / query).read_text()}
+        rw = rewrite(parse_cq(texts["cq"]), parse_tbox(texts["dl"]))
+        texts["balg"] = to_sexpr(rw.combined) + "\n"
+        bases.append(texts)
+    path = {ext: str(tmp_path / f"in.{ext}") for ext in ("dl", "bag", "cq", "balg")}
+    t, a, q, b = ["-T", path["dl"]], ["-A", path["bag"]], ["-q", path["cq"]], ["-q", path["balg"]]
+    commands = {  # every subcommand that reads a file of the mutated kind
+        "dl": [["check", *t, *a], ["chase", *t, *a, "--depth", "2"],
+               ["answer", *t, *a, *q, "--via", "both"], ["rewrite", *t, *q, "--explain"],
+               ["crosscheck", *t, *a, *q]],
+        "bag": [["check", *t, *a], ["chase", *t, *a, "--depth", "2"],
+                ["answer", *t, *a, *q, "--via", "both"], ["eval-balg", *a, *b],
+                ["crosscheck", *t, *a, *q]],
+        "cq": [["answer", *t, *a, *q, "--via", "both"], ["rewrite", *t, *q, "--explain"],
+               ["crosscheck", *t, *a, *q]],
+        "balg": [["eval-balg", *a, *b]],
+    }
+    rng = random.Random(FUZZ_SEED)
+    seen_commands, seen_codes = set(), set()
+    for n in range(FUZZ_MUTANTS):
+        texts = dict(rng.choice(bases))
+        kind = rng.choice(sorted(texts))
+        texts[kind] = _mutate(rng, texts[kind])
+        for ext, text in texts.items():
+            pathlib.Path(path[ext]).write_text(text)
+        argv = commands[kind][n % len(commands[kind])]
+        try:
+            code = main(argv)
+        except Exception as exc:  # the contract: no traceback, whatever the input
+            pytest.fail(f"{argv[0]} raised {exc!r} on a mutated .{kind}:\n{texts[kind]}")
+        capsys.readouterr()
+        assert code in range(6), (argv[0], code, texts[kind])
+        seen_commands.add(argv[0])
+        seen_codes.add(code)
+    assert seen_commands == {"answer", "rewrite", "eval-balg", "crosscheck", "chase", "check"}
+    assert {0, 2} <= seen_codes
