@@ -8,6 +8,23 @@ multiplicities of its atom images, each repeated atom counted separately, as
 in bag relational algebra. Answer tuples range over named elements only;
 existential variables may pass through anonymous elements.
 
+A conjunctive query is compiled against the interpretation before it runs.
+Each equality class gets one integer slot in a flat list; a class pinned to
+an individual starts filled with its name. The atoms are ordered connected
+first, atoms over answer variables first, and each becomes a step that
+either binds one new slot from a row (a concept's extension, a role's
+successors or predecessors of a bound end, or the elements that have a row)
+or multiplies by one entry when all its slots are bound; atoms over
+individuals alone are read once at compile time. Kind restrictions (named,
+anonymous) and inequalities filter where their slots are bound. The steps up
+to the last one binding an answer variable enumerate answer tuples. The
+rest of the query splits into components that share no later slot, and each
+component returns one sum per answer binding (summed once when it reads no
+answer binding) instead of every valuation being emitted: the sum-product
+of the N-semiring (Green, Karvounarakis and Tannen), with every sum and
+product checked. Each level of the walk is an iterator on an explicit
+stack, so a query of any length runs without recursion.
+
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
 from the named part of a BagInterpretation). These are the N-semiring
@@ -25,12 +42,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul,
-                     combine)
-from .ontology import BagABox, ConceptAssertion, Role, check_individual, check_name
-from .chase import Anon, BagInterpretation, ChaseResult, Element
+                     checked_sum, combine)
+from .ontology import BagABox, ConceptAssertion, check_individual, check_name
+from .chase import Anon, BagInterpretation, ChaseResult
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
 
@@ -131,158 +149,301 @@ ANY_ELEMENT = object
 
 
 class _CompiledQuery:
-    """Equality classes resolved to constants or representative variables."""
+    """Equality classes resolved to slots, one per class.
 
-    def __init__(self, q: CQ, rep_kind: Mapping[Var, type]):
-        eq = q.equality_classes()
-        self.resolution: dict[Term, object] = {}
+    A class holding an individual gets a slot filled with its name. Any other
+    class gets an empty slot, whose kind `named` (True for names only, False
+    for witnesses only, None for either) is the one its variables agree on.
+    A class with two individuals, with an individual and an anonymous-only
+    variable, or with two kinds makes the query `empty`.
+    """
+
+    def __init__(self, q: CQ, kinds: Mapping[Var, type]):
+        self.slot_of: dict[Term, int] = {}
+        self.slots: list = []
+        self.named: list = []
         self.empty = False
-        self.rep_kind: dict[Var, type] = {}
-        for cls in eq.classes():
-            consts = sorted({t for t in cls if isinstance(t, Const)})
-            if len(consts) > 1:
-                self.empty = True
-                return
-            if consts:
-                value = consts[0].name
-                for t in cls:
-                    self.resolution[t] = value
-                # A class pinned to an individual cannot be anonymous.
-                if any(rep_kind.get(t) is ANON_ONLY for t in cls if isinstance(t, Var)):
-                    self.empty = True
-                    return
+        for j, cls in enumerate(q.equality_classes().classes()):
+            name, kind = None, ANY_ELEMENT
+            for t in cls:
+                self.slot_of[t] = j
+                if type(t) is Const:
+                    self.empty |= name is not None or kind is ANON_ONLY
+                    name = t.name
+                else:
+                    wanted = kinds.get(t, ANY_ELEMENT)
+                    if wanted is not ANY_ELEMENT:
+                        self.empty |= kind not in (ANY_ELEMENT, wanted)
+                        self.empty |= wanted is ANON_ONLY and name is not None
+                        kind = wanted
+            self.slots.append(name)
+            self.named.append(None if name is not None or kind is ANY_ELEMENT
+                              else kind is NAMED_ONLY)
+
+
+class _Plan(NamedTuple):
+    """A CQ compiled against one interpretation.
+
+    `slots` holds one slot per representative variable and one per
+    individual, filled with its name. `prefix` binds every answer variable
+    (the slots in `answer`); each of its bindings is weighted by `factor`, the
+    atoms over individuals alone, and by the sum of every component of the
+    rest of the query. The `independent` components read no prefix slot, so
+    they are summed once; the `dependent` ones are summed per binding.
+    """
+
+    slots: list
+    factor: int
+    prefix: tuple
+    dependent: list
+    independent: list
+    answer: list
+
+
+# A step reads `index` itself when `via` is -1, else the row `index[slots[via]]`.
+# An extend step [index, via, out, named, neqs, checks] binds slot `out` to each
+# element of its row that has the slot's kind (`named`: True for a name, False
+# for a witness, None for either) and differs from the slots in `neqs`; its
+# weight is the element's multiplicity times the entries of its `checks`. A
+# check step (index, via, at) is its row's entry at slots[at]. A level is an
+# extend step with the checks that follow it, and a component is the checks
+# before its first level together with its levels.
+_EMPTY: dict = {}
+
+
+def _row(index, via, slots):
+    return index if via < 0 else index.get(slots[via], _EMPTY)
+
+
+def _check(check, slots) -> int:
+    index, via, at = check
+    return _row(index, via, slots).get(slots[at], 0)
+
+
+def _weigh(head, slots, weight: int) -> int:
+    for check in head:
+        weight = checked_mul(weight, _check(check, slots))
+    return weight
+
+
+def _weights(level, slots):
+    """The weight of each element of the level's row that passes its filters,
+    yielded while the level's slot is bound to it."""
+    index, via, out, named, neqs, checks = level
+    for el, m in _row(index, via, slots).items():
+        if named is not None and (type(el) is str) is not named:
+            continue
+        if neqs and any(slots[j] == el for j in neqs):
+            continue
+        slots[out] = el
+        for check in checks:
+            m = checked_mul(m, _check(check, slots))
+            if not m:
+                break
+        else:
+            yield m
+
+
+def _bindings(levels, slots, weight: int):
+    """The weight of every binding of the levels' slots, yielded while it is in
+    `slots`: one iterator per level on an explicit stack, no recursion."""
+    if not levels:
+        yield weight
+        return
+    stack = [(_weights(levels[0], slots), weight)]
+    while stack:
+        weights, w = stack[-1]
+        for m in weights:
+            m = checked_mul(w, m)
+            if len(stack) == len(levels):
+                yield m
             else:
-                rep = min(cls, key=lambda t: t.name)
-                kinds = {rep_kind.get(t, ANY_ELEMENT) for t in cls if isinstance(t, Var)}
-                kinds.discard(ANY_ELEMENT)
-                if len(kinds) > 1:
-                    self.empty = True
-                    return
-                kind = kinds.pop() if kinds else ANY_ELEMENT
-                for t in cls:
-                    self.resolution[t] = rep
-                self.rep_kind[rep] = kind
-
-    def resolve(self, t: Term):
-        r = self.resolution.get(t)
-        if r is not None:
-            return r
-        return t.name if isinstance(t, Const) else t
+                stack.append((_weights(levels[len(stack)], slots), m))
+                break
+        else:
+            stack.pop()
 
 
-def _atom_patterns(q: CQ, compiled: _CompiledQuery):
-    patterns = []
+def _level_sum(level, slots) -> int:
+    index, via, _, named, neqs, checks = level
+    if named is None and not neqs and not checks:  # a bare row sums in one call
+        return checked_sum(_row(index, via, slots).values())
+    return checked_sum(_weights(level, slots))
+
+
+def _sum(component, slots) -> int:
+    """The sum over the component's bindings of the product of their weights."""
+    head, levels = component
+    weight = _weigh(head, slots, 1)
+    if not weight or not levels:
+        return weight
+    total = 0
+    for w in _bindings(levels[:-1], slots, weight):
+        total = checked_add(total, checked_mul(w, _level_sum(levels[-1], slots)))
+    return total
+
+
+def _order(free: list[set[int]], preferred: set[int], sizes: list[int]) -> list[int]:
+    """Atom indices, connected first: each atom shares a slot with those before
+    it while any does, atoms over answer slots first, then smaller extensions."""
+    key = [(not (slots & preferred), sizes[i], i) for i, slots in enumerate(free)]
+    by_slot: dict[int, list[int]] = {}
+    ready = []
+    for i, slots in enumerate(free):
+        for j in slots:
+            by_slot.setdefault(j, []).append(i)
+        if not slots:
+            ready.append(key[i])
+    heapify(ready)
+    starts = sorted(key, reverse=True)
+    placed, order = [False] * len(free), []
+    while len(order) < len(free):
+        i = heappop(ready)[2] if ready else starts.pop()[2]
+        if placed[i]:
+            continue
+        placed[i] = True
+        order.append(i)
+        for j in free[i]:
+            for a in by_slot.pop(j, ()):  # a slot's atoms become ready once
+                if not placed[a]:
+                    heappush(ready, key[a])
+    return order
+
+
+def _reads(step) -> tuple:
+    """The slots a step reads: its row's, its checked entry's, its inequalities'."""
+    return (step[1], step[2]) if type(step) is tuple else (step[1], *step[4])
+
+
+def _levels(steps) -> tuple:
+    """Steps grouped as a component: leading checks, then levels."""
+    head, levels = [], []
+    for step in steps:
+        if type(step) is tuple:
+            (levels[-1][5] if levels else head).append(step)
+        else:
+            levels.append(step)
+    return head, levels
+
+
+def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Optional[_Plan]:
+    """q's plan over interp, or None when atoms or inequalities over
+    individuals alone already make the answer empty."""
+    slots, named, slot_of = compiled.slots, compiled.named, compiled.slot_of
+    consts = {j for j, name in enumerate(slots) if name is not None}
+    answer = [slot_of[v] for v in q.answer_vars]
+    atoms, sizes, neqs = [], [], []  # atoms as (index, inverse index or None, slots)
     for a in q.atoms:
         if isinstance(a, ConceptAtom):
-            patterns.append(("c", a.concept, (compiled.resolve(a.term),)))
+            ext = interp.concepts.get(a.concept, _EMPTY)
+            atoms.append((ext, None, (slot_of[a.term],)))
+            sizes.append(len(ext))
         elif isinstance(a, RoleAtom):
-            patterns.append(
-                ("r", a.role, (compiled.resolve(a.subject), compiled.resolve(a.object)))
-            )
-    return patterns
+            atoms.append((interp.rows(a.role), interp.rows(a.role, True),
+                          (slot_of[a.subject], slot_of[a.object])))
+            sizes.append(len(interp.roles.get(a.role, _EMPTY)))
+        elif isinstance(a, InequalityAtom):
+            neqs.append((slot_of[a.left], slot_of[a.right]))
 
+    bound, bind_step, steps = set(consts), {}, []
+    factor = 1
 
-def _order_patterns(patterns, interp):
-    def ext_size(p):
-        kind, name, _ = p
-        ext = interp.concepts.get(name) if kind == "c" else interp.roles.get(name)
-        return len(ext) if ext else 0
+    def extend(index, via, out):
+        kind = named[out]
+        if via < 0 or via in consts:  # a row fixed at compile time is filtered now
+            index = _row(index, via, slots)
+            if kind is not None:
+                index = {el: m for el, m in index.items() if (type(el) is str) is kind}
+            via, kind = -1, None
+        bind_step[out] = len(steps)
+        bound.add(out)
+        steps.append([index, via, out, kind, [], []])
 
-    remaining = sorted(range(len(patterns)), key=lambda i: (ext_size(patterns[i]), i))
-    ordered: list[int] = []
-    bound: set[Var] = set()
-    pool = list(remaining)
-    while pool:
-        connected = [
-            i for i in pool
-            if any(isinstance(t, Var) and t in bound for t in patterns[i][2])
-        ] or pool
-        nxt = connected[0]
-        pool.remove(nxt)
-        ordered.append(nxt)
-        bound.update(t for t in patterns[nxt][2] if isinstance(t, Var))
-    return [patterns[i] for i in ordered]
+    def check(index, via, at):
+        nonlocal factor
+        if via < 0 or via in consts:
+            if at in consts:
+                factor = checked_mul(factor, _check((index, via, at), slots))
+                return
+            index, via = _row(index, via, slots), -1
+        steps.append((index, via, at))
+
+    free = [set(terms) - consts for *_, terms in atoms]
+    for i in _order(free, set(answer) - consts, sizes):
+        fwd, bwd, terms = atoms[i]
+        if bwd is None:  # a concept atom
+            (check if terms[0] in bound else extend)(fwd, -1, terms[0])
+            continue
+        s, o = terms
+        if s in bound:
+            (check if o in bound else extend)(fwd, s, o)
+        elif o in bound:
+            extend(bwd, o, s)
+        elif s == o:  # a self-loop atom binds one slot
+            extend({u: m for u, row in fwd.items() if (m := row.get(u))}, -1, s)
+        else:  # the answer end first, over the elements that have a row
+            if o in answer and s not in answer:
+                s, o, fwd = o, s, bwd
+            extend(dict.fromkeys(fwd, 1), -1, s)
+            extend(fwd, s, o)
+    if not factor:
+        return None
+    # An inequality filters where its later slot is bound; between two
+    # names it holds, and x != x never does.
+    for x, y in neqs:
+        if x == y:
+            return None
+        if x not in consts or y not in consts:
+            if bind_step.get(x, -1) < bind_step.get(y, -1):
+                x, y = y, x
+            steps[bind_step[x]][4].append(y)
+
+    cut = max((bind_step[j] + 1 for j in answer if j in bind_step), default=0)
+    prefix_slots = {j for j, k in bind_step.items() if k < cut}
+    # The rest splits into components that share no slot bound after the cut;
+    # each step joins the components of the slots it reads, or starts one.
+    comp: list[int] = []
+    for k, step in enumerate(steps[cut:]):
+        linked = {comp[bind_step[j] - cut] for j in _reads(step) if bind_step.get(j, -1) >= cut}
+        c = min(linked, default=k)
+        if len(linked) > 1:
+            comp = [c if x in linked else x for x in comp]
+        comp.append(c)
+    groups: dict[int, list] = {}
+    for c, step in zip(comp, steps[cut:]):
+        groups.setdefault(c, []).append(step)
+    dependent, independent = [], []
+    for group in groups.values():
+        reads_prefix = any(j in prefix_slots for step in group for j in _reads(step))
+        (dependent if reads_prefix else independent).append(_levels(group))
+    return _Plan(slots, factor, _levels(steps[:cut]), dependent, independent, answer)
 
 
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
-    if compiled.empty:
-        return AnswerBag(len(q.answer_vars))
-    patterns = _order_patterns(_atom_patterns(q, compiled), interp)
-    inequalities = [
-        (compiled.resolve(a.left), compiled.resolve(a.right))
-        for a in q.atoms
-        if isinstance(a, InequalityAtom)
-    ]
-    answer_reps = [compiled.resolve(v) for v in q.answer_vars]
-    binding: dict[Var, Element] = {}
+    arity = len(q.answer_vars)
+    plan = None if compiled.empty else _compile(q, interp, compiled)
+    if plan is None:
+        return AnswerBag(arity)
+    slots = plan.slots
+    head, levels = plan.prefix
+    weight = _weigh(head, slots, plan.factor)
+    for component in plan.independent:
+        if not weight:
+            break
+        weight = checked_mul(weight, _sum(component, slots))
     answers: dict[tuple[str, ...], int] = {}
-
-    def value_of(t):
-        return binding[t] if isinstance(t, Var) else t
-
-    def emit(weight):
-        for left, right in inequalities:
-            if value_of(left) == value_of(right):
-                return
-        # Answer variables are bound to names only (their kind is NAMED_ONLY).
-        key = tuple(value_of(rep) for rep in answer_reps)
-        answers[key] = checked_add(answers.get(key, 0), weight)
-
-    def matches(pattern):
-        kind, name, terms = pattern
-        if kind == "c":
-            (t,) = terms
-            ext = interp.concepts.get(name, {})
-            if isinstance(t, Var) and t in binding:
-                t = binding[t]
-            if isinstance(t, Var):
-                for el, m in ext.items():
-                    yield {t: el}, m
-            else:
-                m = ext.get(t, 0)
-                if m:
-                    yield {}, m
-            return
-        t1, t2 = terms
-        v1 = binding.get(t1, t1) if isinstance(t1, Var) else t1
-        v2 = binding.get(t2, t2) if isinstance(t2, Var) else t2
-        b1, b2 = isinstance(v1, Var), isinstance(v2, Var)
-        if not b1 and not b2:
-            m = interp.role_mult(name, v1, v2)
-            if m:
-                yield {}, m
-        elif not b1:
-            for el, m in interp.successors(Role(name), v1).items():
-                yield {v2: el}, m
-        elif not b2:
-            for el, m in interp.successors(Role(name, True), v2).items():
-                yield {v1: el}, m
-        else:
-            for (u, w), m in interp.roles.get(name, {}).items():
-                if v1 == v2 and u != w:
-                    continue
-                yield ({v1: u} if v1 == v2 else {v1: u, v2: w}), m
-
-    def kind_of(rep):
-        return compiled.rep_kind.get(rep, ANY_ELEMENT)
-
-    def walk(i, weight):
-        if i == len(patterns):
-            emit(weight)
-            return
-        for new_binding, m in matches(patterns[i]):
-            for var, el in new_binding.items():
-                if not isinstance(el, kind_of(var)):
+    if weight:
+        for w in _bindings(levels, slots, weight):
+            for component in plan.dependent:
+                w = checked_mul(w, _sum(component, slots))
+                if not w:
                     break
             else:
-                binding.update(new_binding)
-                walk(i + 1, checked_mul(weight, m))
-                for var in new_binding:
-                    del binding[var]
-
-    walk(0, 1)
-    return AnswerBag(len(q.answer_vars), answers)
+                # Answer slots hold names only (their kind is NAMED_ONLY).
+                key = tuple(slots[j] for j in plan.answer)
+                answers[key] = checked_add(answers.get(key, 0), w)
+    return AnswerBag(arity, answers)
 
 
 def eval_cq(q: CQ, i: BagInterpretation) -> AnswerBag:

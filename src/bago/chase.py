@@ -172,9 +172,12 @@ class BagInterpretation:
     def role_mult(self, name: str, u: Element, v: Element) -> int:
         return self.roles.get(name, {}).get((u, v), 0)
 
+    def rows(self, name: str, inverted: bool = False) -> dict[Element, dict[Element, int]]:
+        """Each element with successors along the role, mapped to them."""
+        return (self._bwd if inverted else self._fwd).get(name, {})
+
     def successors(self, role: Role, u: Element) -> dict[Element, int]:
-        index = self._bwd if role.inverted else self._fwd
-        return index.get(role.name, {}).get(u, {})
+        return self.rows(role.name, role.inverted).get(u, {})
 
     def exists_mult(self, role: Role, u: Element) -> int:
         return sum(self.successors(role, u).values())

@@ -102,6 +102,12 @@ def checked_mul(a, b):
     return c
 
 
+def checked_sum(values):
+    """The checked sum of nonnegative values: no partial sum passes the total,
+    so checking the total checks them all."""
+    return checked_add(0, sum(values))
+
+
 # op -> (pointwise function, the keys whose result can be nonzero)
 _COMBINE = {
     "intersection": (min, lambda a, b: a.keys() & b.keys()),

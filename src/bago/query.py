@@ -151,17 +151,17 @@ class EqClasses:
         groups: dict[Term, set[Term]] = {}
         for t in parent:
             groups.setdefault(find(t), set()).add(t)
-        self._class_of: dict[Term, frozenset[Term]] = {}
-        for members in groups.values():
-            cls = frozenset(members)
-            for t in members:
-                self._class_of[t] = cls
+        self._classes = [frozenset(members) for members in groups.values()]
+        self._class_of: dict[Term, frozenset[Term]] = {
+            t: cls for cls in self._classes for t in cls
+        }
 
     def class_of(self, t: Term) -> frozenset[Term]:
         return self._class_of.get(t, frozenset((t,)))
 
     def classes(self) -> list[frozenset[Term]]:
-        return sorted(set(self._class_of.values()), key=lambda c: term_key(min(c, key=term_key)))
+        """The classes, in the order their first terms occur in the atoms."""
+        return list(self._classes)
 
     def constants_of(self, t: Term) -> list[Const]:
         return sorted((m for m in self.class_of(t) if isinstance(m, Const)),

@@ -360,10 +360,19 @@ def _translate(items: Iterable, zset: frozenset[Var], tbox: TBox, fresh: _FreshV
 def _close(conjuncts: list[BALGQuery], equalities: list[tuple[Term, Term]],
            always_empty: bool, eq: EqClasses, existential: Iterable[Var]) -> BALGQuery:
     """Join the conjuncts, filter by the equalities, project the existential
-    variables away, and empty the result if two individuals were equated."""
-    node = conjuncts[0]
-    for piece in conjuncts[1:]:
-        node = BalgJoin(node, piece)
+    variables away, and empty the result if two individuals were equated.
+
+    Each join takes the first remaining conjunct that shares a variable with
+    those already joined, so that no product of unrelated conjuncts is built
+    before the one that links them; only when none does is the next one in
+    atom order taken.
+    """
+    node, unjoined = conjuncts[0], list(conjuncts[1:])
+    while unjoined:
+        joined = set(node.answer_vars)
+        pick = next((i for i, piece in enumerate(unjoined)
+                     if not joined.isdisjoint(piece.answer_vars)), 0)
+        node = BalgJoin(node, unjoined.pop(pick))
 
     pending = list(equalities)
     while pending:

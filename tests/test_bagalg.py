@@ -275,3 +275,97 @@ def test_eval_partitioned_matches_brute_force_over_chase_stages():
             for combo in combinations(existential, size):
                 got = dict(eval_partitioned(q, combo, result).items())
                 assert got == brute_eval_cq(q, result.union, z_anon=combo)
+
+
+# -- corner cases of the compiled evaluator ------------------------------------
+
+def _corner_interp():
+    """Three names and two witnesses, with self-loops on names and witnesses."""
+    from bago.chase import Anon, BagInterpretation
+    from bago.ontology import Role
+
+    w1 = Anon("a", Role("R"), 1)
+    w2 = Anon(w1, Role("R"), 1)
+    return BagInterpretation(
+        {"a", "b", "c", w1, w2},
+        {"A": {"a": 2, w1: 3}, "B": {"b": 1, "c": 4, w2: 2}},
+        {
+            "R": {("a", "a"): 2, ("a", "b"): 3, ("b", "b"): 1, ("a", w1): 1,
+                  (w1, w1): 5, (w1, w2): 1},
+            "S": {("a", "a"): 2, ("a", "b"): 3, ("b", "b"): 5, (w1, w1): 1,
+                  ("c", "a"): 2},
+        },
+    )
+
+
+@pytest.mark.parametrize("text", [
+    # a variable repeated inside one atom only after equality resolution
+    "q(x0) :- S(x0, y0), x0 = y0",
+    "q() :- S(x0, y0), x0 = y0",
+    "q(x0) :- A(y0), S(x0, y0), x0 = y0",
+    "q(x0) :- R(x0, y0), S(y0, z0), y0 = z0",
+    # self-loops, bound first or reached through another atom
+    "q(x) :- R(x, x)",
+    "q() :- R(y, y)",
+    "q(x) :- R(x, y), R(y, y)",
+    "q(x) :- R(y, x), R(y, y), B(x)",
+    # constants at both role positions, holding or not
+    'q() :- R("a", "b")',
+    'q(x) :- A(x), R("a", "b")',
+    'q(x) :- A(x), R("b", "a")',
+    'q(x) :- S(x, "a"), R("a", "b"), x = "c"',
+    # repeated atoms
+    "q(x) :- R(x, y), R(x, y)",
+    "q(x, y) :- S(x, y), S(x, y), S(y, y)",
+    "q() :- B(y), B(y), R(z, y)",
+    # components disconnected from the answer variables
+    "q(x) :- A(x), R(y, z), B(z)",
+    "q(x) :- S(x, u), R(y, z), B(z), A(v)",
+    "q(x, w) :- S(x, y), R(w, v), R(u, u)",
+    # answer variables reached through an existential variable
+    "q(x, w) :- R(x, y), R(y, w)",
+    "q(w) :- R(y, w), S(y, x), B(x)",
+])
+def test_eval_cq_corner_cases_match_brute_force(text):
+    interp = _corner_interp()
+    q = parse_cq(text)
+    assert dict(eval_cq(q, interp).items()) == brute_eval_cq(q, interp)
+
+
+def test_eval_cq_neq_corner_cases_match_brute_force():
+    interp = _corner_interp()
+    u, v, w = Var("u"), Var("v"), Var("w")
+    cases = [
+        ((x,), [RoleAtom("R", x, y), RoleAtom("R", x, z), InequalityAtom(y, z)]),
+        ((), [RoleAtom("R", y, z), InequalityAtom(z, Const("a"))]),
+        ((x,), [RoleAtom("S", x, y), InequalityAtom(x, y)]),  # answer slot vs the rest
+        # an inequality across two otherwise disconnected components
+        ((), [RoleAtom("R", y, z), RoleAtom("S", u, v), InequalityAtom(z, v)]),
+        ((x,), [RoleAtom("R", x, y), InequalityAtom(y, y)]),  # never holds
+        ((), [RoleAtom("R", y, z), InequalityAtom(Const("a"), Const("b"))]),  # always holds
+        ((), [RoleAtom("R", y, z), InequalityAtom(Const("a"), Const("a"))]),  # never holds
+        ((x, w), [RoleAtom("R", x, y), RoleAtom("R", w, z), InequalityAtom(x, w),
+                  InequalityAtom(y, z)]),
+    ]
+    for head, atoms in cases:
+        q = CQ(head, atoms, allow_inequalities=True)
+        assert dict(eval_cq_neq(q, interp).items()) == brute_eval_cq(q, interp), q
+
+
+def test_eval_partitioned_corner_cases_match_brute_force():
+    from itertools import combinations
+
+    from bago.chase import ChaseResult
+
+    interp = _corner_interp()
+    result = ChaseResult((interp,), 0)
+    for text in ("q(x) :- R(x, y), R(y, z), B(z)",
+                 "q(x) :- R(x, y), R(y, y)",
+                 "q() :- R(y, z), A(y), y = z",
+                 "q(x) :- A(x), R(y, z), S(z, u)"):
+        q = parse_cq(text)
+        existential = q.existential_vars()
+        for size in range(1, len(existential) + 1):
+            for combo in combinations(existential, size):
+                got = dict(eval_partitioned(q, combo, result).items())
+                assert got == brute_eval_cq(q, interp, z_anon=combo), (text, combo)

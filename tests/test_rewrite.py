@@ -446,6 +446,27 @@ def test_star_30_counts_branches_without_building_one(monkeypatch):
         rw.branches[0]  # ordering 2^30 choices of z would exhaust memory
 
 
+def test_close_joins_a_linked_conjunct_before_an_unrelated_one():
+    lines = [f"R(a{i},b{i})\nS(c{i},d{i})\nT(a{i},c{i})\n" for i in range(30)]
+    abox = parse_abox("".join(lines))
+    tbox = parse_tbox("")
+    unlinked_second = rewrite(parse_cq("q(x, w) :- R(x, y1), S(w, y2), T(x, w)"), tbox)
+    linked_second = rewrite(parse_cq("q(x, w) :- R(x, y1), T(x, w), S(w, y2)"), tbox)
+    answers = evaluate_rewriting(unlinked_second, abox)
+    assert answers == evaluate_rewriting(linked_second, abox)
+    assert answers == AnswerBag(2, {(f"a{i}", f"c{i}"): 1 for i in range(30)})
+    # Both orders compile to the same tree, and no join in it multiplies two
+    # operands that share no variable.
+    assert to_sexpr(unlinked_second.combined) == to_sexpr(linked_second.combined)
+    stack = [unlinked_second.combined]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BalgJoin):
+            assert set(node.left.answer_vars) & set(node.right.answer_vars), to_sexpr(node)
+        stack.extend(getattr(node, name) for name in ("left", "right", "child")
+                     if hasattr(node, name))
+
+
 def test_evaluate_rewriting_builds_no_interpretation(managers, monkeypatch):
     k, q, _ = managers
     rw = rewrite(q, k.tbox)

@@ -87,6 +87,25 @@ def test_deep_self_feeding_chain_chases_and_dumps_quickly():
     assert elapsed < 2.0
 
 
+def test_long_path_query_answers_via_the_chase(capsys, tmp_path):
+    # Each atom is one level of the evaluator, kept on an explicit stack, so a
+    # query longer than the recursion limit answers.
+    length = 1_500
+    assert length > sys.getrecursionlimit()
+    terms = ["x"] + [f"y{i}" for i in range(1, length + 1)]
+    body = ", ".join(f"R({s}, {o})" for s, o in zip(terms, terms[1:]))
+    (tmp_path / "t.dl").write_text(SELF_FEEDING)
+    (tmp_path / "a.bag").write_text("A(a) 1\n")
+    (tmp_path / "q.cq").write_text(f"q(x) :- {body}\n")
+    start = time.process_time()
+    code = main(["answer", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+                 "-q", str(tmp_path / "q.cq"), "--via", "chase"])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "(a) 1\n", "")
+    assert elapsed < 2.0
+
+
 def test_budget_counts_anonymous_elements_only(monkeypatch):
     # Emp(Lee) 10 needs exactly ten witnesses, one per missing manager edge.
     k = BagOntology(parse_tbox("Emp SUB EX hasMngr\nEX hasMngr- SUB Mngr\n"),
