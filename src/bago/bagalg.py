@@ -13,7 +13,8 @@ Each equality class gets one integer slot in a flat list; a class pinned to
 an individual starts filled with its name. The atoms are ordered connected
 first, atoms over answer variables first, and each becomes a step that
 either binds one new slot from a row (a concept's extension, a role's
-successors or predecessors of a bound end, or the elements that have a row)
+successors or predecessors of a bound end, or the elements that have a row;
+for a slot of names only, the individuals that have one when they are fewer)
 or multiplies by one entry when all its slots are bound; atoms over
 individuals alone are read once at compile time. Kind restrictions (named,
 anonymous) and inequalities filter where their slots are bound. The steps up
@@ -332,16 +333,14 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
     slots, named, slot_of = compiled.slots, compiled.named, compiled.slot_of
     consts = {j for j, name in enumerate(slots) if name is not None}
     answer = [slot_of[v] for v in q.answer_vars]
-    atoms, sizes, neqs = [], [], []  # atoms as (index, inverse index or None, slots)
+    atoms, sizes, neqs = [], [], []  # atoms as (predicate, is a role, slots)
     for a in q.atoms:
         if isinstance(a, ConceptAtom):
-            ext = interp.concepts.get(a.concept, _EMPTY)
-            atoms.append((ext, None, (slot_of[a.term],)))
-            sizes.append(len(ext))
+            atoms.append((a.concept, False, (slot_of[a.term],)))
+            sizes.append(len(interp.concepts.get(a.concept, _EMPTY)))
         elif isinstance(a, RoleAtom):
-            atoms.append((interp.rows(a.role), interp.rows(a.role, True),
-                          (slot_of[a.subject], slot_of[a.object])))
-            sizes.append(len(interp.roles.get(a.role, _EMPTY)))
+            atoms.append((a.role, True, (slot_of[a.subject], slot_of[a.object])))
+            sizes.append(interp.edge_count(a.role))
         elif isinstance(a, InequalityAtom):
             neqs.append((slot_of[a.left], slot_of[a.right]))
 
@@ -370,22 +369,33 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 
     free = [set(terms) - consts for *_, terms in atoms]
     for i in _order(free, set(answer) - consts, sizes):
-        fwd, bwd, terms = atoms[i]
-        if bwd is None:  # a concept atom
-            (check if terms[0] in bound else extend)(fwd, -1, terms[0])
+        predicate, is_role, terms = atoms[i]
+        if not is_role:
+            ext = interp.concepts.get(predicate, _EMPTY)
+            (check if terms[0] in bound else extend)(ext, -1, terms[0])
             continue
+        # The predecessor rows are fetched only where a step binds through them.
         s, o = terms
         if s in bound:
-            (check if o in bound else extend)(fwd, s, o)
+            (check if o in bound else extend)(interp.rows(predicate), s, o)
         elif o in bound:
-            extend(bwd, o, s)
+            extend(interp.rows(predicate, True), o, s)
         elif s == o:  # a self-loop atom binds one slot
-            extend({u: m for u, row in fwd.items() if (m := row.get(u))}, -1, s)
+            rows = interp.rows(predicate)
+            extend({u: m for u, row in rows.items() if (m := row.get(u))}, -1, s)
         else:  # the answer end first, over the elements that have a row
-            if o in answer and s not in answer:
-                s, o, fwd = o, s, bwd
-            extend(dict.fromkeys(fwd, 1), -1, s)
-            extend(fwd, s, o)
+            inverted = o in answer and s not in answer
+            if inverted:
+                s, o = o, s
+            rows = interp.rows(predicate, inverted)
+            names = interp.names
+            # A slot of names only starts from the individuals when they are
+            # fewer: a chase's rows are mostly its witnesses'.
+            if named[s] and len(names) < len(rows):
+                extend({u: 1 for u in names if u in rows}, -1, s)
+            else:
+                extend(dict.fromkeys(rows, 1), -1, s)
+            extend(rows, s, o)
     if not factor:
         return None
     # An inequality filters where its later slot is bound; between two

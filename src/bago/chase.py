@@ -21,10 +21,21 @@ stage n, which is why callers always pass an explicit depth.
 Stage 1 gathers the named individuals' seeds (atomic multiplicities and
 EX R / EX R- out-degree sums) in one pass. A witness born for role R starts
 with nothing but its R-edge, so every later stage expands it from a plan
-fixed per role: the closure of EX R- at multiplicity 1. `concept_closure`,
+fixed per role: the closure of EX R- at multiplicity 1, built once per TBox
+(`TBox.witness_plans`). The frontier is kept as runs, one per role, and a
+plan is applied to a whole run at once: one bulk update per concept write
+and one birth per role for all its witnesses, which are filed into the next
+stage's runs by role. `concept_closure`,
 `_stage` and `chase_step` keep the literal per-element construction as the
 tests' reference. A chase that would need more than MAX_CHASE_ELEMENTS
-anonymous elements raises ChaseLimitExceeded before allocating them.
+anonymous elements raises ChaseLimitExceeded before allocating any of the
+run that would pass it.
+
+A birth writes one entry: the witness in its parent's row along the role.
+The witness's own row, the pair entry of the edge and their inverse-role
+counterparts follow from `w.parent` and `w.role`; `BagInterpretation`
+derives them when they are first read, per role name and direction, equal
+to what the reference construction stores.
 """
 from __future__ import annotations
 
@@ -68,8 +79,13 @@ class Anon:
 
     def __init__(self, parent: "Element", role: Role, index: int):
         self.parent, self.role, self.index = parent, role, index
-        self.depth = parent.depth + 1 if type(parent) is Anon else 1
-        self._hash = hash((parent, role, index))
+        # Every part hashes in C: the parent's stored hash (a name's own hash),
+        # the role's name and direction, and the index.
+        if type(parent) is Anon:
+            self.depth, up = parent.depth + 1, parent._hash
+        else:
+            self.depth, up = 1, hash(parent)
+        self._hash = hash((up, role.name, role.inverted, index))
 
     def __eq__(self, other):
         a, b = self, other
@@ -134,7 +150,15 @@ def ordered(elements: Iterable[Element]) -> list[Element]:
 
 
 class BagInterpretation:
-    """Finite bag interpretation with per-role successor/predecessor indexes."""
+    """Finite bag interpretation with per-role successor/predecessor indexes.
+
+    `names` holds the domain's named individuals. A witness born by `_bear`
+    has its edge to its parent stored once, in the parent's row. The
+    witness's own row, the edge's pair entry in `roles`, and their
+    inverse-role counterparts follow from `w.parent` and `w.role`; each is
+    written on first read, per role name and direction (`_derive_rows`,
+    `_derive_pairs`), and then equals what `_add_edge` would have written.
+    """
 
     def __init__(
         self,
@@ -143,6 +167,7 @@ class BagInterpretation:
         roles: Mapping[str, Mapping[tuple[Element, Element], int]],
     ):
         self.domain = set(domain)
+        self.names: set[str] = {el for el in self.domain if type(el) is str}
         self.concepts: dict[str, dict[Element, int]] = {}
         for name, ext in concepts.items():
             for el, m in ext.items():
@@ -150,9 +175,13 @@ class BagInterpretation:
                     if el not in self.domain:
                         raise ValueError(f"element {el} outside the domain")
                     self.concepts.setdefault(name, {})[el] = m
-        self.roles: dict[str, dict[tuple[Element, Element], int]] = {}
-        self._fwd: dict[str, dict[Element, dict[Element, int]]] = {}
-        self._bwd: dict[str, dict[Element, dict[Element, int]]] = {}
+        self._pairs: dict[str, dict[tuple[Element, Element], int]] = {}
+        # Rows by direction: successors along R at [False], along R- at [True].
+        self._rows: tuple[dict[str, dict[Element, dict[Element, int]]], ...] = ({}, {})
+        # Births whose witness-side rows, by (role name, direction of the row),
+        # and whose pair entries, by role name, are not written yet.
+        self._unrowed: dict[tuple[str, bool], list[list[Anon]]] = {}
+        self._unpaired: dict[str, list[tuple[bool, list[Anon]]]] = {}
         for name, ext in roles.items():
             for (u, v), m in ext.items():
                 if m > 0:
@@ -162,19 +191,91 @@ class BagInterpretation:
 
     def _add_edge(self, name: str, pair: tuple[Element, Element], m: int) -> None:
         u, v = pair
-        self.roles.setdefault(name, {})[pair] = m
-        self._fwd.setdefault(name, {}).setdefault(u, {})[v] = m
-        self._bwd.setdefault(name, {}).setdefault(v, {})[u] = m
+        self._pairs.setdefault(name, {})[pair] = m
+        self._rows[False].setdefault(name, {}).setdefault(u, {})[v] = m
+        self._rows[True].setdefault(name, {}).setdefault(v, {})[u] = m
+
+    def _bear(self, parents: Sequence[Element], role: Role, count: int) -> list[Anon]:
+        """Give each parent `count` fresh witnesses along `role`; return them all.
+
+        Only the parents' rows are written: each witness is one entry of
+        multiplicity 1 in its parent's row along `role`.
+        """
+        name, inverted = role.name, role.inverted
+        index = self._rows[inverted].setdefault(name, {})
+        born = [Anon(u, role, j) for u in parents for j in range(1, count + 1)]
+        if len(parents) == 1:  # an individual may have ABox edges along `role`
+            index.setdefault(parents[0], {}).update(dict.fromkeys(born, 1))
+        elif count == 1:  # a run of witnesses, none with a row along `role` yet
+            index.update(zip(parents, [{w: 1} for w in born]))
+        else:
+            index.update(zip(parents, [dict.fromkeys(born[k:k + count], 1)
+                                       for k in range(0, len(born), count)]))
+        size = len(self.domain)
+        self.domain.update(born)
+        if len(self.domain) != size + len(born):  # stabilization makes this unreachable
+            raise AssertionError(f"a witness along {role} was created twice")
+        self._unrowed.setdefault((name, not inverted), []).append(born)
+        self._unpaired.setdefault(name, []).append((inverted, born))
+        return born
+
+    def _derive_rows(self, name: str, inverted: bool) -> None:
+        """Write the rows along (name, inverted) of the witnesses born the other way.
+
+        Such a row holds the witness's parent alone: a witness born along R
+        has EX R- at multiplicity 1 as its seed, so it bears nothing along R-.
+        """
+        index = self._rows[inverted].setdefault(name, {})
+        for born in self._unrowed.pop((name, inverted)):
+            for w in born:
+                index[w] = {w.parent: 1}
+
+    def _derive_pairs(self, name: str) -> None:
+        """Write the pair entries of the witnesses born along `name` or its inverse."""
+        ext = self._pairs.setdefault(name, {})
+        for inverted, born in self._unpaired.pop(name):
+            if inverted:  # edges w -> parent
+                ext.update({(w, w.parent): 1 for w in born})
+            else:
+                ext.update({(w.parent, w): 1 for w in born})
+
+    @property
+    def roles(self) -> dict[str, dict[tuple[Element, Element], int]]:
+        """Each role's extension: its pairs mapped to their multiplicities."""
+        for name in list(self._unpaired):
+            self._derive_pairs(name)
+        return self._pairs
+
+    def _index(self, inverted: bool) -> dict[str, dict[Element, dict[Element, int]]]:
+        """Every role's rows in one direction, each derived row written."""
+        for key in [key for key in self._unrowed if key[1] == inverted]:
+            self._derive_rows(*key)
+        return self._rows[inverted]
+
+    @property
+    def _fwd(self) -> dict[str, dict[Element, dict[Element, int]]]:
+        return self._index(False)
+
+    @property
+    def _bwd(self) -> dict[str, dict[Element, dict[Element, int]]]:
+        return self._index(True)
+
+    def edge_count(self, name: str) -> int:
+        """The number of pairs in the role's extension, without deriving any."""
+        unpaired = self._unpaired.get(name, ())
+        return len(self._pairs.get(name, ())) + sum(len(born) for _, born in unpaired)
 
     def concept_mult(self, name: str, el: Element) -> int:
         return self.concepts.get(name, {}).get(el, 0)
 
     def role_mult(self, name: str, u: Element, v: Element) -> int:
-        return self.roles.get(name, {}).get((u, v), 0)
+        return self.rows(name).get(u, {}).get(v, 0)
 
     def rows(self, name: str, inverted: bool = False) -> dict[Element, dict[Element, int]]:
         """Each element with successors along the role, mapped to them."""
-        return (self._bwd if inverted else self._fwd).get(name, {})
+        if (name, inverted) in self._unrowed:
+            self._derive_rows(name, inverted)
+        return self._rows[inverted].get(name, {})
 
     def successors(self, role: Role, u: Element) -> dict[Element, int]:
         return self.rows(role.name, role.inverted).get(u, {})
@@ -305,8 +406,8 @@ def chase_step(prev: BagInterpretation, tbox: TBox) -> BagInterpretation:
 
 
 # Plan for one element: its concept entries as (name, multiplicity) and its
-# births as (role, count), both in canonical order. Births sorted by role make
-# every frontier come out in canonical order, the order _stage processes in.
+# births as (role, count), both sorted, so a plan does not depend on the order
+# of the closure it was made from.
 _Plan = tuple[tuple[tuple[str, int], ...], tuple[tuple[Role, int], ...]]
 
 
@@ -344,68 +445,51 @@ def _named_seeds(i: BagInterpretation) -> dict[Element, dict[Concept, int]]:
 
 
 def _grow(k: BagOntology, depth: int) -> BagInterpretation:
-    """Chase k to `depth` in place: what iterating `_stage` builds, from plans."""
-    i = interpretation_from_abox(k.abox)
-    tbox = k.tbox
-    named = len(i.domain)
-    concepts, roles, fwd_index, bwd_index = i.concepts, i.roles, i._fwd, i._bwd
+    """Chase k to `depth` in place: what iterating `_stage` builds, from plans.
 
-    def expand(u: Element, plan: _Plan, born: list[Anon]) -> None:
+    Stage 1 expands each named individual from its own plan. Every later
+    stage expands its frontier a run at a time: the witnesses born along one
+    role share one plan, so each concept write is one bulk update and each
+    birth one budget check and one `_bear` for the whole run.
+    """
+    i = interpretation_from_abox(k.abox)
+    tbox, concepts = k.tbox, i.concepts
+    anonymous = 0
+
+    def expand(run: Sequence[Element], plan: _Plan, runs: dict[Role, list[Anon]]) -> None:
+        """Apply the plan to every element of the run; file the births in `runs`."""
+        nonlocal anonymous
         writes, births = plan
         for name, m in writes:
-            concepts.setdefault(name, {})[u] = m
+            concepts.setdefault(name, {}).update(dict.fromkeys(run, m))
         for role, count in births:
-            if len(i.domain) - named + count > MAX_CHASE_ELEMENTS:
+            anonymous += len(run) * count
+            if anonymous > MAX_CHASE_ELEMENTS:
                 raise ChaseLimitExceeded(
                     f"the chase needs more than {MAX_CHASE_ELEMENTS:,} anonymous "
                     "elements; answer with --via rewrite, whose cost does not grow "
                     "with multiplicities"
                 )
-            name = role.name
-            ext = roles.setdefault(name, {})
-            fwd = fwd_index.setdefault(name, {})
-            bwd = bwd_index.setdefault(name, {})
-            witnesses = [Anon(u, role, j) for j in range(1, count + 1)]
-            if role.inverted:  # edges w -> u
-                row = bwd.setdefault(u, {})
-                for w in witnesses:
-                    ext[(w, u)] = 1
-                    fwd[w] = {u: 1}
-                    row[w] = 1
-            else:  # edges u -> w
-                row = fwd.setdefault(u, {})
-                for w in witnesses:
-                    ext[(u, w)] = 1
-                    row[w] = 1
-                    bwd[w] = {u: 1}
-            size = len(i.domain)
-            i.domain.update(witnesses)
-            if len(i.domain) != size + count:  # stabilization makes this unreachable
-                raise AssertionError(f"a witness of {u} for {role} was created twice")
-            born.extend(witnesses)
+            runs.setdefault(role, []).extend(i._bear(run, role, count))
 
     if depth == 0:
         return i
-    frontier: list[Anon] = []
+    # The frontier of the next stage, as one run of witnesses per role.
+    frontier: dict[Role, list[Anon]] = {}
     for u, seeds in sorted(_named_seeds(i).items()):  # names are unique keys
-        expand(u, _plan(_close(seeds, tbox), seeds), frontier)
+        expand((u,), _plan(_close(seeds, tbox), seeds), frontier)
 
-    role_plans: dict[Role, _Plan] = {}
     for _ in range(depth - 1):
         if not frontier:  # the chase terminated; later stages add nothing
             break
-        born: list[Anon] = []
-        role = None
-        for w in frontier:
-            # Siblings share their Role object, so `is` skips most lookups.
-            if w.role is not role:
-                role = w.role
-                plan = role_plans.get(role)
-                if plan is None:
-                    seeds = {ExistsRole(role.inverse): 1}
-                    plan = role_plans[role] = _plan(_close(seeds, tbox), seeds)
-            expand(w, plan, born)
-        frontier = born
+        runs: dict[Role, list[Anon]] = {}
+        for role, run in frontier.items():
+            plan = tbox.witness_plans.get(role)
+            if plan is None:
+                seeds = {ExistsRole(role.inverse): 1}
+                plan = tbox.witness_plans[role] = _plan(_close(seeds, tbox), seeds)
+            expand(run, plan, runs)
+        frontier = runs
     return i
 
 

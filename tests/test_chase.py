@@ -12,6 +12,7 @@ from bago import (
     Role,
     UnsatisfiableOntology,
     UnsupportedTBoxKind,
+    certain_answers,
     chase,
     chase_step,
     concept_closure,
@@ -152,8 +153,8 @@ def test_anonymous_multiplicities_are_one():
 
 
 # (TBox, ABox) pairs that stress the chase's per-role plans: a self-feeding
-# TBox, a self-loop, an inverse seed with a sibling role, and multiplicities
-# in the hundreds.
+# TBox, a self-loop, an inverse seed with a sibling role, multiplicities in
+# the hundreds, and interleaved runs of forward and inverse births.
 HAND_BUILT = {
     "self_feeding": ("A SUB EX R\nEX R- SUB A\n", "A(a) 2\nR(a,b) 1\nR(b,a) 1\n"),
     "self_loop": ("C SUB EX R\nEX R- SUB EX R\nEX R SUB B\n", "C(a) 5\nR(a,a) 3\nB(a) 1\n"),
@@ -166,6 +167,13 @@ HAND_BUILT = {
         "EX hasMngr- SUB Mngr\nMngr SUB Emp\n",
         "SalEmp(p) 300\nITEmp(q) 200\nEmp(r) 100\nhasMngr(p,boss) 30\n"
         "hasMngr(q,boss) 10\nMngr(boss) 1\n",
+    ),
+    # Births along R, S- and T- from several parents, whose witnesses bear
+    # along S, R, R- and S-: each stage's runs of different roles interleave.
+    "mixed_runs": (
+        "A SUB EX R\nA SUB EX S-\nB SUB EX T-\nEX R- SUB EX S\nEX R- SUB C\n"
+        "EX S SUB EX R\nEX T SUB EX R-\nEX T SUB EX S-\n",
+        "A(a) 3\nA(b) 2\nB(c) 2\nR(a,c) 1\nS(c,b) 1\n",
     ),
 }
 
@@ -182,6 +190,31 @@ def test_chase_matches_iterated_naive_step():
             # the successor indexes that eval_cq walks must match as well
             assert grown._fwd == naive._fwd and grown._bwd == naive._bwd
             naive = chase_step(naive, tbox)
+
+
+# The benchmark's multiplicity-heavy queries, which read successor rows only.
+FORWARD_ONLY_QUERIES = (
+    "q(x) :- hasMngr(x, y)",
+    "q(x) :- hasMngr(x, y), Mngr(y)",
+    "q(x) :- hasMngr(x, y), hasMngr(y, z)",
+    "q(x) :- hasMngr(x, y), hasMngr(y, z), Emp(z)",
+)
+
+
+def test_forward_only_queries_derive_no_reverse_rows_or_pairs(monkeypatch):
+    tbox, abox = HAND_BUILT["company"]
+    k = BagOntology(parse_tbox(tbox), parse_abox(abox))
+    queries = [parse_cq(text) for text in FORWARD_ONLY_QUERIES]
+    # The rewriting's probes chase and read both directions, so run it first.
+    expected = [certain_answers(q, k, via="rewrite") for q in queries]
+
+    def refuse(self, *args):
+        raise AssertionError("a forward-only query derived witness rows or pairs")
+
+    monkeypatch.setattr(BagInterpretation, "_derive_rows", refuse)
+    monkeypatch.setattr(BagInterpretation, "_derive_pairs", refuse)
+    assert [certain_answers(q, k, via="chase") for q in queries] == expected
+    assert all(answer for answer in expected)
 
 
 def test_chase_is_insertion_order_independent(employees):
