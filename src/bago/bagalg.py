@@ -29,14 +29,21 @@ stack, so a query of any length runs without recursion.
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
 from the named part of a BagInterpretation). These are the N-semiring
-relations of Green, Karvounarakis and Tannen. Evaluation is structural
-recursion: atoms select and rename their relation's tuples, joins multiply on
-shared variables, equality filters zero out mismatches (or append a pinned
-column for a fresh variable), projections sum out columns, and the three bag
-unions / difference act pointwise through `errors.combine`. The four binary
-nodes share one base class carrying their s-expression tag and combine op.
-Every node carries its answer-variable list; the variable side conditions are
-checked at construction time and violations raise IllFormedQuery.
+relations of Green, Karvounarakis and Tannen, so equal subexpressions denote
+equal bags. Evaluation is one post-order pass over an explicit stack that
+gives each node a positional key: its operator, its operands' ids and the
+column positions it reads, with no variable name. Keys are interned bottom-up,
+so subterms that differ only in their variables' names (the fresh `_z` of a
+rewriting) are one operation, run once: atoms select their relation's tuples
+(distinct variables read the relation itself), joins multiply on matched
+columns, equality filters keep matching tuples (or append a copy of a column
+for a fresh variable), projections sum out columns, and the three bag unions
+/ difference act pointwise through `errors.combine`. A result is dropped once
+its last consumer has read it. The four binary nodes share one base class
+carrying their s-expression tag and combine op. Every node carries its
+answer-variable list; the variable side conditions are checked at
+construction time and violations raise IllFormedQuery. Printing and parsing
+the s-expression form also keep explicit stacks, so any depth round-trips.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_mul,
-                     checked_sum, combine)
+from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_bag,
+                     checked_mul, checked_sum, combine)
 from .ontology import BagABox, ConceptAssertion, check_individual, check_name
 from .chase import Anon, BagInterpretation, ChaseResult
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
@@ -612,116 +620,203 @@ def _relations(source: Union[BagABox, BagInterpretation]) -> Relations:
 
 
 def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> AnswerBag:
-    """Structural evaluation over the source's name relations.
+    """Evaluation over the source's name relations, each distinct positional
+    operation once. Tuple positions follow q.answer_vars."""
+    ops, inputs = _plan(q)
+    rels = _relations(source)
+    uses = [0] * len(ops)
+    for operands in inputs:
+        for c in operands:
+            uses[c] += 1
+    results: list = [None] * len(ops)
+    for j, op in enumerate(ops):
+        results[j] = _apply(op, results, rels)
+        for c in inputs[j]:  # a result goes once its last consumer has read it
+            uses[c] -= 1
+            if not uses[c]:
+                results[c] = None
+    return AnswerBag(len(q.answer_vars), results[-1])
 
-    Tuple positions follow q.answer_vars.
+
+# An operation is a flat tuple: its tag, the ids of its operands, then the
+# positions it reads. No variable name enters it, so two subterms that differ
+# only in their variables' names are one operation.
+#   ("atom", predicate, *spec)      spec per term: its column, or a pinned name
+#   ("project", c, *kept columns)
+#   ("eq-col", c, column, column) / ("eq-const", c, column, name) /
+#   ("eq-new", c, column)           the last appends a copy of the column
+#   ("join", l, r, *per right column: its left column or -1)
+#   (combine op, l, r, *per left column: its right column)
+
+
+def _plan(root) -> tuple[list[tuple], list[tuple]]:
+    """The tree's distinct operations, operands first and the root last, and
+    the operand ids of each.
+
+    Keys are interned bottom-up: a node's key holds its operands' ids and is
+    never built by walking its subtree again.
     """
-    return AnswerBag(len(q.answer_vars), _eval_node(q, _relations(source)))
+    order, stack = [], [root]
+    while stack:  # pre-order, right operand first; reversed, it is post-order
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, BalgBinary):
+            stack += (node.left, node.right)
+        elif isinstance(node, (BalgProject, BalgEqFilter)):
+            stack.append(node.child)
+        elif not isinstance(node, BalgAtom):
+            raise IllFormedQuery(f"unknown query node {type(node).__name__}")
+    ids: dict[int, int] = {}  # id(node) -> operation id
+    interned: dict[tuple, int] = {}
+    inputs: list[tuple] = []
+    for node in reversed(order):
+        key = _key(node, ids)
+        j = interned.get(key)
+        if j is None:
+            j = interned[key] = len(inputs)
+            inputs.append(key[1:3] if isinstance(node, BalgBinary)
+                          else () if type(node) is BalgAtom else key[1:2])
+        ids[id(node)] = j
+    return list(interned), inputs
 
 
-def _eval_node(q, rels: Relations) -> dict[tuple[str, ...], int]:
-    if isinstance(q, BalgAtom):
-        return _eval_atom(q, rels)
-    if isinstance(q, BalgEqFilter):
-        return _eval_eqfilter(q, rels)
-    if isinstance(q, BalgProject):
-        child = _eval_node(q.child, rels)
-        keep = [i for i, v in enumerate(q.child.answer_vars)
-                if v not in set(q.projected)]
+def _key(node, ids) -> tuple:
+    if type(node) is BalgAtom:
+        cols = node.answer_vars
+        return ("atom", node.predicate,
+                *[t.name if type(t) is Const else cols.index(t) for t in node.terms])
+    if type(node) is BalgProject:
+        gone = node.projected
+        return ("project", ids[id(node.child)],
+                *[i for i, v in enumerate(node.child.answer_vars) if v not in gone])
+    if type(node) is BalgEqFilter:
+        c, cols, term = ids[id(node.child)], node.child.answer_vars, node.term
+        pos = cols.index(node.var)
+        if type(term) is Const:
+            return ("eq-const", c, pos, term.name)
+        if term in cols:
+            return ("eq-col", c, pos, cols.index(term))
+        return ("eq-new", c, pos)
+    lcols, rcols = node.left.answer_vars, node.right.answer_vars
+    l, r = ids[id(node.left)], ids[id(node.right)]
+    if node.combine is None:
+        return ("join", l, r, *[lcols.index(v) if v in lcols else -1 for v in rcols])
+    return (node.combine, l, r, *[rcols.index(v) for v in lcols])
+
+
+def _apply(op, results, rels: Relations) -> dict[tuple[str, ...], int]:
+    """One operation over its operands' results, which it never mutates."""
+    tag = op[0]
+    if tag == "atom":
+        return _scan(rels.get((op[1], len(op) - 2), _EMPTY), op[2:])
+    if tag == "join":
+        return _join(results[op[1]], results[op[2]], op[3:])
+    child = results[op[1]]
+    if tag == "project":
+        keep = _columns(op[2:])
         out: dict[tuple[str, ...], int] = {}
         for tup, m in child.items():
-            key = tuple(tup[i] for i in keep)
-            out[key] = checked_add(out.get(key, 0), m)
-        return out
-    if not isinstance(q, BalgBinary):
-        raise IllFormedQuery(f"unknown query node {type(q).__name__}")
-    left = _eval_node(q.left, rels)
-    right = _eval_node(q.right, rels)
-    if isinstance(q, BalgJoin):
-        return _join(q, left, right)
-    perm = [q.right.answer_vars.index(v) for v in q.left.answer_vars]
-    remapped = {tuple(tup[i] for i in perm): m for tup, m in right.items()}
-    return combine(q.combine, left, remapped)
+            key = keep(tup)
+            out[key] = out.get(key, 0) + m
+        return checked_bag(out)
+    if tag == "eq-const":
+        pos, name = op[2:]
+        return {tup: m for tup, m in child.items() if tup[pos] == name}
+    if tag == "eq-col":
+        pos, other = op[2:]
+        return {tup: m for tup, m in child.items() if tup[pos] == tup[other]}
+    if tag == "eq-new":
+        pos = op[2]
+        return {tup + (tup[pos],): m for tup, m in child.items()}
+    perm, right = op[3:], results[op[2]]  # a union or difference
+    if perm != tuple(range(len(perm))):
+        remap = _columns(perm)
+        right = {remap(tup): m for tup, m in right.items()}
+    return combine(tag, results[op[1]], right)
 
 
-def _eval_atom(q: BalgAtom, rels: Relations) -> dict[tuple[str, ...], int]:
-    """The relation's tuples matching q's constants and repeated variables, by position.
-
-    Kept positions hold each variable's first occurrence; every other position
-    is fixed by them, so distinct tuples keep distinct keys.
-    """
-    consts, repeats, first = [], [], {}
-    for i, t in enumerate(q.terms):
-        if isinstance(t, Const):
-            consts.append((i, t.name))
-        elif t in first:
-            repeats.append((i, first[t]))
-        else:
-            first[t] = i
-    keep = [first[v] for v in q.answer_vars]
-    rel = rels.get((q.predicate, len(q.terms)), {})
-    return {tuple(names[i] for i in keep): m for names, m in rel.items()
-            if all(names[i] == name for i, name in consts)
-            and all(names[i] == names[j] for i, j in repeats)}
+def _scan(rel, spec) -> dict[tuple[str, ...], int]:
+    """An atom's tuples: a column number keeps its position (a repeated one
+    must match it), a name pins it. Columns follow first occurrences, so
+    distinct variables, (0,) or (0, 1), read the relation itself."""
+    if spec == (0, 0):
+        return {(a,): m for (a, b), m in rel.items() if a == b}
+    names = [s for s in spec if type(s) is str]
+    if not names:
+        return rel
+    if len(names) == len(spec):
+        m = rel.get(spec, 0)
+        return {(): m} if m else {}
+    at = 1 - spec.index(0)  # one pinned end and one kept
+    name = spec[at]
+    return {(tup[1 - at],): m for tup, m in rel.items() if tup[at] == name}
 
 
-def _join(q: BalgJoin, left, right) -> dict[tuple[str, ...], int]:
-    lvars, rvars = q.left.answer_vars, q.right.answer_vars
-    shared = [v for v in rvars if v in set(lvars)]
-    lpos = [lvars.index(v) for v in shared]
-    rpos = [rvars.index(v) for v in shared]
-    residual = [i for i, v in enumerate(rvars) if v not in set(lvars)]
+def _join(left, right, cols) -> dict[tuple[str, ...], int]:
+    """Left tuples extended by the right columns that no left column matches."""
+    shared = [i for i, c in enumerate(cols) if c >= 0]
+    rkey, lkey = _columns(shared), _columns([cols[i] for i in shared])
+    rest = _columns([i for i, c in enumerate(cols) if c < 0])
     index: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
     for tup, m in right.items():
-        index.setdefault(tuple(tup[i] for i in rpos), []).append(
-            (tuple(tup[i] for i in residual), m)
-        )
+        index.setdefault(rkey(tup), []).append((rest(tup), m))
     out: dict[tuple[str, ...], int] = {}
     for tup, m in left.items():
-        for rest, rm in index.get(tuple(tup[i] for i in lpos), ()):
-            key = tup + rest
-            out[key] = checked_add(out.get(key, 0), checked_mul(m, rm))
-    return out
+        for extra, rm in index.get(lkey(tup), ()):
+            key = tup + extra
+            out[key] = out.get(key, 0) + m * rm
+    return checked_bag(out)
 
 
-def _eval_eqfilter(q: BalgEqFilter, rels: Relations) -> dict[tuple[str, ...], int]:
-    child = _eval_node(q.child, rels)
-    pos = q.child.answer_vars.index(q.var)
-    if isinstance(q.term, Const):
-        return {tup: m for tup, m in child.items() if tup[pos] == q.term.name}
-    if q.term in q.child.answer_vars:
-        tpos = q.child.answer_vars.index(q.term)
-        return {tup: m for tup, m in child.items() if tup[pos] == tup[tpos]}
-    return {tup + (tup[pos],): m for tup, m in child.items()}
+def _columns(positions):
+    """The function from a tuple to the tuple of its values at positions."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda tup: (tup[i],)
+    return itemgetter(*positions) if positions else lambda tup: ()
 
 
 # -- s-expression form --------------------------------------------------------
 
+def _term_str(t: Term) -> str:
+    return f'"{t.name}"' if isinstance(t, Const) else t.name
+
+
 def to_sexpr(q: BALGQuery, indent: int = 0) -> str:
-    pad = "  " * indent
-
-    def term_str(t: Term) -> str:
-        return f'"{t.name}"' if isinstance(t, Const) else t.name
-
-    if isinstance(q, BalgAtom):
-        return f"{pad}(atom {q.predicate} {' '.join(term_str(t) for t in q.terms)})"
-    if isinstance(q, BalgEqFilter):
-        child = to_sexpr(q.child, indent + 1)
-        return f"{pad}(eq-filter\n{child}\n{pad}  {q.var.name} {term_str(q.term)})"
-    if isinstance(q, BalgProject):
-        names = " ".join(v.name for v in q.projected)
-        child = to_sexpr(q.child, indent + 1)
-        return f"{pad}(project ({names})\n{child})"
-    left = to_sexpr(q.left, indent + 1)
-    right = to_sexpr(q.right, indent + 1)
-    return f"{pad}({q.tag}\n{left}\n{right})"
+    """One line per node, operands indented below it; an explicit stack of
+    nodes and closing text, so any depth prints."""
+    out: list[str] = []
+    stack: list = [(q, indent)]
+    while stack:
+        item, depth = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        pad = "  " * depth
+        if isinstance(item, BalgAtom):
+            out.append(f"{pad}(atom {item.predicate} {' '.join(map(_term_str, item.terms))})")
+        elif isinstance(item, BalgEqFilter):
+            out.append(f"{pad}(eq-filter\n")
+            stack += ((f"\n{pad}  {item.var.name} {_term_str(item.term)})", 0),
+                      (item.child, depth + 1))
+        elif isinstance(item, BalgProject):
+            out.append(f"{pad}(project ({' '.join(v.name for v in item.projected)})\n")
+            stack += ((")", 0), (item.child, depth + 1))
+        else:
+            out.append(f"{pad}({item.tag}\n")
+            stack += ((")", 0), (item.right, depth + 1), ("\n", 0), (item.left, depth + 1))
+    return "".join(out)
 
 
 _SEXPR_TOKEN_RE = re.compile(r'\(|\)|"[^"\n]*"|[^\s()"]+')
 
 
 def parse_balg(text: str) -> BALGQuery:
-    """Parse the s-expression form emitted by to_sexpr."""
+    """Parse the s-expression form emitted by to_sexpr.
+
+    Open operators wait on an explicit stack for their operands, so any
+    nesting depth parses.
+    """
     stripped = re.sub(r"#[^\n]*", "", text)
     tokens = _SEXPR_TOKEN_RE.findall(stripped)
     pos = 0
@@ -749,46 +844,60 @@ def parse_balg(text: str) -> BALGQuery:
             raise ParseError(f"{what} expects a variable, found {tok!r}")
         return term
 
-    def parse_node() -> BALGQuery:
-        tok = next_token()
-        if tok != "(":
-            raise ParseError(f"expected '(', found {tok!r}")
-        head = next_token()
-        if head == "atom":
-            pred = check_name(next_token(), "predicate")
-            terms = []
-            while tokens[pos] != ")":
-                terms.append(parse_term(next_token()))
-            next_token()
-            return BalgAtom(pred, tuple(terms))
-        if head == "project":
-            if next_token() != "(":
-                raise ParseError("expected a variable list after project")
-            projected = []
-            while tokens[pos] != ")":
-                projected.append(parse_var(next_token(), "project"))
-            next_token()
-            child = parse_node()
-            if next_token() != ")":
-                raise ParseError("expected ')' to close project")
-            return BalgProject(tuple(projected), child)
+    def listed(parse) -> list:
+        """Items up to the next ')', which is consumed."""
+        items = []
+        while tokens[pos] != ")":
+            items.append(parse(next_token()))
+        next_token()
+        return items
+
+    def close(head, operands, projected) -> BALGQuery:
+        """The node of an operator whose operands are parsed; reads its tail."""
         if head == "eq-filter":
-            child = parse_node()
             var = parse_var(next_token(), "eq-filter")
             term = parse_term(next_token())
             if next_token() != ")":
                 raise ParseError("expected ')' to close eq-filter")
-            return BalgEqFilter(child, var, term)
-        if head in _BINARY_BY_TAG:
-            left = parse_node()
-            right = parse_node()
-            if next_token() != ")":
-                raise ParseError(f"expected ')' to close {head}")
-            return _BINARY_BY_TAG[head](left, right)
-        raise ParseError(f"unknown operator {head!r}")
+            return BalgEqFilter(operands[0], var, term)
+        if next_token() != ")":
+            raise ParseError(f"expected ')' to close {head}")
+        if head == "project":
+            return BalgProject(projected, operands[0])
+        return _BINARY_BY_TAG[head](*operands)
 
+    # Each open operator is [head, operands parsed so far, projected variables].
+    open_ops: list[list] = []
     try:
-        node = parse_node()
+        while True:
+            tok = next_token()
+            if tok != "(":
+                raise ParseError(f"expected '(', found {tok!r}")
+            head = next_token()
+            if head == "atom":
+                pred = check_name(next_token(), "predicate")
+                node = BalgAtom(pred, tuple(listed(parse_term)))
+            elif head == "project":
+                if next_token() != "(":
+                    raise ParseError("expected a variable list after project")
+                projected = tuple(listed(lambda tok: parse_var(tok, "project")))
+                open_ops.append([head, [], projected])
+                continue
+            elif head == "eq-filter" or head in _BINARY_BY_TAG:
+                open_ops.append([head, [], ()])
+                continue
+            else:
+                raise ParseError(f"unknown operator {head!r}")
+            # A finished node fills its parent, closing every parent it completes.
+            while open_ops:
+                head, operands, projected = open_ops[-1]
+                operands.append(node)
+                if len(operands) < (2 if head in _BINARY_BY_TAG else 1):
+                    break
+                open_ops.pop()
+                node = close(head, operands, projected)
+            if not open_ops:
+                break
     except IndexError:
         raise ParseError("unexpected end of bag-algebra expression") from None
     if pos != len(tokens):

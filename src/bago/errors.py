@@ -108,6 +108,14 @@ def checked_sum(values):
     return checked_add(0, sum(values))
 
 
+def checked_bag(bag):
+    """The bag, once no value passes U64_MAX. Each value is a sum of
+    nonnegative terms, so checking it checks every partial sum and term."""
+    if bag and max(bag.values()) > U64_MAX:
+        raise MultiplicityOverflow("a multiplicity exceeds the 64-bit range")
+    return bag
+
+
 # op -> (pointwise function, the keys whose result can be nonzero)
 _COMBINE = {
     "intersection": (min, lambda a, b: a.keys() & b.keys()),

@@ -21,7 +21,9 @@ from bago import (
     parse_cq,
     parse_tbox,
     required_depth,
+    rewrite,
 )
+from bago import bagalg
 from bago.bagalg import (
     BalgArithUnion,
     BalgAtom,
@@ -369,3 +371,123 @@ def test_eval_partitioned_corner_cases_match_brute_force():
             for combo in combinations(existential, size):
                 got = dict(eval_partitioned(q, combo, result).items())
                 assert got == brute_eval_cq(q, interp, z_anon=combo), (text, combo)
+
+
+# -- shared evaluation of positionally equal subterms ---------------------------
+
+def _subterms(node):
+    stack, out = [node], []
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        if isinstance(n, (BalgJoin, BalgMaxUnion, BalgArithUnion, BalgDiff)):
+            stack += (n.left, n.right)
+        elif not isinstance(n, BalgAtom):
+            stack.append(n.child)
+    return out
+
+
+def _renamed(node, names):
+    """node with every variable mapped through `names`, an injective map."""
+    def term(t):
+        return names.get(t, t)
+
+    if isinstance(node, BalgAtom):
+        return BalgAtom(node.predicate, tuple(map(term, node.terms)))
+    if isinstance(node, BalgEqFilter):
+        return BalgEqFilter(_renamed(node.child, names), term(node.var), term(node.term))
+    if isinstance(node, BalgProject):
+        return BalgProject(tuple(map(term, node.projected)), _renamed(node.child, names))
+    return type(node)(_renamed(node.left, names), _renamed(node.right, names))
+
+
+def _replaced(node, old, new):
+    if node is old:
+        return new
+    if isinstance(node, BalgAtom):
+        return node
+    if isinstance(node, BalgEqFilter):
+        return BalgEqFilter(_replaced(node.child, old, new), node.var, node.term)
+    if isinstance(node, BalgProject):
+        return BalgProject(node.projected, _replaced(node.child, old, new))
+    return type(node)(_replaced(node.left, old, new), _replaced(node.right, old, new))
+
+
+def _grafted(rng, root):
+    """root with one subterm s replaced by an operation on s and a copy of s
+    whose bound variables are renamed apart and whose answer variables are
+    permuted (a union or difference) or renamed apart (a join with its count)."""
+    s = rng.choice(_subterms(root))
+    free = list(s.answer_vars)
+    bound = sorted({t for n in _subterms(s) for t in getattr(n, "terms", ())
+                    if isinstance(t, Var)} - set(free), key=str)
+    names = {v: Var(f"_z{i}") for i, v in enumerate(bound)}
+    if rng.random() < 0.5:
+        names.update(zip(free, rng.sample(free, len(free))))
+        op = rng.choice((BalgMaxUnion, BalgArithUnion, BalgDiff))
+        graft = op(s, _renamed(s, names))
+    else:
+        names.update((v, Var(f"_f{i}")) for i, v in enumerate(free))
+        copy = _renamed(s, names)
+        graft = BalgJoin(s, BalgProject(copy.answer_vars, copy) if free else copy)
+    return _replaced(root, s, graft)
+
+
+def test_grafted_renamed_copies_match_brute_force():
+    rng = random.Random(47)
+    saved = 0
+    for i in range(80):
+        interp = random_interp(rng, allow_anon=(i % 2 == 0))
+        node = _grafted(rng, random_balg(rng))
+        assert dict(eval_balg(node, interp).items()) == brute_eval_balg(node, interp)
+        ops, _ = bagalg._plan(node)
+        saved += len(_subterms(node)) - len(ops)
+    assert saved > 80  # the copies do share operations
+
+
+# Pairs whose variable names coincide but whose positions differ: sharing one
+# for the other would change the answer of the tree built around them.
+_R, _A = BalgAtom("R", (x, y)), BalgAtom("A", (x,))
+
+
+@pytest.mark.parametrize("build, p, q", [
+    (BalgJoin, _R, BalgAtom("R", (y, x))),
+    (BalgJoin, BalgAtom("R", (x, x)), _R),
+    (BalgArithUnion, BalgEqFilter(_A, x, Const("a")), BalgEqFilter(_A, x, Const("b"))),
+    (BalgArithUnion, BalgEqFilter(_R, x, y), BalgEqFilter(BalgProject((y,), _R), x, y)),
+    (BalgArithUnion, _A, BalgProject((y,), BalgAtom("A", (x, y)))),
+    (BalgDiff, BalgArithUnion(_R, _R), BalgArithUnion(_R, BalgAtom("R", (y, x)))),
+], ids=["swapped-join", "repeated-variable", "two-constants", "compare-vs-append",
+        "concept-vs-role", "union-order"])
+def test_positionally_different_subterms_are_not_shared(build, p, q):
+    abox = parse_abox("R(a,b) 2\nR(b,a) 3\nR(a,a) 5\nR(b,c) 7\n"
+                      "A(a) 2\nA(b) 3\nA(a,c) 4\n")
+    interp = interpretation_from_abox(abox)
+    node = build(p, q)
+    expected = brute_eval_balg(node, interp)
+    assert expected != brute_eval_balg(build(p, p), interp)
+    assert dict(eval_balg(node, abox).items()) == expected
+
+
+def _counted_evaluation(monkeypatch, rw):
+    """(operations run, atom scans) of evaluating rw over a small ABox."""
+    calls = []
+    apply = bagalg._apply
+
+    def counting(op, results, rels):
+        calls.append(op[0])
+        return apply(op, results, rels)
+
+    monkeypatch.setattr(bagalg, "_apply", counting)
+    eval_balg(rw.combined, parse_abox("A(a) 1\nR(a,b) 2\nS(b,c) 1\nB(c) 1\n"))
+    return len(calls), calls.count("atom")
+
+
+def test_each_distinct_positional_operation_runs_once(monkeypatch):
+    chain = "A SUB EX R\nEX R- SUB B\nB SUB EX S\nEX S- SUB B\nC SUB A\n"
+    rw = rewrite(parse_cq("q(x) :- R(x, y), S(y, z), B(z)"), parse_tbox(chain))
+    # 39 tree nodes with 15 atoms over 5 predicates.
+    assert _counted_evaluation(monkeypatch, rw) == (24, 5)
+    star = ", ".join(f"R(x, y{i})" for i in range(1, 9))
+    rw = rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox("A SUB EX R\nEX R- SUB A\n"))
+    assert _counted_evaluation(monkeypatch, rw)[1] == 2

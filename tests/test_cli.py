@@ -269,18 +269,6 @@ def test_eval_balg_rejects_ill_formed(capsys, tmp_path, fixtures_dir, text):
     assert code == 2 and "error" in err
 
 
-def test_eval_balg_too_deep_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
-    depth = 3000
-    text = "(max-union " * depth + "(atom A x)" + " (atom A x))" * depth + "\n"
-    (tmp_path / "deep.balg").write_text(text)
-    code, _, err = run(
-        capsys, "eval-balg",
-        "-A", str(fixtures_dir / "managers" / "abox.bag"),
-        "-q", str(tmp_path / "deep.balg"),
-    )
-    assert code == 5 and err.startswith("error: resource limit: ")
-
-
 def test_answer_empty_bag_prints_empty(capsys, tmp_path, fixtures_dir):
     (tmp_path / "q.cq").write_text('q(x) :- Unheard(x)\n')
     code, out, _ = run(

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from bago import BagOntology, ChaseLimitExceeded, chase, parse_abox, parse_tbox
+from bago import (BagOntology, ChaseLimitExceeded, chase, parse_abox, parse_balg, parse_tbox,
+                  to_sexpr)
 from bago.chase import dump_chase
 from bago.cli import EXIT_RESOURCE, main
 
@@ -104,6 +105,21 @@ def test_long_path_query_answers_via_the_chase(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, "(a) 1\n", "")
     assert elapsed < 2.0
+
+
+def test_deep_balg_answers_through_eval_balg(capsys, tmp_path, fixtures_dir):
+    # Parsing, printing and evaluation each keep their own explicit stack, so
+    # nesting deeper than the recursion limit answers.
+    depth = 3_000
+    assert depth > sys.getrecursionlimit()
+    abox = str(fixtures_dir / "managers" / "abox.bag")
+    for op, answer in (("max-union", "(Lee) 1\n"), ("arith-union", f"(Lee) {depth + 1}\n")):
+        text = f"({op} " * depth + "(atom Emp x)" + " (atom Emp x))" * depth + "\n"
+        (tmp_path / "deep.balg").write_text(text)
+        code = main(["eval-balg", "-A", abox, "-q", str(tmp_path / "deep.balg")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, "# columns: x\n" + answer, "")
+    assert " ".join(to_sexpr(parse_balg(text)).split()) == text.strip()
 
 
 def test_budget_counts_anonymous_elements_only(monkeypatch):
