@@ -22,9 +22,10 @@ to the last one binding an answer variable enumerate answer tuples. The
 rest of the query splits into components that share no later slot, and each
 component returns one sum per answer binding (summed once when it reads no
 answer binding) instead of every valuation being emitted: the sum-product
-of the N-semiring (Green, Karvounarakis and Tannen), with every sum and
-product checked. Each level of the walk is an iterator on an explicit
-stack, so a query of any length runs without recursion.
+of the N-semiring (Green, Karvounarakis and Tannen), in exact integers: only
+an answer is held to 64 bits, where its AnswerBag is built. Each level of
+the walk is an iterator on an explicit stack, so a query of any length runs
+without recursion.
 
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
@@ -54,8 +55,8 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import (ArityMismatch, IllFormedQuery, ParseError, checked_add, checked_bag,
-                     checked_mul, checked_sum, combine)
+from .errors import (U64_MAX, ArityMismatch, IllFormedQuery, MultiplicityOverflow, ParseError,
+                     combine)
 from .ontology import BagABox, ConceptAssertion, check_individual, check_name
 from .chase import Anon, BagInterpretation, ChaseResult
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
@@ -74,7 +75,9 @@ class AnswerBag:
             if m < 0:
                 raise ValueError("multiplicities are nonnegative")
             if m:
-                store[tuple(tup)] = checked_add(store.get(tuple(tup), 0), m)
+                store[tuple(tup)] = store.get(tuple(tup), 0) + m
+        if store and max(store.values()) > U64_MAX:
+            raise MultiplicityOverflow("an answer multiplicity exceeds the 64-bit range")
         self._entries = store
 
     def get(self, tup: tuple[str, ...]) -> int:
@@ -231,7 +234,7 @@ def _check(check, slots) -> int:
 
 def _weigh(head, slots, weight: int) -> int:
     for check in head:
-        weight = checked_mul(weight, _check(check, slots))
+        weight *= _check(check, slots)
     return weight
 
 
@@ -246,7 +249,7 @@ def _weights(level, slots):
             continue
         slots[out] = el
         for check in checks:
-            m = checked_mul(m, _check(check, slots))
+            m *= _check(check, slots)
             if not m:
                 break
         else:
@@ -263,11 +266,10 @@ def _bindings(levels, slots, weight: int):
     while stack:
         weights, w = stack[-1]
         for m in weights:
-            m = checked_mul(w, m)
             if len(stack) == len(levels):
-                yield m
+                yield w * m
             else:
-                stack.append((_weights(levels[len(stack)], slots), m))
+                stack.append((_weights(levels[len(stack)], slots), w * m))
                 break
         else:
             stack.pop()
@@ -276,8 +278,8 @@ def _bindings(levels, slots, weight: int):
 def _level_sum(level, slots) -> int:
     index, via, _, named, neqs, checks = level
     if named is None and not neqs and not checks:  # a bare row sums in one call
-        return checked_sum(_row(index, via, slots).values())
-    return checked_sum(_weights(level, slots))
+        return sum(_row(index, via, slots).values())
+    return sum(_weights(level, slots))
 
 
 def _sum(component, slots) -> int:
@@ -286,10 +288,7 @@ def _sum(component, slots) -> int:
     weight = _weigh(head, slots, 1)
     if not weight or not levels:
         return weight
-    total = 0
-    for w in _bindings(levels[:-1], slots, weight):
-        total = checked_add(total, checked_mul(w, _level_sum(levels[-1], slots)))
-    return total
+    return sum(w * _level_sum(levels[-1], slots) for w in _bindings(levels[:-1], slots, weight))
 
 
 def _order(free: list[set[int]], preferred: set[int], sizes: list[int]) -> list[int]:
@@ -370,7 +369,7 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
         nonlocal factor
         if via < 0 or via in consts:
             if at in consts:
-                factor = checked_mul(factor, _check((index, via, at), slots))
+                factor *= _check((index, via, at), slots)
                 return
             index, via = _row(index, via, slots), -1
         steps.append((index, via, at))
@@ -449,18 +448,18 @@ def _eval_resolved(q, interp, compiled):
     for component in plan.independent:
         if not weight:
             break
-        weight = checked_mul(weight, _sum(component, slots))
+        weight *= _sum(component, slots)
     answers: dict[tuple[str, ...], int] = {}
     if weight:
         for w in _bindings(levels, slots, weight):
             for component in plan.dependent:
-                w = checked_mul(w, _sum(component, slots))
+                w *= _sum(component, slots)
                 if not w:
                     break
             else:
                 # Answer slots hold names only (their kind is NAMED_ONLY).
                 key = tuple(slots[j] for j in plan.answer)
-                answers[key] = checked_add(answers.get(key, 0), w)
+                answers[key] = answers.get(key, 0) + w
     return AnswerBag(arity, answers)
 
 
@@ -718,7 +717,7 @@ def _apply(op, results, rels: Relations) -> dict[tuple[str, ...], int]:
         for tup, m in child.items():
             key = keep(tup)
             out[key] = out.get(key, 0) + m
-        return checked_bag(out)
+        return out
     if tag == "eq-const":
         pos, name = op[2:]
         return {tup: m for tup, m in child.items() if tup[pos] == name}
@@ -765,7 +764,7 @@ def _join(left, right, cols) -> dict[tuple[str, ...], int]:
         for extra, rm in index.get(lkey(tup), ()):
             key = tup + extra
             out[key] = out.get(key, 0) + m * rm
-    return checked_bag(out)
+    return out
 
 
 def _columns(positions):

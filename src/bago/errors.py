@@ -1,12 +1,15 @@
-"""Exception hierarchy and checked multiplicity arithmetic.
+"""Exception hierarchy and the pointwise bag kernel.
 
-Multiplicities live in the unsigned 64-bit range. Evaluation never wraps or
-saturates: any intermediate product or sum above U64_MAX raises
-MultiplicityOverflow so that cross-checks cannot silently diverge.
+Multiplicities at the boundary are unsigned 64-bit integers: ABox
+multiplicities are checked when parsed, answer multiplicities when their
+AnswerBag is built, and everything in between is exact (Python integers
+never wrap), so both answer paths report overflow on the same inputs.
 
 `combine` is the one pointwise kernel behind every bag union, intersection,
 difference and containment test (bags as the N-semiring of Green et al.).
 """
+
+from operator import add
 
 U64_MAX = 2**64 - 1
 
@@ -48,7 +51,7 @@ class UnsatisfiableOntology(BagoError):
 
 
 class MultiplicityOverflow(BagoError):
-    """A multiplicity left the unsigned 64-bit range during evaluation."""
+    """An answer multiplicity passes U64_MAX; raised only where an AnswerBag is built."""
 
 
 class IllFormedQuery(BagoError):
@@ -88,39 +91,11 @@ class InternalStructureError(BagoError):
     """An internal invariant failed (e.g. no linking atom for a rooted query)."""
 
 
-def checked_add(a, b):
-    c = a + b
-    if c > U64_MAX:
-        raise MultiplicityOverflow(f"sum {a} + {b} exceeds the 64-bit range")
-    return c
-
-
-def checked_mul(a, b):
-    c = a * b
-    if c > U64_MAX:
-        raise MultiplicityOverflow(f"product {a} * {b} exceeds the 64-bit range")
-    return c
-
-
-def checked_sum(values):
-    """The checked sum of nonnegative values: no partial sum passes the total,
-    so checking the total checks them all."""
-    return checked_add(0, sum(values))
-
-
-def checked_bag(bag):
-    """The bag, once no value passes U64_MAX. Each value is a sum of
-    nonnegative terms, so checking it checks every partial sum and term."""
-    if bag and max(bag.values()) > U64_MAX:
-        raise MultiplicityOverflow("a multiplicity exceeds the 64-bit range")
-    return bag
-
-
 # op -> (pointwise function, the keys whose result can be nonzero)
 _COMBINE = {
     "intersection": (min, lambda a, b: a.keys() & b.keys()),
     "max-union": (max, lambda a, b: a.keys() | b.keys()),
-    "arith-union": (checked_add, lambda a, b: a.keys() | b.keys()),
+    "arith-union": (add, lambda a, b: a.keys() | b.keys()),
     "difference": (lambda a, b: max(a - b, 0), lambda a, b: a.keys()),
 }
 

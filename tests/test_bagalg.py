@@ -218,6 +218,15 @@ def test_multiplicity_overflow_is_reported():
     node = BalgJoin(BalgAtom("A", (x,)), BalgAtom("B", (x,)))
     with pytest.raises(MultiplicityOverflow):
         eval_balg(node, interp)
+    # Only answers are held to 64 bits: an intermediate value past U64_MAX
+    # that cancels, or is multiplied by zero, is no overflow.
+    u = BalgArithUnion(BalgAtom("A", (x,)), BalgAtom("A", (x,)))
+    assert eval_balg(BalgDiff(u, u), parse_abox(f"A(a) {huge}\n")) == AnswerBag(1)
+    u64_max = 2**64 - 1
+    abox = parse_abox(f"S(a,y1) {huge}\nA(y1) {huge}\n"  # y1 weighs 2^126 until C(y1) = 0
+                      f"S(a,y2) {u64_max}\nA(y2)\nC(y2)\nC(b)\nC(c)\n")
+    q = parse_cq("q(x) :- S(x,y), A(y), C(y)")
+    assert eval_cq(q, interpretation_from_abox(abox)) == AnswerBag(1, {("a",): u64_max})
 
 
 def test_repeated_atom_squares_contribution():

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from bago import (
     AnswerBag,
+    BagoError,
     BagOntology,
+    ChaseLimitExceeded,
     TBox,
     bag_ops,
     certain_answers,
@@ -24,6 +26,7 @@ from bago import (
 from bago.chase import BagInterpretation
 from bago.ontology import (
     AtomicConcept,
+    BagABox,
     ConceptInclusion,
     ExistsRole,
     Role,
@@ -199,3 +202,37 @@ def test_rewriting_is_reusable_across_aboxes():
         assert scaled.support() == single.support()
         k_scaled = BagOntology(tbox, abox.scaled(3))
         assert scaled == eval_cq(q, chase(k_scaled, required_depth(q)).union)
+
+
+def _outcome(q, k, via):
+    """The answer bag, or the name of the error that ended the path."""
+    try:
+        return certain_answers(q, k, via=via)
+    except ChaseLimitExceeded:
+        raise
+    except BagoError as exc:
+        return type(exc).__name__
+
+
+def test_large_multiplicity_corpus_agrees_on_both_paths():
+    # Multiplicities up to 2^63 make intermediate sums and products pass
+    # U64_MAX; only answers are held to 64 bits, so both paths end alike.
+    skipped, outcomes, disagreements = 0, [], []
+    for seed in range(900_000, 902_000):
+        rng = random.Random(seed)
+        tbox, abox, q = random_instance(rng)
+        abox = BagABox([(a, rng.choice((1, 2, 2**31, 2**62, 2**63)))
+                        for a, _ in abox.entries()])
+        k = BagOntology(tbox, abox)
+        try:
+            via_chase = _outcome(q, k, "chase")
+        except ChaseLimitExceeded:  # witnesses per unit of a huge multiplicity
+            skipped += 1
+            continue
+        via_rewrite = _outcome(q, k, "rewrite")
+        outcomes.append(via_chase)
+        if via_chase != via_rewrite:
+            disagreements.append((seed, via_chase, via_rewrite))
+    assert disagreements == []
+    assert (skipped, len(outcomes)) == (1230, 770)
+    assert "MultiplicityOverflow" in outcomes

@@ -58,6 +58,23 @@ def test_huge_multiplicity_via_rewrite_answers_exactly(capsys, tmp_path, fixture
     assert capsys.readouterr().out == f"(Lee) {U64_MAX}\n"
 
 
+def test_intermediate_sum_past_u64_max_answers_on_both_paths(capsys, tmp_path):
+    # S/A sums to 2^64 for x = a, but no z has both T(a,z) and C(z): the answer
+    # is empty, and neither path reports the intermediate sum as an overflow.
+    (tmp_path / "t.dl").write_text("")
+    (tmp_path / "a.bag").write_text(f"S(a,y1) {2**63}\nS(a,y2) {2**63}\n"
+                                    "A(y1)\nA(y2)\nT(a,z1)\nC(z2)\n")
+    (tmp_path / "q.cq").write_text("q(x) :- S(x,y), A(y), T(x,z), C(z)\n")
+    files = ["-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+             "-q", str(tmp_path / "q.cq")]
+    for via in ("chase", "rewrite", "both"):
+        code = main(["answer", *files, "--via", via])
+        assert (code, capsys.readouterr().out) == (0, "EMPTY\n")
+    code = main(["crosscheck", *files])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "PASS\nEMPTY\n", "")
+
+
 def test_deep_chase_of_a_self_feeding_tbox_stops_at_the_budget(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 1_000)
     (tmp_path / "t.dl").write_text(SELF_FEEDING)
