@@ -229,6 +229,7 @@ class CQ:
         self._eq = EqClasses(self.atoms)
         self._check_safety()
         self._gaifman = None
+        self._positions = None
 
     def _check_safety(self):
         anchored = set()
@@ -266,6 +267,16 @@ class CQ:
             self._gaifman = GaifmanGraph(self.atoms, self._eq)
         return self._gaifman
 
+    def _atom_index(self) -> dict[Term, list[int]]:
+        """Each term's atom positions, ascending, one per atom mentioning it."""
+        if self._positions is None:
+            index: dict[Term, list[int]] = {}
+            for i, a in enumerate(self.atoms):
+                for t in dict.fromkeys(a.terms):
+                    index.setdefault(t, []).append(i)
+            self._positions = index
+        return self._positions
+
     def __eq__(self, other):
         return (
             isinstance(other, CQ)
@@ -300,7 +311,7 @@ def is_rooted(q: CQ) -> bool:
 def equality_consistent(q: CQ, z: Iterable[Var]) -> bool:
     """No equality links a variable of z with a term outside z."""
     zset = set(z)
-    for a in q.atoms:
+    for a in atoms_mentioning(q, zset):
         if isinstance(a, EqualityAtom):
             sides = [t in zset if isinstance(t, Var) else False for t in a.terms]
             if sides[0] != sides[1]:
@@ -342,8 +353,9 @@ def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
 
 def atoms_mentioning(q: CQ, vars_: Iterable[Var]) -> list[QueryAtom]:
     """The sub-conjunction of all atoms mentioning at least one given variable."""
-    vset = set(vars_)
-    return [a for a in q.atoms if any(t in vset for t in a.terms)]
+    index = q._atom_index()
+    hits = {i for v in vars_ for i in index.get(v, ())}
+    return [q.atoms[i] for i in sorted(hits)]
 
 
 def linking_candidates(q: CQ, z_prime: Iterable[Var], z: Iterable[Var] | None = None) -> list[RoleAtom]:
@@ -370,14 +382,19 @@ def linking_atom(q: CQ, z_prime: Iterable[Var], z: Iterable[Var] | None = None) 
     """
     zp = set(z_prime)
     zfull = set(z) if z is not None else zp
-    candidates = linking_candidates(q, z_prime, z)
+    candidates = linking_candidates(q, zp, zfull)
     if not candidates:
         raise InternalStructureError(
-            f"no linking atom for {sorted(v.name for v in set(z_prime))}"
+            f"no linking atom for {sorted(v.name for v in zp)}"
         )
+    return _least_link(candidates, zfull)
+
+
+def _least_link(candidates: list[RoleAtom], z: set[Var] | frozenset[Var]) -> RoleAtom:
+    """linking_atom's pick among a cluster's (non-empty) linking candidates."""
 
     def outward_is_const(a: RoleAtom) -> bool:
-        t = a.object if (isinstance(a.subject, Var) and a.subject in zfull) else a.subject
+        t = a.object if (isinstance(a.subject, Var) and a.subject in z) else a.subject
         return isinstance(t, Const)
 
     return min(candidates, key=lambda a: (outward_is_const(a), atom_key(a)))

@@ -5,14 +5,16 @@ canonical model. It can be exactly when each of its maximal clusters
 (connected unions of equality classes that hold only existential variables)
 is realisable, and a cluster's verdict depends on the cluster alone, since
 all its Gaifman neighbours lie outside z. The compiler therefore (1) decides
-the realisability of every cluster once, by evaluating a two-individual
-probe. The all-existential classes fall into connected components; a cluster
-never spans two of them and an atom touches at most one, so the choices of z
-inside different components are independent. For each component on its own,
-the compiler (2) forms every alternative as a set of pairwise non-adjacent
-realisable clusters, (3) collapses each cluster of it to its single linking
-atom plus identifying equalities, and (4) chases the collapsed atoms of the
-component back through the TBox: concept atoms become max unions of
+the realisability of every cluster once: one scan of its atoms rejects a
+cluster that fails the tree-witness shape condition, and a two-individual
+probe decides each of the others. The all-existential classes fall into
+connected components; a cluster never spans two of them and an atom touches
+at most one, so the choices of z inside different components are
+independent. For each component on its own, the compiler (2) forms every
+alternative as a set of pairwise non-adjacent realisable clusters, (3)
+collapses each cluster of it to its single linking atom plus identifying
+equalities, and (4) chases the collapsed atoms of the component back
+through the TBox: concept atoms become max unions of
 entailed subsumees, and the linking atoms become those unions minus the
 atoms already accounted for by named successors, so that anonymous
 witnesses are counted exactly once. Each component compiles to the
@@ -75,6 +77,7 @@ from .query import (
     RoleAtom,
     Term,
     Var,
+    _least_link,
     atoms_mentioning,
     equality_consistent,
     is_rooted,
@@ -92,8 +95,8 @@ REALISABLE = "realisable"
 NOT_EQUALITY_CONSISTENT = "not-equality-consistent"
 UNREALISABLE = "unrealisable"
 
-# Clusters found plus component alternatives emitted, per rewriting. Every
-# cluster found is probed, so this bounds the probes too.
+# Clusters found plus component alternatives emitted, per rewriting. A cluster
+# gets at most one probe, so this bounds the probes too.
 REWRITE_BUDGET = 1024
 # Reading a branch or its certificate first puts every z in subset order, in
 # time and memory linear in their number; past this many, reading refuses.
@@ -136,11 +139,40 @@ def _choose(
             f"no linking atom for cluster {sorted(v.name for v in subset)}"
         )
     if chooser is None:
-        return linking_atom(q, subset, zset)
+        return _least_link(candidates, zset)
     pick = chooser(candidates)
     if pick not in candidates:
         raise InternalStructureError("link chooser returned a non-candidate atom")
     return pick
+
+
+def _misshapen(q: CQ, subset: frozenset[Var], zset: frozenset[Var]) -> bool:
+    """Whether the cluster fails the tree-witness shape condition, so that no
+    probe can realise it.
+
+    Over a core TBox an anonymous element meets the rest of the model only
+    through the edge it was born on, and the probe's fresh individual only
+    through its one assertion. So every role atom between the cluster and an
+    outward term (all of which the probe sends to its anchor) must read as
+    one role in one direction from the outward term, and no role atom may
+    join two terms of one equality class inside the cluster: neither kind of
+    element has a self-loop.
+    """
+    eq = q.equality_classes()
+    link = None
+    for a in atoms_mentioning(q, subset):
+        if not isinstance(a, RoleAtom):
+            continue
+        sub_in = isinstance(a.subject, Var) and a.subject in zset
+        obj_in = isinstance(a.object, Var) and a.object in zset
+        if sub_in and obj_in:
+            if eq.class_of(a.subject) == eq.class_of(a.object):
+                return True
+        elif link is None:
+            link = (a.role, sub_in)
+        elif link != (a.role, sub_in):
+            return True
+    return False
 
 
 def build_probe(
@@ -195,6 +227,9 @@ def is_realisable(
         return RealisabilityCertificate(zset, NOT_EQUALITY_CONSISTENT)
     witnesses = []
     for subset in ma_connected_partition(q, zset):
+        # Either refusal decides the cluster with no probe built.
+        if _misshapen(q, subset, zset):
+            return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
         try:
             alpha = _choose(link_chooser, q, subset, zset)
             probe, probe_abox, anchor = build_probe(q, subset, zset, alpha=alpha)
@@ -600,7 +635,7 @@ def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Re
     Branches come in subset order: by size of z, then lexicographically by
     the positions of z's variables among the sorted existential variables.
     The certificates are one per branch, in branch order, followed by one per
-    cluster whose probe failed. Clusters found plus component alternatives
+    unrealisable cluster. Clusters found plus component alternatives
     emitted may not exceed REWRITE_BUDGET.
     """
     if tbox.kind != CORE:

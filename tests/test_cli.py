@@ -8,6 +8,7 @@ FIXTURE_SETS = [
     ("managers", "query_managed.cq"),
     ("prime", "query.cq"),
     ("prime_pair", "query.cq"),
+    ("deep_path", "query.cq"),
 ]
 
 

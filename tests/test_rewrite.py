@@ -37,13 +37,28 @@ from bago.bagalg import (
     BalgMaxUnion,
     BalgProject,
     eval_balg,
+    eval_cq_neq,
     to_sexpr,
 )
 from bago.cli import main
 from bago.errors import RewriteLimitExceeded
 from bago.ontology import BagABox, RoleAssertion
-from bago.query import ConceptAtom, Const, EqualityAtom, InequalityAtom, RoleAtom, Var
-from bago.rewrite import NOT_EQUALITY_CONSISTENT, REALISABLE, UNREALISABLE, _clusters
+from bago.query import (
+    ConceptAtom,
+    Const,
+    EqualityAtom,
+    InequalityAtom,
+    RoleAtom,
+    Var,
+    linking_atom,
+)
+from bago.rewrite import (
+    NOT_EQUALITY_CONSISTENT,
+    REALISABLE,
+    UNREALISABLE,
+    _clusters,
+    _misshapen,
+)
 
 from bago.randgen import random_bag_abox
 
@@ -353,6 +368,68 @@ def test_rewrite_probes_each_cluster_once(monkeypatch):
     rw = rewrite(parse_cq(f"q(x) :- {star}"), t)
     assert len(calls) == 8
     assert len(rw.branches) == 256
+
+
+def _path(length: int) -> CQ:
+    return parse_cq("q(y0) :- " + ", ".join(f"R(y{i}, y{i + 1})" for i in range(length)))
+
+
+def _count_probes(monkeypatch) -> list:
+    rewrite_mod = importlib.import_module("bago.rewrite")
+    real, calls = rewrite_mod.build_probe, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite_mod, "build_probe", counted)
+    return calls
+
+
+def test_shape_check_leaves_one_probe_per_path_suffix_and_star_leaf(monkeypatch):
+    # A path segment that stops short of the path's end meets its outward
+    # terms through R read forwards on one side and backwards on the other:
+    # only the 12 segments that reach y12 are probed, of 78 clusters.
+    probes = _count_probes(monkeypatch)
+    t = parse_tbox(QUERY_WIDTH_TBOX)
+    assert len(rewrite(_path(12), t).branches) == 13
+    assert sorted(probes, key=len) == [
+        frozenset(Var(f"y{i}") for i in range(j, 13)) for j in range(12, 0, -1)
+    ]
+    probes.clear()
+    assert len(_star(8).branches) == 256
+    assert len(probes) == 8
+
+
+def test_path_44_hits_the_budget_after_one_probe_per_suffix(monkeypatch):
+    # 990 clusters plus 45 alternatives pass the budget; only the 44 clusters
+    # that end the path are worth a probe before that is found out.
+    probes = _count_probes(monkeypatch)
+    with pytest.raises(RewriteLimitExceeded, match="rewriting needs more than"):
+        rewrite(_path(44), parse_tbox(QUERY_WIDTH_TBOX))
+    assert len(probes) <= 44
+
+
+def test_shape_check_rejects_only_clusters_whose_probe_fails():
+    from bago.randgen import random_core_tbox, random_rooted_cq
+
+    rng = random.Random(61)
+    rejected = 0
+    for _ in range(1000):
+        tbox, q = random_core_tbox(rng), random_rooted_cq(rng, max_atoms=6, max_vars=6)
+        for cluster, _mask, _closed in _clusters(q):
+            if not _misshapen(q, cluster, cluster):
+                continue
+            rejected += 1
+            cert = is_realisable(tbox, q, cluster)
+            assert cert.verdict == UNREALISABLE and cert.witnesses == ()
+            try:
+                probe, probe_abox, _ = build_probe(q, cluster, alpha=linking_atom(q, cluster))
+            except MultipleAnchors:
+                continue
+            probe_chase = chase(BagOntology(tbox, probe_abox), required_depth(probe))
+            assert eval_cq_neq(probe, probe_chase.union).get(()) == 0, (q, cluster)
+    assert rejected >= 100
 
 
 def _node_count(node) -> int:
