@@ -122,22 +122,6 @@ def bag_ops(op: str, b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
     return AnswerBag(b1.arity, combine(op, b1._entries, b2._entries))
 
 
-def bag_intersect(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    return bag_ops("intersection", b1, b2)
-
-
-def bag_max_union(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    return bag_ops("max-union", b1, b2)
-
-
-def bag_arith_union(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    return bag_ops("arith-union", b1, b2)
-
-
-def bag_diff(b1: AnswerBag, b2: AnswerBag) -> AnswerBag:
-    return bag_ops("difference", b1, b2)
-
-
 def parse_answer_tuple(text: str) -> tuple[str, ...]:
     """Parse "(Lee,Hill)" / "()" into a tuple of individual names."""
     stripped = text.strip()
@@ -781,11 +765,11 @@ def _term_str(t: Term) -> str:
     return f'"{t.name}"' if isinstance(t, Const) else t.name
 
 
-def to_sexpr(q: BALGQuery, indent: int = 0) -> str:
+def to_sexpr(q: BALGQuery) -> str:
     """One line per node, operands indented below it; an explicit stack of
     nodes and closing text, so any depth prints."""
     out: list[str] = []
-    stack: list = [(q, indent)]
+    stack: list = [(q, 0)]
     while stack:
         item, depth = stack.pop()
         if isinstance(item, str):

@@ -31,17 +31,18 @@ tests' reference. A chase that would need more than MAX_CHASE_ELEMENTS
 anonymous elements raises ChaseLimitExceeded before allocating any of the
 run that would pass it.
 
-A birth writes one entry: the witness in its parent's row along the role.
-The witness's own row, the pair entry of the edge and their inverse-role
-counterparts follow from `w.parent` and `w.role`; `BagInterpretation`
-derives them when they are first read, per role name and direction, equal
-to what the reference construction stores.
+An interpretation stores each edge once per direction, in the rows of its
+two ends, and nothing else: `roles` is built from the forward rows when
+read. A birth writes one entry, the witness in its parent's row along the
+role. The witness's own row follows from `w.parent` and `w.role`;
+`BagInterpretation` derives it when it is first read, per role name and
+direction, equal to what the reference construction stores.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     ChaseLimitExceeded,
@@ -150,14 +151,14 @@ def ordered(elements: Iterable[Element]) -> list[Element]:
 
 
 class BagInterpretation:
-    """Finite bag interpretation with per-role successor/predecessor indexes.
+    """Finite bag interpretation, each edge stored in its two ends' rows.
 
     `names` holds the domain's named individuals. A witness born by `_bear`
     has its edge to its parent stored once, in the parent's row. The
-    witness's own row, the edge's pair entry in `roles`, and their
-    inverse-role counterparts follow from `w.parent` and `w.role`; each is
-    written on first read, per role name and direction (`_derive_rows`,
-    `_derive_pairs`), and then equals what `_add_edge` would have written.
+    witness's own row, its inverse-role counterpart, follows from `w.parent`
+    and `w.role`; it is written on first read, per role name and direction
+    (`_derive_rows`), and then equals what `_add_edge` would have written.
+    `roles` is built from the forward rows when it is read.
     """
 
     def __init__(
@@ -175,13 +176,13 @@ class BagInterpretation:
                     if el not in self.domain:
                         raise ValueError(f"element {el} outside the domain")
                     self.concepts.setdefault(name, {})[el] = m
-        self._pairs: dict[str, dict[tuple[Element, Element], int]] = {}
         # Rows by direction: successors along R at [False], along R- at [True].
         self._rows: tuple[dict[str, dict[Element, dict[Element, int]]], ...] = ({}, {})
-        # Births whose witness-side rows, by (role name, direction of the row),
-        # and whose pair entries, by role name, are not written yet.
+        # Each role name with an edge, mapped to its number of edges.
+        self._edges: dict[str, int] = {}
+        # Births whose witness-side rows, by (role name, direction of the
+        # row), are not written yet.
         self._unrowed: dict[tuple[str, bool], list[list[Anon]]] = {}
-        self._unpaired: dict[str, list[tuple[bool, list[Anon]]]] = {}
         for name, ext in roles.items():
             for (u, v), m in ext.items():
                 if m > 0:
@@ -191,8 +192,10 @@ class BagInterpretation:
 
     def _add_edge(self, name: str, pair: tuple[Element, Element], m: int) -> None:
         u, v = pair
-        self._pairs.setdefault(name, {})[pair] = m
-        self._rows[False].setdefault(name, {}).setdefault(u, {})[v] = m
+        row = self._rows[False].setdefault(name, {}).setdefault(u, {})
+        if v not in row:
+            self._edges[name] = self._edges.get(name, 0) + 1
+        row[v] = m
         self._rows[True].setdefault(name, {}).setdefault(v, {})[u] = m
 
     def _bear(self, parents: Sequence[Element], role: Role, count: int) -> list[Anon]:
@@ -215,8 +218,8 @@ class BagInterpretation:
         self.domain.update(born)
         if len(self.domain) != size + len(born):  # stabilization makes this unreachable
             raise AssertionError(f"a witness along {role} was created twice")
+        self._edges[name] = self._edges.get(name, 0) + len(born)
         self._unrowed.setdefault((name, not inverted), []).append(born)
-        self._unpaired.setdefault(name, []).append((inverted, born))
         return born
 
     def _derive_rows(self, name: str, inverted: bool) -> None:
@@ -230,40 +233,15 @@ class BagInterpretation:
             for w in born:
                 index[w] = {w.parent: 1}
 
-    def _derive_pairs(self, name: str) -> None:
-        """Write the pair entries of the witnesses born along `name` or its inverse."""
-        ext = self._pairs.setdefault(name, {})
-        for inverted, born in self._unpaired.pop(name):
-            if inverted:  # edges w -> parent
-                ext.update({(w, w.parent): 1 for w in born})
-            else:
-                ext.update({(w.parent, w): 1 for w in born})
-
     @property
     def roles(self) -> dict[str, dict[tuple[Element, Element], int]]:
         """Each role's extension: its pairs mapped to their multiplicities."""
-        for name in list(self._unpaired):
-            self._derive_pairs(name)
-        return self._pairs
-
-    def _index(self, inverted: bool) -> dict[str, dict[Element, dict[Element, int]]]:
-        """Every role's rows in one direction, each derived row written."""
-        for key in [key for key in self._unrowed if key[1] == inverted]:
-            self._derive_rows(*key)
-        return self._rows[inverted]
-
-    @property
-    def _fwd(self) -> dict[str, dict[Element, dict[Element, int]]]:
-        return self._index(False)
-
-    @property
-    def _bwd(self) -> dict[str, dict[Element, dict[Element, int]]]:
-        return self._index(True)
+        return {name: {(u, v): m for u, row in self.rows(name).items() for v, m in row.items()}
+                for name in self._edges}
 
     def edge_count(self, name: str) -> int:
         """The number of pairs in the role's extension, without deriving any."""
-        unpaired = self._unpaired.get(name, ())
-        return len(self._pairs.get(name, ())) + sum(len(born) for _, born in unpaired)
+        return self._edges.get(name, 0)
 
     def concept_mult(self, name: str, el: Element) -> int:
         return self.concepts.get(name, {}).get(el, 0)
@@ -299,7 +277,7 @@ class BagInterpretation:
 
     def __repr__(self):
         return (f"BagInterpretation(|domain|={len(self.domain)}, "
-                f"concepts={sorted(self.concepts)}, roles={sorted(self.roles)})")
+                f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
     def contains(self, other: "BagInterpretation") -> bool:
         """Bag containment: other's extensions are pointwise dominated."""
@@ -318,8 +296,9 @@ class BagInterpretation:
             for el, m in sorted(self.concepts[name].items(),
                                 key=lambda kv: rank[kv[0]]):
                 lines.append(f"{name}({text[el]}) {m}")
-        for name in sorted(self.roles):
-            for (u, v), m in sorted(self.roles[name].items(),
+        roles = self.roles
+        for name in sorted(roles):
+            for (u, v), m in sorted(roles[name].items(),
                                     key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])):
                 lines.append(f"{name}({text[u]},{text[v]}) {m}")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -354,7 +333,7 @@ def concept_closure(i: BagInterpretation, u: Element, tbox: TBox) -> dict[Concep
         m = ext.get(u, 0)
         if m:
             seeds[AtomicConcept(name)] = m
-    for name in i.roles:
+    for name in i._edges:
         for role in (Role(name), Role(name, True)):
             m = i.exists_mult(role, u)
             if m:
@@ -435,12 +414,11 @@ def _named_seeds(i: BagInterpretation) -> dict[Element, dict[Concept, int]]:
         c = AtomicConcept(name)
         for u, m in ext.items():
             seeds[u][c] = m
-    for name, ext in i.roles.items():
-        out, back = ExistsRole(Role(name)), ExistsRole(Role(name, True))
-        for (u, v), m in ext.items():
-            su, sv = seeds[u], seeds[v]
-            su[out] = su.get(out, 0) + m
-            sv[back] = sv.get(back, 0) + m
+    for name in i._edges:
+        for inverted in (False, True):
+            c = ExistsRole(Role(name, inverted))
+            for u, row in i.rows(name, inverted).items():
+                seeds[u][c] = sum(row.values())
     return seeds
 
 
@@ -493,23 +471,22 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
     return i
 
 
-class _Stages(Sequence):
-    """Stages 0..depth of one chase; only the last is stored, the rest are rebuilt."""
+class _View(Sequence):
+    """A read-only sequence whose items are built when read."""
 
-    def __init__(self, k: BagOntology, last: BagInterpretation, depth: int):
-        self._k, self._last, self._depth = k, last, depth
+    def __init__(self, length: int, build: Callable[[int], object]):
+        self._length, self._build = length, build
 
     def __len__(self):
-        return self._depth + 1
+        return self._length
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[j] for j in range(*index.indices(len(self))))
-        j = index + len(self) if index < 0 else index
-        if not 0 <= j <= self._depth:
-            raise IndexError("chase stage out of range")
-        # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
-        return self._last if j == self._depth else _grow(self._k, j)
+            return tuple(self[j] for j in range(*index.indices(self._length)))
+        j = index + self._length if index < 0 else index
+        if not 0 <= j < self._length:
+            raise IndexError("view index out of range")
+        return self._build(j)
 
 
 @dataclass(frozen=True)
@@ -531,7 +508,9 @@ def chase(k: BagOntology, depth: int) -> ChaseResult:
         raise ValueError("depth must be nonnegative")
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
-    return ChaseResult(_Stages(k, _grow(k, depth), depth), depth)
+    last = _grow(k, depth)
+    # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
+    return ChaseResult(_View(depth + 1, lambda j: last if j == depth else _grow(k, j)), depth)
 
 
 def required_depth(q: CQ) -> int:

@@ -20,7 +20,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Hashable, Iterable, TypeVar, Union
 
 from .errors import (
     InternalStructureError,
@@ -168,44 +168,51 @@ class EqClasses:
                       key=term_key)
 
 
+Node = TypeVar("Node", bound=Hashable)
+
+
+def connected_components(nodes: Iterable[Node],
+                         neighbours: Callable[[Node], Iterable[Node]]) -> list[frozenset[Node]]:
+    """The connected components of the graph that `neighbours` spans on `nodes`,
+    in the order of their first node; neighbours outside `nodes` are left out."""
+    nodes = list(nodes)
+    inside, seen = set(nodes), set()
+    out = []
+    for node in nodes:
+        if node in seen:
+            continue
+        comp = {node}
+        stack = [node]
+        while stack:
+            for nxt in neighbours(stack.pop()):
+                if nxt in inside and nxt not in comp:
+                    comp.add(nxt)
+                    stack.append(nxt)
+        seen.update(comp)
+        out.append(frozenset(comp))
+    return out
+
+
 class GaifmanGraph:
     """Nodes are equality classes of mentioned terms; edges come from role atoms."""
 
     def __init__(self, atoms: Iterable[QueryAtom], eq: EqClasses):
         atoms = list(atoms)
         self.nodes = frozenset(eq.class_of(t) for a in atoms for t in a.terms)
-        edges: set[frozenset[frozenset[Term]]] = set()
+        adjacency: dict[frozenset[Term], set[frozenset[Term]]] = {n: set() for n in self.nodes}
         for a in atoms:
             if isinstance(a, RoleAtom):
-                edges.add(frozenset((eq.class_of(a.subject), eq.class_of(a.object))))
-        adjacency: dict[frozenset[Term], set[frozenset[Term]]] = {n: set() for n in self.nodes}
-        for edge in edges:
-            pair = list(edge)
-            if len(pair) == 1:
-                continue
-            adjacency[pair[0]].add(pair[1])
-            adjacency[pair[1]].add(pair[0])
+                s, o = eq.class_of(a.subject), eq.class_of(a.object)
+                if s != o:  # a self-loop is no edge
+                    adjacency[s].add(o)
+                    adjacency[o].add(s)
         self._adjacency = adjacency
 
     def neighbours(self, node):
         return self._adjacency.get(node, set())
 
     def components(self) -> list[frozenset[frozenset[Term]]]:
-        seen: set[frozenset[Term]] = set()
-        out = []
-        for node in self.nodes:
-            if node in seen:
-                continue
-            comp = {node}
-            stack = [node]
-            while stack:
-                for nxt in self._adjacency[stack.pop()]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        stack.append(nxt)
-            seen.update(comp)
-            out.append(frozenset(comp))
-        return out
+        return connected_components(self.nodes, self._adjacency.__getitem__)
 
 
 class CQ:
@@ -334,20 +341,8 @@ def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
     for cls in z_classes:
         if not cls <= zset:
             raise ValueError(f"{sorted(map(str, cls))} is not equality-consistent with z")
-    seen: set[frozenset[Term]] = set()
-    subsets: list[frozenset[Var]] = []
-    for cls in z_classes:
-        if cls in seen:
-            continue
-        comp = {cls}
-        stack = [cls]
-        while stack:
-            for nxt in graph.neighbours(stack.pop()):
-                if nxt in z_classes and nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen.update(comp)
-        subsets.append(frozenset(v for c in comp for v in c))
+    subsets = [frozenset(v for c in comp for v in c)
+               for comp in connected_components(z_classes, graph.neighbours)]
     return sorted(subsets, key=lambda s: min(v.name for v in s))
 
 

@@ -39,6 +39,7 @@ from .errors import (
     MultipleAnchors,
     NotRooted,
     RewriteLimitExceeded,
+    UnsatisfiableOntology,
     UnsupportedTBoxKind,
 )
 from .ontology import (
@@ -53,7 +54,7 @@ from .ontology import (
     TBox,
 )
 # Unused here; kept because perfbench's traced run wraps bago.rewrite.interpretation_from_abox.
-from .chase import chase, interpretation_from_abox, required_depth
+from .chase import _View, chase, interpretation_from_abox, required_depth
 from .bagalg import (
     AnswerBag,
     BALGQuery,
@@ -235,8 +236,10 @@ def is_realisable(
             probe, probe_abox, anchor = build_probe(q, subset, zset, alpha=alpha)
         except MultipleAnchors:
             return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
-        depth = required_depth(probe)
-        probe_chase = chase(BagOntology(tbox, probe_abox), depth)
+        try:
+            probe_chase = chase(BagOntology(tbox, probe_abox), required_depth(probe))
+        except UnsatisfiableOntology:  # no model has an edge along alpha's role
+            return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
         value = eval_cq_neq(probe, probe_chase.union).get(())
         if value < 1:
             return RealisabilityCertificate(
@@ -544,24 +547,6 @@ def _balanced_union(nodes: list[BALGQuery]) -> BALGQuery:
         paired = [BalgArithUnion(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
         nodes = paired + nodes[len(paired) * 2:]
     return nodes[0]
-
-
-class _View(Sequence):
-    """A read-only sequence whose items are built when read."""
-
-    def __init__(self, length: int, build: Callable[[int], object]):
-        self._length, self._build = length, build
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[j] for j in range(*index.indices(self._length)))
-        j = index + self._length if index < 0 else index
-        if not 0 <= j < self._length:
-            raise IndexError("rewriting view index out of range")
-        return self._build(j)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .ontology import (
     TBox,
 )
 from .chase import BagInterpretation
-from .query import CQ, ConceptAtom, RoleAtom, Var
+from .query import CQ, ConceptAtom, RoleAtom, Var, connected_components
 
 AUX_VERTEX = "_aux"
 COLOR_NAMES = {"r": "_r", "g": "_g", "b": "_b"}
@@ -62,21 +62,13 @@ class Graph:
                 raise InvalidGraph(f"self-loop or malformed edge {sorted(edge)}")
             if not edge <= vset:
                 raise InvalidGraph(f"edge {sorted(edge)} mentions unknown vertices")
-        if len(vset) > 1:
-            adjacency = {v: set() for v in vset}
-            for edge in self.edges:
-                a, b = sorted(edge)
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                for nxt in adjacency[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if seen != vset:
-                raise InvalidGraph("graph must be connected")
+        adjacency = {v: set() for v in vset}
+        for edge in self.edges:
+            a, b = edge
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        if len(connected_components(self.vertices, adjacency.__getitem__)) > 1:
+            raise InvalidGraph("graph must be connected")
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         return sorted(tuple(sorted(edge)) for edge in self.edges)

@@ -9,6 +9,7 @@ FIXTURE_SETS = [
     ("prime", "query.cq"),
     ("prime_pair", "query.cq"),
     ("deep_path", "query.cq"),
+    ("unsat_role", "query.cq"),
 ]
 
 
@@ -144,6 +145,23 @@ def test_rewrite_explain_table(capsys, fixtures_dir):
     assert "# z={} verdict=realisable" in out
     assert "# z={y} verdict=realisable" in out
     assert "probe=1" in out
+
+
+def test_probe_over_a_role_with_no_model_answers(capsys, fixtures_dir):
+    # The TBox forbids every R-edge but the ontology is satisfiable: the
+    # cluster {y} is unrealisable, not a reason to refuse the input.
+    base = fixtures_dir / "unsat_role"
+    code, out, _ = run(
+        capsys, "answer", "-T", str(base / "tbox.dl"), "-A", str(base / "abox.bag"),
+        "-q", str(base / "query.cq"), "--via", "both",
+    )
+    assert (code, out) == (0, "EMPTY\n")
+    code, out, _ = run(
+        capsys, "rewrite", "-T", str(base / "tbox.dl"), "-q", str(base / "query.cq"),
+        "--explain",
+    )
+    assert code == 0
+    assert "# z={y} verdict=unrealisable failing={y}" in out
 
 
 def test_crosscheck_single_and_random(capsys, fixtures_dir):

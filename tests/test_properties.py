@@ -16,6 +16,7 @@ from bago import (
     eval_partitioned,
     equality_consistent,
     interpretation_from_abox,
+    is_satisfiable,
     ma_connected_partition,
     parse_abox,
     parse_cq,
@@ -34,7 +35,12 @@ from bago.ontology import (
 )
 from bago.bagalg import eval_balg
 from bago.rewrite import evaluate_rewriting
-from bago.randgen import random_instance
+from bago.randgen import (
+    random_bag_abox,
+    random_instance,
+    random_rooted_cq,
+    random_tbox_with_disjointness,
+)
 
 from generators import random_small_cq
 
@@ -236,3 +242,24 @@ def test_large_multiplicity_corpus_agrees_on_both_paths():
     assert disagreements == []
     assert (skipped, len(outcomes)) == (1230, 770)
     assert "MultiplicityOverflow" in outcomes
+
+
+def test_disjointness_corpus_agrees_on_both_paths():
+    # A disjointness can forbid every edge along a role while the ontology
+    # stays satisfiable; a probe along that role then fails, and the rewrite
+    # path must not refuse the input for it.
+    satisfiable, disagreements = 0, []
+    for seed in range(700_000, 701_000):
+        rng = random.Random(seed)
+        tbox = random_tbox_with_disjointness(rng)
+        abox = random_bag_abox(rng)
+        q = random_rooted_cq(rng)
+        k = BagOntology(tbox, abox)
+        if not is_satisfiable(k):
+            continue
+        satisfiable += 1
+        via_chase, via_rewrite = _outcome(q, k, "chase"), _outcome(q, k, "rewrite")
+        if via_chase != via_rewrite:
+            disagreements.append((seed, via_chase, via_rewrite))
+    assert disagreements == []
+    assert satisfiable == 422
