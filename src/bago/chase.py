@@ -18,18 +18,21 @@ only the last; `ChaseResult.stages` rebuilds an earlier stage by chasing to
 that depth. A rooted query with n concept/role atoms has all its answers over
 stage n, which is why callers always pass an explicit depth.
 
-Stage 1 gathers the named individuals' seeds (atomic multiplicities and
-EX R / EX R- out-degree sums) in one pass. A witness born for role R starts
-with nothing but its R-edge, so every later stage expands it from a plan
-fixed per role: the closure of EX R- at multiplicity 1, built once per TBox
-(`TBox.witness_plans`). The frontier is kept as runs, one per role, and a
-plan is applied to a whole run at once: one bulk update per concept write
-and one birth per role for all its witnesses, which are filed into the next
-stage's runs by role. `concept_closure`,
-`_stage` and `chase_step` keep the literal per-element construction as the
-tests' reference. A chase that would need more than MAX_CHASE_ELEMENTS
-anonymous elements raises ChaseLimitExceeded before allocating any of the
-run that would pass it.
+Stage 1 works on the named individuals one concept column at a time. The
+seed columns are the atomic extensions and the EX R / EX R- out-degree sums;
+each is pushed, by pointwise max, into the column of every concept it
+entails; each atomic column is written in one bulk update; and the names
+with the same deficit along a role are born as one run. A witness born for
+role R starts with nothing but its R-edge, so every later stage expands it
+from a plan fixed per role: the closure of EX R- at multiplicity 1, built
+once per TBox (`TBox.witness_plans`). The frontier is kept as runs, one per
+role, and a plan is applied to a whole run at once: one bulk update per
+concept write and one birth per role for all its witnesses, which are filed
+into the next stage's runs by role. `concept_closure`, `_stage` and
+`chase_step` keep the literal per-element construction as the tests'
+reference. A chase that would need more than MAX_CHASE_ELEMENTS anonymous
+elements raises ChaseLimitExceeded before allocating any of the run that
+would pass it.
 
 An interpretation stores each edge once per direction, in the rows of its
 two ends, and nothing else: `roles` is built from the forward rows when
@@ -202,18 +205,26 @@ class BagInterpretation:
         """Give each parent `count` fresh witnesses along `role`; return them all.
 
         Only the parents' rows are written: each witness is one entry of
-        multiplicity 1 in its parent's row along `role`.
+        multiplicity 1 in its parent's row along `role`. A run of names is
+        written parent by parent, merged into the ABox edges a name may have
+        along `role`; a run of witnesses has no row along `role` yet, so its
+        rows are written in one bulk update.
         """
         name, inverted = role.name, role.inverted
         index = self._rows[inverted].setdefault(name, {})
-        born = [Anon(u, role, j) for u in parents for j in range(1, count + 1)]
-        if len(parents) == 1:  # an individual may have ABox edges along `role`
-            index.setdefault(parents[0], {}).update(dict.fromkeys(born, 1))
-        elif count == 1:  # a run of witnesses, none with a row along `role` yet
-            index.update(zip(parents, [{w: 1} for w in born]))
+        if type(parents[0]) is str:
+            born = []
+            for u in parents:
+                kids = [Anon(u, role, j) for j in range(1, count + 1)]
+                index.setdefault(u, {}).update(dict.fromkeys(kids, 1))
+                born += kids
         else:
-            index.update(zip(parents, [dict.fromkeys(born[k:k + count], 1)
-                                       for k in range(0, len(born), count)]))
+            born = [Anon(u, role, j) for u in parents for j in range(1, count + 1)]
+            if count == 1:
+                index.update(zip(parents, [{w: 1} for w in born]))
+            else:
+                index.update(zip(parents, [dict.fromkeys(born[k:k + count], 1)
+                                           for k in range(0, len(born), count)]))
         size = len(self.domain)
         self.domain.update(born)
         if len(self.domain) != size + len(born):  # stabilization makes this unreachable
@@ -402,33 +413,14 @@ def _plan(closure: Mapping[Concept, int], seeds: Mapping[Concept, int]) -> _Plan
     return tuple(sorted(writes)), tuple(sorted(births))
 
 
-def _named_seeds(i: BagInterpretation) -> dict[Element, dict[Concept, int]]:
-    """Every element's seeds, as `concept_closure` finds them, in one pass.
-
-    A seed is an atomic concept's multiplicity or an EX R / EX R- out-degree
-    sum. Probing every predicate per element, as `concept_closure` does,
-    makes stage 1 of the `abox_scale` benchmark about 40 % slower.
-    """
-    seeds: dict[Element, dict[Concept, int]] = {u: {} for u in i.domain}
-    for name, ext in i.concepts.items():
-        c = AtomicConcept(name)
-        for u, m in ext.items():
-            seeds[u][c] = m
-    for name in i._edges:
-        for inverted in (False, True):
-            c = ExistsRole(Role(name, inverted))
-            for u, row in i.rows(name, inverted).items():
-                seeds[u][c] = sum(row.values())
-    return seeds
-
-
 def _grow(k: BagOntology, depth: int) -> BagInterpretation:
-    """Chase k to `depth` in place: what iterating `_stage` builds, from plans.
+    """Chase k to `depth` in place: what iterating `_stage` builds, by columns and runs.
 
-    Stage 1 expands each named individual from its own plan. Every later
+    Stage 1 closes the named individuals one concept column at a time, and
+    the names with the same deficit along a role form one run. Every later
     stage expands its frontier a run at a time: the witnesses born along one
-    role share one plan, so each concept write is one bulk update and each
-    birth one budget check and one `_bear` for the whole run.
+    role share one plan, so each concept write is one bulk update. Each run
+    gets one budget check and one `_bear`.
     """
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
@@ -452,10 +444,33 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
 
     if depth == 0:
         return i
-    # The frontier of the next stage, as one run of witnesses per role.
+    # Seed columns, as `concept_closure` reads them: atomic extensions (read
+    # before any write below) and EX R / EX R- out-degree sums.
+    seeds: dict[Concept, dict[Element, int]] = {AtomicConcept(n): e for n, e in concepts.items()}
+    for name in i._edges:
+        for inverted in (False, True):
+            seeds[ExistsRole(Role(name, inverted))] = {
+                u: sum(row.values()) for u, row in i.rows(name, inverted).items()}
+    closure: dict[Concept, dict[Element, int]] = {}
+    for c0, column in seeds.items():
+        for c in tbox.concepts_entailed_by(c0):
+            col = closure.setdefault(c, {})
+            col.update({u: m for u, m in column.items() if u not in col or col[u] < m})
+    births = []
+    for c, column in closure.items():
+        if isinstance(c, AtomicConcept):
+            concepts.setdefault(c.name, {}).update(column)
+            continue
+        seed, deficits = seeds.get(c, {}), {}
+        for u, m in column.items():
+            if u not in seed or seed[u] < m:
+                deficits.setdefault(m - seed.get(u, 0), []).append(u)
+        births += [(c.role, count, run) for count, run in deficits.items()]
+    # The frontier of the next stage, as one run of witnesses per role. Each
+    # run of names has a plan of one birth and no writes.
     frontier: dict[Role, list[Anon]] = {}
-    for u, seeds in sorted(_named_seeds(i).items()):  # names are unique keys
-        expand((u,), _plan(_close(seeds, tbox), seeds), frontier)
+    for role, count, run in sorted(births, key=lambda b: b[:2]):
+        expand(run, ((), ((role, count),)), frontier)
 
     for _ in range(depth - 1):
         if not frontier:  # the chase terminated; later stages add nothing
@@ -464,8 +479,8 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
         for role, run in frontier.items():
             plan = tbox.witness_plans.get(role)
             if plan is None:
-                seeds = {ExistsRole(role.inverse): 1}
-                plan = tbox.witness_plans[role] = _plan(_close(seeds, tbox), seeds)
+                seed = {ExistsRole(role.inverse): 1}
+                plan = tbox.witness_plans[role] = _plan(_close(seed, tbox), seed)
             expand(run, plan, runs)
         frontier = runs
     return i

@@ -9,8 +9,6 @@ never wrap), so both answer paths report overflow on the same inputs.
 difference and containment test (bags as the N-semiring of Green et al.).
 """
 
-from operator import add
-
 U64_MAX = 2**64 - 1
 
 
@@ -91,17 +89,27 @@ class InternalStructureError(BagoError):
     """An internal invariant failed (e.g. no linking atom for a rooted query)."""
 
 
-# op -> (pointwise function, the keys whose result can be nonzero)
+# op -> (pointwise function, the keys whose result can be nonzero), for the
+# ops that walk keys; the two unions copy a map instead.
 _COMBINE = {
     "intersection": (min, lambda a, b: a.keys() & b.keys()),
-    "max-union": (max, lambda a, b: a.keys() | b.keys()),
-    "arith-union": (add, lambda a, b: a.keys() | b.keys()),
     "difference": (lambda a, b: max(a - b, 0), lambda a, b: a.keys()),
 }
 
 
 def combine(op, a, b):
-    """Pointwise `op` of two multiplicity maps; zero results are dropped."""
+    """Pointwise `op` of two multiplicity maps, as a new map; zero results are dropped.
+
+    A union copies the larger map and updates it from the smaller one.
+    """
+    if op == "max-union" or op == "arith-union":
+        big, small = (a, b) if len(a) >= len(b) else (b, a)
+        out = dict(big)
+        if op == "max-union":
+            out.update({k: m for k, m in small.items() if k not in out or out[k] < m})
+        else:
+            out.update({k: out[k] + m if k in out else m for k, m in small.items()})
+        return {k: m for k, m in out.items() if m} if 0 in out.values() else out
     try:
         fn, keys = _COMBINE[op]
     except KeyError:

@@ -2,7 +2,7 @@
 
 import random
 
-from bago import CQ
+from bago import CQ, parse_abox, parse_tbox
 from bago.chase import Anon, BagInterpretation
 from bago.ontology import Role
 from bago.query import ConceptAtom, Const, EqualityAtom, RoleAtom, Var
@@ -119,3 +119,27 @@ def random_balg(rng: random.Random, depth=3):
         return child
     cls = rng.choice((BalgMaxUnion, BalgArithUnion, BalgDiff))
     return cls(child, covering_node(rng, child.answer_vars))
+
+
+# The abox_scale benchmark's TBox: A -R-> B -S-> B -S-> ...
+WIDE_TBOX = "A SUB EX R\nEX R- SUB B\nB SUB EX S\nEX S- SUB B\nC SUB A\n"
+
+
+def wide_abox(rng: random.Random, n=200):
+    """An abox_scale-shaped (TBox, ABox): about 2n assertions over n individuals.
+
+    Random concept and role assertions with multiplicities 1..5, as the
+    benchmark draws them, plus three fixed cases for a chase's first stage:
+    four names with the same deficit along R; a name with an ABox R-edge
+    that still gets R-witnesses; and a name whose B seed (2) and EX R- seed
+    (3) both entail EX S, where the larger one must win.
+    """
+    lines = [f"{rng.choice('ABC')}(i{rng.randrange(n)}) {rng.randint(1, 5)}"
+             for _ in range(n)]
+    lines += [f"{rng.choice('RS')}(i{rng.randrange(n)},i{rng.randrange(n)}) {rng.randint(1, 5)}"
+              for _ in range(n)]
+    lines += [f"A(same{j}) 4" for j in range(4)]
+    lines += ["A(edged) 5", "R(edged,i0) 2"]
+    lines += ["B(maxed) 2", "R(i1,maxed) 3", "S(maxed,i2) 1"]
+    rng.shuffle(lines)
+    return parse_tbox(WIDE_TBOX), parse_abox("\n".join(lines) + "\n")

@@ -24,6 +24,7 @@ from bago import (
     rewrite,
 )
 from bago import bagalg
+from bago.errors import combine
 from bago.bagalg import (
     BalgArithUnion,
     BalgAtom,
@@ -129,6 +130,17 @@ def test_bag_ops_examples():
         bag_ops("difference", b2, AnswerBag(2))
     with pytest.raises(ValueError):
         bag_ops("xor", b2, b3)
+
+
+def test_combine_returns_a_new_map_without_zero_entries():
+    # A union copies its larger operand; a zero entry on either side must
+    # not survive it, and neither operand may change.
+    big, small = {"a": 2, "b": 0, "c": 1}, {"a": 3, "d": 0}
+    for op, expected in (("max-union", {"a": 3, "c": 1}), ("arith-union", {"a": 5, "c": 1})):
+        for a, b in ((big, small), (small, big)):
+            out = combine(op, a, b)
+            assert out == expected and out is not a and out is not b
+    assert big == {"a": 2, "b": 0, "c": 1} and small == {"a": 3, "d": 0}
 
 
 def test_eval_balg_reference_branches(managers):

@@ -25,6 +25,7 @@ from bago import (
 from bago.chase import Anon, bag_union, dump_chase
 from bago.ontology import BagABox
 from bago.randgen import random_instance
+from generators import wide_abox
 
 LEE = "Lee"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -178,20 +179,31 @@ HAND_BUILT = {
 }
 
 
+def _assert_chase_matches_iterated_naive_step(tbox, abox, depth):
+    result = chase(BagOntology(tbox, abox), depth)
+    naive = interpretation_from_abox(abox)
+    for grown in result.stages:
+        assert grown == naive
+        # the successor rows that eval_cq walks must match as well
+        for name in naive.roles:
+            for inverted in (False, True):
+                assert grown.rows(name, inverted) == naive.rows(name, inverted)
+        naive = chase_step(naive, tbox)
+
+
 def test_chase_matches_iterated_naive_step():
     rng = random.Random(5)
     cases = [(*random_instance(rng)[:2], 3) for _ in range(20)]
     cases += [(parse_tbox(t), parse_abox(a), 5) for t, a in HAND_BUILT.values()]
     for tbox, abox, depth in cases:
-        result = chase(BagOntology(tbox, abox), depth)
-        naive = interpretation_from_abox(abox)
-        for grown in result.stages:
-            assert grown == naive
-            # the successor rows that eval_cq walks must match as well
-            for name in naive.roles:
-                for inverted in (False, True):
-                    assert grown.rows(name, inverted) == naive.rows(name, inverted)
-            naive = chase_step(naive, tbox)
+        _assert_chase_matches_iterated_naive_step(tbox, abox, depth)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_first_stage_over_many_names_matches_iterated_naive_step(seed):
+    # Stage 1 closes the names a concept column at a time and bears their
+    # witnesses in runs of equal deficit; the reference goes name by name.
+    _assert_chase_matches_iterated_naive_step(*wide_abox(random.Random(seed)), 3)
 
 
 # The benchmark's multiplicity-heavy queries, which read successor rows only.
@@ -280,7 +292,7 @@ def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
 # dump_chase texts committed under tests/golden/, as (name, depth); the
 # self-feeding chain grows one witness per stage.
 GOLDEN_DUMPS = [("employees", 3), ("managers", 3), ("prime", 3), ("prime_pair", 3),
-                ("self_feeding", 6)]
+                ("self_feeding", 6), ("wide_abox", 3)]
 SELF_FEEDING = ("A SUB EX R\nEX R- SUB A\n", "A(a) 2\nR(a,b)\nR(b,a)\n")
 
 

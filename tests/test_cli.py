@@ -10,6 +10,7 @@ FIXTURE_SETS = [
     ("prime_pair", "query.cq"),
     ("deep_path", "query.cq"),
     ("unsat_role", "query.cq"),
+    ("wide_abox", "query.cq"),
 ]
 
 
