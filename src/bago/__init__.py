@@ -53,10 +53,7 @@ from .chase import (
     Anon,
     BagInterpretation,
     ChaseResult,
-    bag_union,
     chase,
-    chase_step,
-    concept_closure,
     interpretation_from_abox,
     required_depth,
 )

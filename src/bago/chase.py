@@ -28,11 +28,10 @@ from a plan fixed per role: the closure of EX R- at multiplicity 1, built
 once per TBox (`TBox.witness_plans`). The frontier is kept as runs, one per
 role, and a plan is applied to a whole run at once: one bulk update per
 concept write and one birth per role for all its witnesses, which are filed
-into the next stage's runs by role. `concept_closure`, `_stage` and
-`chase_step` keep the literal per-element construction as the tests'
-reference. A chase that would need more than MAX_CHASE_ELEMENTS anonymous
-elements raises ChaseLimitExceeded before allocating any of the run that
-would pass it.
+into the next stage's runs by role. The literal per-element construction,
+one stage at a time, is the tests' reference in `tests/oracles.py`. A chase
+that would need more than MAX_CHASE_ELEMENTS anonymous elements raises
+ChaseLimitExceeded before allocating any of the run that would pass it.
 
 An interpretation stores each edge once per direction, in the rows of its
 two ends, and nothing else: `roles` is built from the forward rows when
@@ -47,12 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import (
-    ChaseLimitExceeded,
-    UnsatisfiableOntology,
-    UnsupportedTBoxKind,
-    combine,
-)
+from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind
 from .ontology import (
     CORE,
     AtomicConcept,
@@ -207,8 +201,10 @@ class BagInterpretation:
         Only the parents' rows are written: each witness is one entry of
         multiplicity 1 in its parent's row along `role`. A run of names is
         written parent by parent, merged into the ABox edges a name may have
-        along `role`; a run of witnesses has no row along `role` yet, so its
-        rows are written in one bulk update.
+        along `role`. A run of witnesses has no row along `role` yet, and
+        `count` is 1 for it: a witness's plan is the closure of EX R- at
+        multiplicity 1, so each of its births has deficit 1. Its rows are
+        written in one bulk update.
         """
         name, inverted = role.name, role.inverted
         index = self._rows[inverted].setdefault(name, {})
@@ -219,12 +215,8 @@ class BagInterpretation:
                 index.setdefault(u, {}).update(dict.fromkeys(kids, 1))
                 born += kids
         else:
-            born = [Anon(u, role, j) for u in parents for j in range(1, count + 1)]
-            if count == 1:
-                index.update(zip(parents, [{w: 1} for w in born]))
-            else:
-                index.update(zip(parents, [dict.fromkeys(born[k:k + count], 1)
-                                           for k in range(0, len(born), count)]))
+            born = [Anon(u, role, 1) for u in parents]
+            index.update(zip(parents, [{w: 1} for w in born]))
         size = len(self.domain)
         self.domain.update(born)
         if len(self.domain) != size + len(born):  # stabilization makes this unreachable
@@ -290,15 +282,6 @@ class BagInterpretation:
         return (f"BagInterpretation(|domain|={len(self.domain)}, "
                 f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
-    def contains(self, other: "BagInterpretation") -> bool:
-        """Bag containment: other's extensions are pointwise dominated."""
-        pairs = ((self.concepts, other.concepts), (self.roles, other.roles))
-        return other.domain <= self.domain and not any(
-            combine("difference", ext, mine.get(name, {}))
-            for mine, theirs in pairs
-            for name, ext in theirs.items()
-        )
-
     def to_text(self) -> str:
         rank = _ranks(self.domain)
         text = _texts(rank)
@@ -315,17 +298,6 @@ class BagInterpretation:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def bag_union(a: BagInterpretation, b: BagInterpretation) -> BagInterpretation:
-    """Pointwise-max union of two interpretations over a shared domain."""
-
-    def union(x, y):
-        return {n: combine("max-union", x.get(n, {}), y.get(n, {}))
-                for n in x.keys() | y.keys()}
-
-    return BagInterpretation(a.domain | b.domain, union(a.concepts, b.concepts),
-                             union(a.roles, b.roles))
-
-
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     """Stage 0: assertions become extensions over the named individuals."""
     i = BagInterpretation(abox.individuals(), {}, {})
@@ -337,21 +309,6 @@ def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     return i
 
 
-def concept_closure(i: BagInterpretation, u: Element, tbox: TBox) -> dict[Concept, int]:
-    """Max multiplicity forced at u for every concept, via entailed subsumees."""
-    seeds: dict[Concept, int] = {}
-    for name, ext in i.concepts.items():
-        m = ext.get(u, 0)
-        if m:
-            seeds[AtomicConcept(name)] = m
-    for name in i._edges:
-        for role in (Role(name), Role(name, True)):
-            m = i.exists_mult(role, u)
-            if m:
-                seeds[ExistsRole(role)] = m
-    return _close(seeds, tbox)
-
-
 def _close(seeds: Mapping[Concept, int], tbox: TBox) -> dict[Concept, int]:
     """Each concept entailed by a seed, at the largest multiplicity forcing it."""
     closure: dict[Concept, int] = {}
@@ -360,39 +317,6 @@ def _close(seeds: Mapping[Concept, int], tbox: TBox) -> dict[Concept, int]:
             if closure.get(c, 0) < m:
                 closure[c] = m
     return closure
-
-
-def _stage(i: BagInterpretation, tbox: TBox, process: Iterable[Element]) -> list[Element]:
-    """Extend i in place by one stage over `process`; return the elements born.
-
-    In place is sound: processing u reads only u's own entries and writes only
-    those plus the edges to u's fresh witnesses.
-    """
-    born: list[Element] = []
-    for u in ordered(process):
-        for c, m in concept_closure(i, u, tbox).items():
-            if isinstance(c, AtomicConcept):
-                i.concepts.setdefault(c.name, {})[u] = m
-                continue
-            role = c.role
-            deficit = m - i.exists_mult(role, u)
-            for j in range(1, deficit + 1):
-                w = Anon(u, role, j)
-                if w in i.domain:  # stabilization argument makes this unreachable
-                    raise AssertionError(f"witness {w} created twice")
-                born.append(w)
-                i.domain.add(w)
-                i._add_edge(role.name, (w, u) if role.inverted else (u, w), 1)
-    return born
-
-
-def chase_step(prev: BagInterpretation, tbox: TBox) -> BagInterpretation:
-    """One stage of the canonical construction over the previous stage."""
-    if tbox.kind != CORE:
-        raise UnsupportedTBoxKind("the canonical bag model is defined for core TBoxes")
-    nxt = BagInterpretation(prev.domain, prev.concepts, prev.roles)
-    _stage(nxt, tbox, prev.domain)
-    return nxt
 
 
 # Plan for one element: its concept entries as (name, multiplicity) and its
@@ -414,7 +338,8 @@ def _plan(closure: Mapping[Concept, int], seeds: Mapping[Concept, int]) -> _Plan
 
 
 def _grow(k: BagOntology, depth: int) -> BagInterpretation:
-    """Chase k to `depth` in place: what iterating `_stage` builds, by columns and runs.
+    """Chase k to `depth` in place, by columns and runs: what iterating the
+    reference stage in `tests/oracles.py` builds one element at a time.
 
     Stage 1 closes the named individuals one concept column at a time, and
     the names with the same deficit along a role form one run. Every later
@@ -444,8 +369,8 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
 
     if depth == 0:
         return i
-    # Seed columns, as `concept_closure` reads them: atomic extensions (read
-    # before any write below) and EX R / EX R- out-degree sums.
+    # Seed columns: atomic extensions (read before any write below) and
+    # EX R / EX R- out-degree sums.
     seeds: dict[Concept, dict[Element, int]] = {AtomicConcept(n): e for n, e in concepts.items()}
     for name in i._edges:
         for inverted in (False, True):

@@ -353,58 +353,43 @@ def atoms_mentioning(q: CQ, vars_: Iterable[Var]) -> list[QueryAtom]:
     return [q.atoms[i] for i in sorted(hits)]
 
 
-def linking_candidates(q: CQ, z_prime: Iterable[Var], z: Iterable[Var] | None = None) -> list[RoleAtom]:
-    """Role atoms of the z'-induced subquery with exactly one endpoint in z."""
-    zp = set(z_prime)
-    zfull = set(z) if z is not None else zp
-    out = []
-    for a in atoms_mentioning(q, zp):
-        if not isinstance(a, RoleAtom):
-            continue
-        ends = [t in zfull if isinstance(t, Var) else False for t in a.terms]
-        if ends[0] != ends[1]:
-            out.append(a)
-    return sorted(set(out), key=atom_key)
+def linking_candidates(q: CQ, cluster: frozenset[Var]) -> list[RoleAtom]:
+    """Role atoms of the cluster's induced subquery with exactly one end in it.
+
+    A cluster is a part of `ma_connected_partition(q, z)`, so z is not needed:
+    every term outside the cluster that its atoms mention lies outside z.
+    """
+    out = {a for a in atoms_mentioning(q, cluster)
+           if isinstance(a, RoleAtom) and (a.subject in cluster) != (a.object in cluster)}
+    return sorted(out, key=atom_key)
 
 
-def linking_atom(q: CQ, z_prime: Iterable[Var], z: Iterable[Var] | None = None) -> RoleAtom:
+def linking_atom(q: CQ, cluster: frozenset[Var]) -> RoleAtom:
     """The canonically least linking atom; exists for every rooted query.
 
     Atoms whose outward endpoint is a variable are preferred over atoms
     linking to an individual: the compiled form anchors the cluster's
     identifying equalities on that variable, and any answer is unchanged
-    because the choice of linking atom never affects the evaluation.
+    because the choice of linking atom never affects the evaluation. As in
+    `linking_candidates`, the cluster alone decides.
     """
-    zp = set(z_prime)
-    zfull = set(z) if z is not None else zp
-    candidates = linking_candidates(q, zp, zfull)
+    candidates = linking_candidates(q, cluster)
     if not candidates:
         raise InternalStructureError(
-            f"no linking atom for {sorted(v.name for v in zp)}"
+            f"no linking atom for cluster {sorted(v.name for v in cluster)}"
         )
-    return _least_link(candidates, zfull)
-
-
-def _least_link(candidates: list[RoleAtom], z: set[Var] | frozenset[Var]) -> RoleAtom:
-    """linking_atom's pick among a cluster's (non-empty) linking candidates."""
 
     def outward_is_const(a: RoleAtom) -> bool:
-        t = a.object if (isinstance(a.subject, Var) and a.subject in z) else a.subject
-        return isinstance(t, Const)
+        return isinstance(a.object if a.subject in cluster else a.subject, Const)
 
     return min(candidates, key=lambda a: (outward_is_const(a), atom_key(a)))
 
 
-def outward_terms(q: CQ, z_prime: Iterable[Var], z: Iterable[Var] | None = None) -> list[Term]:
-    """All non-z terms mentioned in the z'-induced subquery, in canonical order."""
-    zp = set(z_prime)
-    zfull = set(z) if z is not None else zp
-    out = set()
-    for a in atoms_mentioning(q, zp):
-        for t in a.terms:
-            if isinstance(t, Const) or t not in zfull:
-                out.add(t)
-    return sorted(out, key=term_key)
+def outward_terms(q: CQ, cluster: frozenset[Var]) -> list[Term]:
+    """Terms outside the cluster that its induced subquery mentions, in
+    canonical order. As in `linking_candidates`, the cluster alone decides."""
+    return sorted({t for a in atoms_mentioning(q, cluster) for t in a.terms if t not in cluster},
+                  key=term_key)
 
 
 # -- parsing -----------------------------------------------------------------

@@ -78,7 +78,6 @@ from .query import (
     RoleAtom,
     Term,
     Var,
-    _least_link,
     atoms_mentioning,
     equality_consistent,
     is_rooted,
@@ -128,26 +127,19 @@ class RealisabilityCertificate:
         return self.verdict == REALISABLE
 
 
-def _choose(
-    chooser: Optional[LinkChooser],
-    q: CQ,
-    subset: frozenset[Var],
-    zset: frozenset[Var],
-) -> RoleAtom:
-    candidates = linking_candidates(q, subset, zset)
-    if not candidates:
-        raise InternalStructureError(
-            f"no linking atom for cluster {sorted(v.name for v in subset)}"
-        )
+def _choose(chooser: Optional[LinkChooser], q: CQ, cluster: frozenset[Var]) -> RoleAtom:
+    """`linking_atom`, or the chooser's pick among the linking candidates."""
+    alpha = linking_atom(q, cluster)  # raises when there is no candidate
     if chooser is None:
-        return _least_link(candidates, zset)
+        return alpha
+    candidates = linking_candidates(q, cluster)
     pick = chooser(candidates)
     if pick not in candidates:
         raise InternalStructureError("link chooser returned a non-candidate atom")
     return pick
 
 
-def _misshapen(q: CQ, subset: frozenset[Var], zset: frozenset[Var]) -> bool:
+def _misshapen(q: CQ, cluster: frozenset[Var]) -> bool:
     """Whether the cluster fails the tree-witness shape condition, so that no
     probe can realise it.
 
@@ -157,15 +149,15 @@ def _misshapen(q: CQ, subset: frozenset[Var], zset: frozenset[Var]) -> bool:
     outward term (all of which the probe sends to its anchor) must read as
     one role in one direction from the outward term, and no role atom may
     join two terms of one equality class inside the cluster: neither kind of
-    element has a self-loop.
+    element has a self-loop. As in `linking_candidates`, the cluster alone
+    decides.
     """
     eq = q.equality_classes()
     link = None
-    for a in atoms_mentioning(q, subset):
+    for a in atoms_mentioning(q, cluster):
         if not isinstance(a, RoleAtom):
             continue
-        sub_in = isinstance(a.subject, Var) and a.subject in zset
-        obj_in = isinstance(a.object, Var) and a.object in zset
+        sub_in, obj_in = a.subject in cluster, a.object in cluster
         if sub_in and obj_in:
             if eq.class_of(a.subject) == eq.class_of(a.object):
                 return True
@@ -176,38 +168,32 @@ def _misshapen(q: CQ, subset: frozenset[Var], zset: frozenset[Var]) -> bool:
     return False
 
 
-def build_probe(
-    q: CQ,
-    z_prime: Iterable[Var],
-    z: Iterable[Var] | None = None,
-    alpha: RoleAtom | None = None,
-) -> tuple[CQ, BagABox, str]:
+def build_probe(q: CQ, cluster: frozenset[Var],
+                alpha: RoleAtom | None = None) -> tuple[CQ, BagABox, str]:
     """The Boolean probe, its one-assertion ABox, and the anchor individual.
 
-    Raises MultipleAnchors when the cluster links outward to two distinct
+    As in `linking_candidates`, the cluster alone decides. Raises
+    MultipleAnchors when the cluster links outward to two distinct
     individuals; the cluster is then unrealisable regardless of any choice.
     """
-    zp = frozenset(z_prime)
-    zfull = frozenset(z) if z is not None else zp
     if alpha is None:
-        alpha = linking_atom(q, zp, zfull)
-    outward = outward_terms(q, zp, zfull)
+        alpha = linking_atom(q, cluster)
+    outward = outward_terms(q, cluster)
     anchors = sorted({t.name for t in outward if isinstance(t, Const)})
     if len(anchors) > 1:
         raise MultipleAnchors(
-            f"cluster {sorted(v.name for v in zp)} is linked to individuals "
+            f"cluster {sorted(v.name for v in cluster)} is linked to individuals "
             f"{anchors[0]!r} and {anchors[1]!r}"
         )
     anchor = anchors[0] if anchors else PROBE_ANCHOR
-    atoms = list(atoms_mentioning(q, zp))
+    atoms = list(atoms_mentioning(q, cluster))
     for t in outward:
         if isinstance(t, Var):
             atoms.append(EqualityAtom(t, Const(anchor)))
-    for v in sorted(zp, key=term_key):
+    for v in sorted(cluster, key=term_key):
         atoms.append(InequalityAtom(v, Const(anchor)))
     probe = CQ((), atoms, allow_inequalities=True)
-    object_in_z = isinstance(alpha.object, Var) and alpha.object in zfull
-    if object_in_z:
+    if alpha.object in cluster:
         abox = BagABox({RoleAssertion(alpha.role, anchor, PROBE_FRESH): 1})
     else:
         abox = BagABox({RoleAssertion(alpha.role, PROBE_FRESH, anchor): 1})
@@ -227,34 +213,31 @@ def is_realisable(
     if not equality_consistent(q, zset):
         return RealisabilityCertificate(zset, NOT_EQUALITY_CONSISTENT)
     witnesses = []
-    for subset in ma_connected_partition(q, zset):
+    for cluster in ma_connected_partition(q, zset):
         # Either refusal decides the cluster with no probe built.
-        if _misshapen(q, subset, zset):
-            return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
+        if _misshapen(q, cluster):
+            return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
         try:
-            alpha = _choose(link_chooser, q, subset, zset)
-            probe, probe_abox, anchor = build_probe(q, subset, zset, alpha=alpha)
+            alpha = _choose(link_chooser, q, cluster)
+            probe, probe_abox, anchor = build_probe(q, cluster, alpha=alpha)
         except MultipleAnchors:
-            return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
+            return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
         try:
             probe_chase = chase(BagOntology(tbox, probe_abox), required_depth(probe))
         except UnsatisfiableOntology:  # no model has an edge along alpha's role
-            return RealisabilityCertificate(zset, UNREALISABLE, failing=subset)
+            return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
         value = eval_cq_neq(probe, probe_chase.union).get(())
+        witness = ProbeWitness(cluster, alpha, anchor, probe, probe_abox, value)
         if value < 1:
-            return RealisabilityCertificate(
-                zset, UNREALISABLE,
-                witnesses=(ProbeWitness(subset, alpha, anchor, probe, probe_abox, value),),
-                failing=subset,
-            )
-        witnesses.append(ProbeWitness(subset, alpha, anchor, probe, probe_abox, value))
+            return RealisabilityCertificate(zset, UNREALISABLE, witnesses=(witness,),
+                                            failing=cluster)
+        witnesses.append(witness)
     return RealisabilityCertificate(zset, REALISABLE, witnesses=tuple(witnesses))
 
 
-def _link_atoms(q: CQ, subset: frozenset[Var], zset: frozenset[Var],
-                alpha: RoleAtom) -> list:
+def _link_atoms(q: CQ, cluster: frozenset[Var], alpha: RoleAtom) -> list:
     """A cluster's replacement: its linking atom plus identifying equalities."""
-    outward = outward_terms(q, subset, zset)
+    outward = outward_terms(q, cluster)
     atoms: list = [alpha]
     seen_pairs = set()
     for y in outward:
@@ -296,10 +279,9 @@ def collapse(
     link_chooser: Optional[LinkChooser] = None,
 ) -> CQ:
     """Replace each ma-connected cluster by its linking atom plus equalities."""
-    zset = frozenset(z)
     return _substitute(q, {
-        subset: _link_atoms(q, subset, zset, _choose(link_chooser, q, subset, zset))
-        for subset in ma_connected_partition(q, zset)
+        cluster: _link_atoms(q, cluster, _choose(link_chooser, q, cluster))
+        for cluster in ma_connected_partition(q, z)
     })
 
 
@@ -647,7 +629,7 @@ def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Re
             failed.append(cert)
             continue
         (witness[cluster],) = cert.witnesses
-        replacement[cluster] = _link_atoms(q, cluster, cluster, witness[cluster].alpha)
+        replacement[cluster] = _link_atoms(q, cluster, witness[cluster].alpha)
         realisable[slot[next(iter(cluster))]].append((cluster, mask, closed))
 
     alternatives, nodes = [], []

@@ -31,8 +31,9 @@ from .ontology import (
     RoleAssertion,
     RoleInclusion,
     TBox,
+    _strip_comment,
 )
-from .chase import BagInterpretation
+from .chase import BagInterpretation, interpretation_from_abox
 from .query import CQ, ConceptAtom, RoleAtom, Var, connected_components
 
 AUX_VERTEX = "_aux"
@@ -78,8 +79,7 @@ def parse_graph(text: str) -> Graph:
     vertices: list[str] = []
     edges: set[frozenset[str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        pos = raw.find("#")
-        tokens = (raw if pos < 0 else raw[:pos]).split()
+        tokens = _strip_comment(raw).split()
         if not tokens:
             continue
         if tokens[0] == "v":
@@ -96,8 +96,7 @@ def parse_graph(text: str) -> Graph:
 def parse_coloring(text: str, graph: Graph) -> dict[str, str]:
     coloring: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        pos = raw.find("#")
-        tokens = (raw if pos < 0 else raw[:pos]).split()
+        tokens = _strip_comment(raw).split()
         if not tokens:
             continue
         if len(tokens) != 2 or tokens[1] not in COLOR_NAMES:
@@ -201,40 +200,9 @@ def gen_3col(graph: Graph, variant: str = "core") -> ThreeColInstance:
 
 def coloring_model(graph: Graph, coloring: dict[str, str],
                    variant: str = "core") -> BagInterpretation:
-    """The hand-built model induced by a color assignment for the vertices."""
-    n = len(graph.vertices)
-    aux = AUX_VERTEX
-    colors = COLOR_NAMES
-    domain = set(graph.vertices) | {aux} | set(colors.values())
-    vertex_ext = {u: 1 for u in graph.vertices}
-    vertex_ext[aux] = 1
-    edge_ext = {}
-    for u, v in graph.edge_pairs():
-        edge_ext[(u, v)] = 1
-        edge_ext[(v, u)] = 1
-    edge_ext[(aux, aux)] = 1
-    colour_ext = {(u, colors[coloring[u]]): 1 for u in graph.vertices}
-    colour_ext[(aux, colors["r"])] = 1
-    concepts = {"Vertex": vertex_ext}
-    roles = {"Edge": edge_ext, "hasColour": colour_ext}
-    if variant == "core":
-        concepts["ACol"] = {colors["r"]: n + 1, colors["g"]: n, colors["b"]: n}
-    elif variant == "r":
-        assign_ext = {}
-        for u in graph.vertices:
-            for c in colors.values():
-                assign_ext[(u, c)] = 1
-        assign_ext[(aux, colors["r"])] = 1
-        reach_ext = {(aux, aux): 1}
-        for u in graph.vertices:
-            reach_ext[(aux, u)] = 1
-            reach_ext[(u, aux)] = 1
-        for u in graph.vertices:
-            for v in graph.vertices:
-                if u != v:
-                    reach_ext[(u, v)] = 1
-        roles["Assign"] = assign_ext
-        roles["Reachable"] = reach_ext
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return BagInterpretation(domain, concepts, roles)
+    """The model a color assignment induces: the encoding's ABox plus one
+    hasColour(u, colour of u) assertion per vertex."""
+    colours = [(RoleAssertion("hasColour", u, COLOR_NAMES[coloring[u]]), 1)
+               for u in graph.vertices]
+    abox = gen_3col(graph, variant).abox
+    return interpretation_from_abox(BagABox([*abox.entries(), *colours]))

@@ -2,14 +2,19 @@
 
 Everything here is written against the definitions directly: full valuation
 enumeration for conjunctive queries, literal structural recursion with
-domain-wide sums for bag-algebra queries, and a from-scratch set-semantics
-chase (its own inclusion closure, one witness per unsatisfied existential).
-None of it shares evaluation code with the package.
+domain-wide sums for bag-algebra queries, the bag chase one element and one
+stage at a time (concept closure, deficits, pointwise-max union and bag
+containment), a from-scratch set-semantics chase (one witness per
+unsatisfied existential), and coloring models built by hand. Both chases
+compute their own inclusion closure from the TBox's axioms. None of it
+shares evaluation code with the package: it reads interpretations only
+through their extensions and accessors, and builds them only through the
+`BagInterpretation` constructor.
 """
 
 from itertools import product
 
-from bago.chase import Anon
+from bago.chase import Anon, BagInterpretation
 from bago.ontology import (
     AtomicConcept,
     ConceptAssertion,
@@ -28,6 +33,7 @@ from bago.bagalg import (
     BalgMaxUnion,
     BalgProject,
 )
+from bago.threecol import AUX_VERTEX, COLOR_NAMES
 
 
 def brute_eval_cq(q, interp, z_anon=None):
@@ -114,6 +120,71 @@ def brute_eval_balg(node, interp):
         if m:
             answers[tup] = m
     return answers
+
+
+# -- bag chase oracle ----------------------------------------------------------
+
+def concept_closure(i, u, tbox):
+    """Max multiplicity forced at u for every concept, via entailed subsumees."""
+    seeds = {AtomicConcept(name): ext[u] for name, ext in i.concepts.items() if ext.get(u, 0)}
+    for name in i._edges:  # the role names with an edge
+        for role in (Role(name), Role(name, True)):
+            m = i.exists_mult(role, u)
+            if m:
+                seeds[ExistsRole(role)] = m
+    closure = {}
+    for c0, m in seeds.items():
+        for c in _set_closure(tbox.axioms, {c0}):
+            closure[c] = max(closure.get(c, 0), m)
+    return closure
+
+
+def chase_step(prev, tbox):
+    """One stage of the canonical construction over the previous stage.
+
+    Every element's concept multiplicities become its closure values over
+    `prev`, and each deficit delta = ccl(u)(EX R) - (EX R)(u) gets delta
+    fresh witnesses, each with one edge of multiplicity 1.
+    """
+    domain = set(prev.domain)
+    concepts = {name: dict(ext) for name, ext in prev.concepts.items()}
+    roles = {name: dict(ext) for name, ext in prev.roles.items()}
+    for u in prev.domain:
+        for c, m in concept_closure(prev, u, tbox).items():
+            if isinstance(c, AtomicConcept):
+                concepts.setdefault(c.name, {})[u] = m
+                continue
+            role = c.role
+            for j in range(1, m - prev.exists_mult(role, u) + 1):
+                w = Anon(u, role, j)
+                domain.add(w)
+                roles.setdefault(role.name, {})[(w, u) if role.inverted else (u, w)] = 1
+    return BagInterpretation(domain, concepts, roles)
+
+
+def _pointwise_max(x, y):
+    out = {name: dict(ext) for name, ext in x.items()}
+    for name, ext in y.items():
+        mine = out.setdefault(name, {})
+        for key, m in ext.items():
+            mine[key] = max(mine.get(key, 0), m)
+    return out
+
+
+def bag_union(a, b):
+    """Pointwise-max union of two interpretations."""
+    return BagInterpretation(a.domain | b.domain, _pointwise_max(a.concepts, b.concepts),
+                             _pointwise_max(a.roles, b.roles))
+
+
+def contains(a, b):
+    """Bag containment: b's extensions are pointwise dominated by a's."""
+    return b.domain <= a.domain and all(
+        mine.get(name, {}).get(key, 0) >= m
+        for mine, theirs in ((a.concepts, b.concepts), (a.roles, b.roles))
+        for name, ext in theirs.items()
+        for key, m in ext.items()
+    )
 
 
 # -- set-semantics oracle ------------------------------------------------------
@@ -278,3 +349,46 @@ def set_certain_answers(q, tbox, assertions):
         if ok and search(0, binding):
             out.add(tup)
     return out
+
+
+# -- coloring models -----------------------------------------------------------
+
+def hand_built_coloring_model(graph, coloring, variant="core"):
+    """The model induced by a color assignment for the vertices, built
+    extension by extension."""
+    n = len(graph.vertices)
+    aux = AUX_VERTEX
+    colors = COLOR_NAMES
+    domain = set(graph.vertices) | {aux} | set(colors.values())
+    vertex_ext = {u: 1 for u in graph.vertices}
+    vertex_ext[aux] = 1
+    edge_ext = {}
+    for u, v in graph.edge_pairs():
+        edge_ext[(u, v)] = 1
+        edge_ext[(v, u)] = 1
+    edge_ext[(aux, aux)] = 1
+    colour_ext = {(u, colors[coloring[u]]): 1 for u in graph.vertices}
+    colour_ext[(aux, colors["r"])] = 1
+    concepts = {"Vertex": vertex_ext}
+    roles = {"Edge": edge_ext, "hasColour": colour_ext}
+    if variant == "core":
+        concepts["ACol"] = {colors["r"]: n + 1, colors["g"]: n, colors["b"]: n}
+    elif variant == "r":
+        assign_ext = {}
+        for u in graph.vertices:
+            for c in colors.values():
+                assign_ext[(u, c)] = 1
+        assign_ext[(aux, colors["r"])] = 1
+        reach_ext = {(aux, aux): 1}
+        for u in graph.vertices:
+            reach_ext[(aux, u)] = 1
+            reach_ext[(u, aux)] = 1
+        for u in graph.vertices:
+            for v in graph.vertices:
+                if u != v:
+                    reach_ext[(u, v)] = 1
+        roles["Assign"] = assign_ext
+        roles["Reachable"] = reach_ext
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return BagInterpretation(domain, concepts, roles)

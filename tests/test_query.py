@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,14 @@ from bago import (
     ma_connected_partition,
     parse_cq,
 )
-from bago.query import atoms_mentioning, linking_candidates, outward_terms
+from bago.query import (
+    atom_key,
+    atoms_mentioning,
+    linking_candidates,
+    outward_terms,
+    term_key,
+)
+from bago.randgen import random_rooted_cq
 
 from generators import random_small_cq
 
@@ -159,6 +167,29 @@ def test_outward_terms_and_subquery():
         RoleAtom("R", x, y1),
         RoleAtom("S", y1, y2),
     ]
+
+
+def test_cluster_helpers_read_the_same_with_z_or_the_cluster_alone():
+    # Each part of ma_connected_partition(q, z) decides its linking atoms and
+    # outward terms by itself: the oracle classifies every atom end against z.
+    rng = random.Random(29)
+    parts = 0
+    for _ in range(500):
+        q = random_rooted_cq(rng, max_atoms=6, max_vars=6)
+        existential = q.existential_vars()
+        for size in range(1, len(existential) + 1):
+            for z in map(frozenset, itertools.combinations(existential, size)):
+                if not equality_consistent(q, z):
+                    continue
+                for part in ma_connected_partition(q, z):
+                    parts += 1
+                    atoms = [a for a in q.atoms if any(t in part for t in a.terms)]
+                    links = {a for a in atoms if isinstance(a, RoleAtom)
+                             and (a.subject in z) != (a.object in z)}
+                    outward = {t for a in atoms for t in a.terms if t not in z}
+                    assert linking_candidates(q, part) == sorted(links, key=atom_key)
+                    assert outward_terms(q, part) == sorted(outward, key=term_key)
+    assert parts >= 2000
 
 
 def _brute_components(q):

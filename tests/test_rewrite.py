@@ -418,7 +418,7 @@ def test_shape_check_rejects_only_clusters_whose_probe_fails():
     for _ in range(1000):
         tbox, q = random_core_tbox(rng), random_rooted_cq(rng, max_atoms=6, max_vars=6)
         for cluster, _mask, _closed in _clusters(q):
-            if not _misshapen(q, cluster, cluster):
+            if not _misshapen(q, cluster):
                 continue
             rejected += 1
             cert = is_realisable(tbox, q, cluster)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bago import (
@@ -18,7 +20,8 @@ from bago import (
     parse_tbox,
 )
 from bago.ontology import ConceptAssertion
-from bago.threecol import Graph
+from bago.threecol import COLOR_NAMES, Graph
+from oracles import hand_built_coloring_model
 
 TRIANGLE = "v u1 u2 u3\ne u1 u2\ne u2 u3\ne u1 u3\n"
 
@@ -107,3 +110,18 @@ def test_variant_r_is_emitted_but_refused():
     gamma = parse_coloring("u1 r\nu2 g\nu3 b\n", g)
     model = coloring_model(g, gamma, variant="r")
     assert eval_cq(inst.query, model).get(inst.target) == 3 * 3 + 1
+
+
+def test_coloring_model_matches_the_hand_built_model():
+    rng = random.Random(17)
+    for _ in range(200):
+        vertices = tuple(f"v{i}" for i in range(rng.randint(1, 7)))
+        # A random spanning tree keeps the graph connected; more edges follow.
+        edges = {frozenset((v, rng.choice(vertices[:i]))) for i, v in enumerate(vertices) if i}
+        edges |= {frozenset((u, v)) for u in vertices for v in vertices
+                  if u < v and rng.random() < 0.3}
+        graph = Graph(vertices, frozenset(edges))
+        coloring = {v: rng.choice(sorted(COLOR_NAMES)) for v in vertices}
+        for variant in ("core", "r"):
+            assert coloring_model(graph, coloring, variant) == \
+                hand_built_coloring_model(graph, coloring, variant)
