@@ -9,6 +9,7 @@ from .errors import (
     InvalidGraph,
     MultipleAnchors,
     MultiplicityOverflow,
+    NotEqualityConsistent,
     NotRooted,
     ParseError,
     RepeatedAnswerVariable,

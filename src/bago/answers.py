@@ -46,11 +46,11 @@ def certain_answers(q: CQ, k: BagOntology, via: str = VIA_CHASE) -> AnswerBag:
     """Bag certain answers, computed over the chase or via the rewriting."""
     _validate(q, k)
     if via == VIA_CHASE:
-        return eval_cq(q, chase(k, required_depth(q)).union)
+        return eval_cq(q, chase(k, required_depth(q)).counted)
     if via == VIA_REWRITE:
         return evaluate_rewriting(rewrite(q, k.tbox), k.abox)
     if via == VIA_BOTH:
-        through_chase = eval_cq(q, chase(k, required_depth(q)).union)
+        through_chase = eval_cq(q, chase(k, required_depth(q)).counted)
         through_rewrite = evaluate_rewriting(rewrite(q, k.tbox), k.abox)
         if through_chase != through_rewrite:
             raise CrosscheckMismatch(

@@ -25,7 +25,9 @@ answer binding) instead of every valuation being emitted: the sum-product
 of the N-semiring (Green, Karvounarakis and Tannen), in exact integers: only
 an answer is held to 64 bits, where its AnswerBag is built. Each level of
 the walk is an iterator on an explicit stack, so a query of any length runs
-without recursion.
+without recursion. Over a chase that cuts runs short, the steps that can
+enter a copy of a run bind only canonical copies and weigh each by the
+copies of the full chase it stands for (see the note above `_EMPTY`).
 
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
@@ -58,7 +60,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 from .errors import (U64_MAX, ArityMismatch, IllFormedQuery, MultiplicityOverflow, ParseError,
                      combine)
 from .ontology import BagABox, ConceptAssertion, check_individual, check_name
-from .chase import Anon, BagInterpretation, ChaseResult
+from .chase import Anon, BagInterpretation, ChaseResult, required_depth
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
 
@@ -197,13 +199,26 @@ class _Plan(NamedTuple):
 
 
 # A step reads `index` itself when `via` is -1, else the row `index[slots[via]]`.
-# An extend step [index, via, out, named, neqs, checks] binds slot `out` to each
-# element of its row that has the slot's kind (`named`: True for a name, False
-# for a witness, None for either) and differs from the slots in `neqs`; its
-# weight is the element's multiplicity times the entries of its `checks`. A
-# check step (index, via, at) is its row's entry at slots[at]. A level is an
-# extend step with the checks that follow it, and a component is the checks
-# before its first level together with its levels.
+# An extend step [index, via, out, named, neqs, checks, copies] binds slot `out`
+# to each element of its row that has the slot's kind (`named`: True for a
+# name, False for a witness, None for either) and differs from the slots in
+# `neqs`; its weight is the element's multiplicity times the entries of its
+# `checks`. A check step (index, via, at) is its row's entry at slots[at]. A
+# level is an extend step with the checks that follow it, and a component is
+# the checks before its first level together with its levels.
+#
+# Over a chase that cuts runs short, `copies` is (runs, kept, key, used) on a
+# step that can enter a copy of a run: one that starts a scan or reads the
+# row of a slot that may hold a name (a witness's neighbours lie in its own
+# copy, or are names). The step binds into copy i of run r only when
+# i <= used[r] + 1: the copies of a run are isomorphic, so each homomorphism
+# into the full chase is counted once, as the one that enters the copies of
+# each run in order 1, 2, ... A copy already used weighs 1; entering the next
+# weighs k - used[r], the unused copies of the full chase it stands for. Every
+# walk restores `used` as it backtracks, so each component sums from the
+# prefix's state on its own. `key` is the row's (role name, inverted) for a
+# step that reads a slot's row, which the bare-row sum needs. On every other
+# step, and over a chase with no cut run, `copies` is None.
 _EMPTY: dict = {}
 
 
@@ -225,7 +240,10 @@ def _weigh(head, slots, weight: int) -> int:
 def _weights(level, slots):
     """The weight of each element of the level's row that passes its filters,
     yielded while the level's slot is bound to it."""
-    index, via, out, named, neqs, checks = level
+    index, via, out, named, neqs, checks, copies = level
+    if copies is not None and (via < 0 or type(slots[via]) is not Anon):
+        yield from _counted_weights(level, slots)
+        return
     for el, m in _row(index, via, slots).items():
         if named is not None and (type(el) is str) is not named:
             continue
@@ -238,6 +256,40 @@ def _weights(level, slots):
                 break
         else:
             yield m
+
+
+def _counted_weights(level, slots):
+    """`_weights` for a step that may enter a copy of a cut run: only the
+    canonical bindings, weighted by the copies they stand for."""
+    index, via, out, named, neqs, checks, (runs, _, _, used) = level
+    for el, m in _row(index, via, slots).items():
+        if named is not None and (type(el) is str) is not named:
+            continue
+        if neqs and any(slots[j] == el for j in neqs):
+            continue
+        entered = None  # the run whose next copy this element enters
+        if type(el) is Anon:
+            top = el
+            while top.depth > 1:
+                top = top.parent
+            r = (top.parent, top.role.name, top.role.inverted)
+            k = runs.get(r)
+            if k is not None:
+                n = used.get(r, 0)
+                if top.index > n + 1:
+                    continue
+                if top.index > n:
+                    entered, used[r] = r, top.index
+                    m *= k - n
+        slots[out] = el
+        for check in checks:
+            m *= _check(check, slots)
+            if not m:
+                break
+        else:
+            yield m
+        if entered is not None:
+            used[entered] = n
 
 
 def _bindings(levels, slots, weight: int):
@@ -260,9 +312,15 @@ def _bindings(levels, slots, weight: int):
 
 
 def _level_sum(level, slots) -> int:
-    index, via, _, named, neqs, checks = level
-    if named is None and not neqs and not checks:  # a bare row sums in one call
-        return sum(_row(index, via, slots).values())
+    index, via, _, named, neqs, checks, copies = level
+    if named is None and not neqs and not checks and (copies is None or via >= 0):
+        # A bare row sums in one call; a name's row adds the copies its run
+        # was cut short by.
+        total = sum(_row(index, via, slots).values())
+        if copies is not None and type(u := slots[via]) is str:
+            runs, kept, key, _ = copies
+            total += runs.get((u, *key), kept) - kept
+        return total
     return sum(_weights(level, slots))
 
 
@@ -337,17 +395,22 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 
     bound, bind_step, steps = set(consts), {}, []
     factor = 1
+    runs, used = interp.runs, {}
 
-    def extend(index, via, out):
+    def extend(index, via, out, key=None):
         kind = named[out]
-        if via < 0 or via in consts:  # a row fixed at compile time is filtered now
+        fixed = via < 0 or via in consts
+        copies = None
+        if runs and kind is not True and (fixed or named[via] is not False):
+            copies = (runs, interp.kept, key, used)
+        if fixed:  # a row fixed at compile time is filtered now
             index = _row(index, via, slots)
             if kind is not None:
                 index = {el: m for el, m in index.items() if (type(el) is str) is kind}
             via, kind = -1, None
         bind_step[out] = len(steps)
         bound.add(out)
-        steps.append([index, via, out, kind, [], []])
+        steps.append([index, via, out, kind, [], [], copies])
 
     def check(index, via, at):
         nonlocal factor
@@ -368,9 +431,12 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
         # The predecessor rows are fetched only where a step binds through them.
         s, o = terms
         if s in bound:
-            (check if o in bound else extend)(interp.rows(predicate), s, o)
+            if o in bound:
+                check(interp.rows(predicate), s, o)
+            else:
+                extend(interp.rows(predicate), s, o, (predicate, False))
         elif o in bound:
-            extend(interp.rows(predicate, True), o, s)
+            extend(interp.rows(predicate, True), o, s, (predicate, True))
         elif s == o:  # a self-loop atom binds one slot
             rows = interp.rows(predicate)
             extend({u: m for u, row in rows.items() if (m := row.get(u))}, -1, s)
@@ -386,7 +452,7 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
                 extend({u: 1 for u in names if u in rows}, -1, s)
             else:
                 extend(dict.fromkeys(rows, 1), -1, s)
-            extend(rows, s, o)
+            extend(rows, s, o, (predicate, inverted))
     if not factor:
         return None
     # An inequality filters where its later slot is bound; between two
@@ -423,6 +489,8 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
     arity = len(q.answer_vars)
+    if interp.runs and required_depth(q) > interp.kept:
+        interp = interp.unfolded()  # it may use more copies of a run than are kept
     plan = None if compiled.empty else _compile(q, interp, compiled)
     if plan is None:
         return AnswerBag(arity)

@@ -33,6 +33,18 @@ one stage at a time, is the tests' reference in `tests/oracles.py`. A chase
 that would need more than MAX_CHASE_ELEMENTS anonymous elements raises
 ChaseLimitExceeded before allocating any of the run that would pass it.
 
+Multiplicity enters the chase in one place only. Every birth below depth 1
+has count 1 (a witness's plan is the closure of EX R- at multiplicity 1), so
+a deficit k > 1 is a name's run along one role: k witnesses whose subtrees
+are isomorphic. A homomorphism of a query with n concept/role atoms sends
+each connected group of its witness-mapped variables into one copy of a run,
+and each atom into at most one group, so it uses at most n copies of any
+run. The chase to depth d therefore keeps min(k, d) copies of each run and
+records the full k of each run it cuts short (`BagInterpretation.runs`);
+`eval_cq` counts homomorphisms into the full chase over it, exactly. The
+budget thus bounds the chase's depth and branching, and separately the
+unfolded chase that `ChaseResult.stages`, `union` and `bago chase` show.
+
 An interpretation stores each edge once per direction, in the rows of its
 two ends, and nothing else: `roles` is built from the forward rows when
 read. A birth writes one entry, the witness in its parent's row along the
@@ -44,7 +56,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from functools import cache
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind
 from .ontology import (
@@ -61,8 +74,9 @@ from .ontology import (
 )
 from .query import CQ, ConceptAtom, RoleAtom
 
-# Budget of anonymous elements for one chase; a chase that would pass it
-# raises ChaseLimitExceeded before allocating.
+# Budget of anonymous elements for one chase, counting the kept copies of a
+# cut run, and for one unfolded chase; one that would pass it raises
+# ChaseLimitExceeded before allocating.
 MAX_CHASE_ELEMENTS = 1_000_000
 
 
@@ -156,6 +170,11 @@ class BagInterpretation:
     and `w.role`; it is written on first read, per role name and direction
     (`_derive_rows`), and then equals what `_add_edge` would have written.
     `roles` is built from the forward rows when it is read.
+
+    A chase may cut runs short: `runs` maps each cut run, as (parent name,
+    role name, inverted), to its full count, and `kept` is the number of
+    copies it keeps of each, Anon(parent, role, 1..kept). `unfolded()` is the
+    interpretation with every run at its full count.
     """
 
     def __init__(
@@ -180,6 +199,9 @@ class BagInterpretation:
         # Births whose witness-side rows, by (role name, direction of the
         # row), are not written yet.
         self._unrowed: dict[tuple[str, bool], list[list[Anon]]] = {}
+        self.runs: dict[tuple[str, str, bool], int] = {}
+        self.kept = 0
+        self._unfold: Optional[Callable[[], BagInterpretation]] = None
         for name, ext in roles.items():
             for (u, v), m in ext.items():
                 if m > 0:
@@ -242,6 +264,10 @@ class BagInterpretation:
         return {name: {(u, v): m for u, row in self.rows(name).items() for v, m in row.items()}
                 for name in self._edges}
 
+    def unfolded(self) -> "BagInterpretation":
+        """This interpretation with every cut run at its full count."""
+        return self._unfold() if self.runs else self
+
     def edge_count(self, name: str) -> int:
         """The number of pairs in the role's extension, without deriving any."""
         return self._edges.get(name, 0)
@@ -283,6 +309,8 @@ class BagInterpretation:
                 f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
     def to_text(self) -> str:
+        if self.runs:
+            return self.unfolded().to_text()
         rank = _ranks(self.domain)
         text = _texts(rank)
         lines = []
@@ -337,7 +365,7 @@ def _plan(closure: Mapping[Concept, int], seeds: Mapping[Concept, int]) -> _Plan
     return tuple(sorted(writes)), tuple(sorted(births))
 
 
-def _grow(k: BagOntology, depth: int) -> BagInterpretation:
+def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
     """Chase k to `depth` in place, by columns and runs: what iterating the
     reference stage in `tests/oracles.py` builds one element at a time.
 
@@ -345,7 +373,9 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
     the names with the same deficit along a role form one run. Every later
     stage expands its frontier a run at a time: the witnesses born along one
     role share one plan, so each concept write is one bulk update. Each run
-    gets one budget check and one `_bear`.
+    gets one budget check and one `_bear`. With `cut`, each name keeps at
+    most `depth` copies of its run along a role, and the full counts of the
+    runs cut short go to `runs`.
     """
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
@@ -362,8 +392,8 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
             if anonymous > MAX_CHASE_ELEMENTS:
                 raise ChaseLimitExceeded(
                     f"the chase needs more than {MAX_CHASE_ELEMENTS:,} anonymous "
-                    "elements; answer with --via rewrite, whose cost does not grow "
-                    "with multiplicities"
+                    "elements: its depth and branching, or the runs it unfolds, "
+                    "pass the budget"
                 )
             runs.setdefault(role, []).extend(i._bear(run, role, count))
 
@@ -395,7 +425,12 @@ def _grow(k: BagOntology, depth: int) -> BagInterpretation:
     # run of names has a plan of one birth and no writes.
     frontier: dict[Role, list[Anon]] = {}
     for role, count, run in sorted(births, key=lambda b: b[:2]):
+        if cut and count > depth:
+            i.runs.update(dict.fromkeys([(u, role.name, role.inverted) for u in run], count))
+            count = depth
         expand(run, ((), ((role, count),)), frontier)
+    if i.runs:
+        i.kept, i._unfold = depth, cache(lambda: _grow(k, depth))
 
     for _ in range(depth - 1):
         if not frontier:  # the chase terminated; later stages add nothing
@@ -431,13 +466,23 @@ class _View(Sequence):
 
 @dataclass(frozen=True)
 class ChaseResult:
+    """Stages 0..depth with every run unfolded, and the last stage as the
+    chase built it, with at most `depth` copies of each run (`_counted`;
+    None when it is the last stage itself)."""
+
     stages: Sequence[BagInterpretation]
     depth: int
+    _counted: Optional[BagInterpretation] = None
 
     @property
     def union(self) -> BagInterpretation:
         # Stages grow monotonically, so their bag union is the last stage.
         return self.stages[-1]
+
+    @property
+    def counted(self) -> BagInterpretation:
+        """The union with its runs cut short: what `certain_answers` evaluates."""
+        return self.union if self._counted is None else self._counted
 
 
 def chase(k: BagOntology, depth: int) -> ChaseResult:
@@ -448,9 +493,10 @@ def chase(k: BagOntology, depth: int) -> ChaseResult:
         raise ValueError("depth must be nonnegative")
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
-    last = _grow(k, depth)
+    last = _grow(k, depth, cut=True)
     # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
-    return ChaseResult(_View(depth + 1, lambda j: last if j == depth else _grow(k, j)), depth)
+    return ChaseResult(_View(depth + 1, lambda j: last.unfolded() if j == depth else _grow(k, j)),
+                       depth, last)
 
 
 def required_depth(q: CQ) -> int:

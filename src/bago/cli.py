@@ -3,8 +3,9 @@
 Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error;
 3 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
 4 internal cross-check failure; 5 resource limit (recursion depth, memory,
-the chase's anonymous-element budget, the rewriting's budget of clusters and
-alternatives, or a branch table too long to list).
+the chase's anonymous-element budget on its depth, branching and unfolding,
+the rewriting's budget of clusters and alternatives, or a branch table too
+long to list).
 """
 
 from __future__ import annotations

@@ -68,6 +68,10 @@ class MultipleAnchors(BagoError):
     """A variable cluster links outward to two distinct individuals."""
 
 
+class NotEqualityConsistent(BagoError):
+    """A variable set that an equality links to a term outside it."""
+
+
 class CrosscheckMismatch(BagoError):
     """The chase and rewriting evaluation paths disagree."""
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, TypeVar, Union
 
 from .errors import (
-    InternalStructureError,
+    NotEqualityConsistent,
+    NotRooted,
     ParseError,
     RepeatedAnswerVariable,
     SafetyViolation,
@@ -330,7 +331,8 @@ def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
     """Partition z into its maximally-connected-in-the-anonymous-part subsets.
 
     Each subset is a union of equality classes and maximal among the classes
-    of z connected in the Gaifman graph through nodes inside z.
+    of z connected in the Gaifman graph through nodes inside z. Raises
+    NotEqualityConsistent when an equality links z to a term outside it.
     """
     zset = frozenset(z)
     if not zset:
@@ -340,7 +342,8 @@ def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
     z_classes = {eq.class_of(v) for v in zset}
     for cls in z_classes:
         if not cls <= zset:
-            raise ValueError(f"{sorted(map(str, cls))} is not equality-consistent with z")
+            raise NotEqualityConsistent(
+                f"{sorted(map(str, cls))} is not equality-consistent with z")
     subsets = [frozenset(v for c in comp for v in c)
                for comp in connected_components(z_classes, graph.neighbours)]
     return sorted(subsets, key=lambda s: min(v.name for v in s))
@@ -367,6 +370,9 @@ def linking_candidates(q: CQ, cluster: frozenset[Var]) -> list[RoleAtom]:
 def linking_atom(q: CQ, cluster: frozenset[Var]) -> RoleAtom:
     """The canonically least linking atom; exists for every rooted query.
 
+    A cluster of existential variables without one is a whole Gaifman
+    component with no answer variable or individual: NotRooted.
+
     Atoms whose outward endpoint is a variable are preferred over atoms
     linking to an individual: the compiled form anchors the cluster's
     identifying equalities on that variable, and any answer is unchanged
@@ -375,8 +381,9 @@ def linking_atom(q: CQ, cluster: frozenset[Var]) -> RoleAtom:
     """
     candidates = linking_candidates(q, cluster)
     if not candidates:
-        raise InternalStructureError(
-            f"no linking atom for cluster {sorted(v.name for v in cluster)}"
+        raise NotRooted(
+            f"no linking atom for cluster {sorted(v.name for v in cluster)}: its "
+            "component touches no answer variable or individual"
         )
 
     def outward_is_const(a: RoleAtom) -> bool:

@@ -206,7 +206,10 @@ def is_realisable(
     z: Iterable[Var],
     link_chooser: Optional[LinkChooser] = None,
 ) -> RealisabilityCertificate:
-    """Decide whether z can be folded into the anonymous part of the chase."""
+    """Decide whether z can be folded into the anonymous part of the chase.
+
+    Raises NotRooted when a cluster of z links to no term outside it.
+    """
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("realisability is defined for core TBoxes")
     zset = frozenset(z)
@@ -278,7 +281,11 @@ def collapse(
     z: Iterable[Var],
     link_chooser: Optional[LinkChooser] = None,
 ) -> CQ:
-    """Replace each ma-connected cluster by its linking atom plus equalities."""
+    """Replace each ma-connected cluster by its linking atom plus equalities.
+
+    Raises NotEqualityConsistent when an equality links z to a term outside
+    it, and NotRooted when a cluster links to no term outside it.
+    """
     return _substitute(q, {
         cluster: _link_atoms(q, cluster, _choose(link_chooser, q, cluster))
         for cluster in ma_connected_partition(q, z)

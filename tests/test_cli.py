@@ -11,6 +11,7 @@ FIXTURE_SETS = [
     ("deep_path", "query.cq"),
     ("unsat_role", "query.cq"),
     ("wide_abox", "query.cq"),
+    ("huge_mult", "query.cq"),
 ]
 
 

@@ -12,6 +12,7 @@ from bago import (
     BagOntology,
     CQ,
     MultipleAnchors,
+    NotEqualityConsistent,
     NotRooted,
     UnsupportedTBoxKind,
     build_probe,
@@ -564,3 +565,18 @@ def test_benchmark_trace_sites_exist():
     spec.loader.exec_module(tracer)
     for module, attr, _span, _count in tracer.INNER_SITES:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_cluster_api_raises_documented_errors():
+    # y = x links z = {y} to an answer variable: is_realisable says so in its
+    # certificate, and collapse, which has no certificate, refuses.
+    linked = parse_cq("q(x) :- R(x, y), y = x")
+    assert is_realisable(parse_tbox(""), linked, [y]).verdict == "not-equality-consistent"
+    with pytest.raises(NotEqualityConsistent):
+        collapse(linked, [y])
+    # {y, z} is a whole component with no answer variable or individual.
+    floating = parse_cq("q() :- R(y, z)")
+    with pytest.raises(NotRooted):
+        is_realisable(parse_tbox(""), floating, [y, z])
+    with pytest.raises(NotRooted):
+        collapse(floating, [y, z])

@@ -29,25 +29,51 @@ def _employee_files(tmp_path, fixtures_dir, multiplicity):
     return ["-T", str(base / "tbox.dl"), "-A", str(abox), "-q", str(base / "query.cq")]
 
 
-def test_huge_multiplicity_via_chase_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
+def test_huge_multiplicity_via_chase_answers_exactly(capsys, tmp_path, fixtures_dir):
     files = _employee_files(tmp_path, fixtures_dir, U64_MAX)
     start = time.process_time()
     code = main(["answer", *files])
     elapsed = time.process_time() - start
+    assert (code, capsys.readouterr().out) == (0, f"(Lee) {U64_MAX}\n")
+    assert elapsed < 1.0  # the chase keeps one copy of Lee's run and counts the rest
+
+
+def test_huge_multiplicity_chase_dump_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
+    # Printing the chase unfolds Lee's run, which passes the budget before
+    # any of it is allocated.
+    files = _employee_files(tmp_path, fixtures_dir, U64_MAX)[:4]
+    start = time.process_time()
+    code = main(["chase", *files, "--depth", "2"])
+    elapsed = time.process_time() - start
     captured = capsys.readouterr()
     assert code == EXIT_RESOURCE
     assert captured.out == ""
-    assert "--via rewrite" in captured.err
-    assert elapsed < 1.0  # the budget is checked before any witness is allocated
+    assert "anonymous elements" in captured.err
+    assert elapsed < 1.0
 
 
-def test_huge_multiplicity_in_crosscheck_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
+def test_huge_multiplicity_in_crosscheck_passes(capsys, tmp_path, fixtures_dir):
     files = _employee_files(tmp_path, fixtures_dir, U64_MAX)
     code = main(["crosscheck", *files])
     captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, f"PASS\n(Lee) {U64_MAX}\n", "")
+
+
+def test_branching_chase_in_crosscheck_exits_with_resource_limit(capsys, tmp_path, monkeypatch):
+    # Every A bears an R- and an S-successor that are again A's: the chase to
+    # depth 11 doubles at each stage and passes a budget of 1,000.
+    monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 1_000)
+    (tmp_path / "t.dl").write_text("A SUB EX R\nA SUB EX S\nEX R- SUB A\nEX S- SUB A\n")
+    (tmp_path / "a.bag").write_text("A(a) 1\n")
+    terms = ["x"] + [f"y{i}" for i in range(1, 12)]
+    body = ", ".join(f"R({s}, {o})" for s, o in zip(terms, terms[1:]))
+    (tmp_path / "q.cq").write_text(f"q(x) :- {body}\n")
+    code = main(["crosscheck", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+                 "-q", str(tmp_path / "q.cq")])
+    captured = capsys.readouterr()
     assert code == EXIT_RESOURCE
     assert captured.out == ""
-    assert "--via rewrite" in captured.err
+    assert "1,000 anonymous elements" in captured.err
     assert "error: error:" not in captured.err
 
 
@@ -140,17 +166,24 @@ def test_deep_balg_answers_through_eval_balg(capsys, tmp_path, fixtures_dir):
 
 
 def test_budget_counts_anonymous_elements_only(monkeypatch):
-    # Emp(Lee) 10 needs exactly ten witnesses, one per missing manager edge.
+    # Emp(Lee) 10 needs a run of ten witnesses, one per missing manager edge.
+    # The chase to depth 3 keeps three of them; unfolded, it has all ten.
     k = BagOntology(parse_tbox("Emp SUB EX hasMngr\nEX hasMngr- SUB Mngr\n"),
                     parse_abox("Emp(Lee) 10\n"))
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 10)
+    assert len(chase(k, 3).counted.domain) == 4
     assert len(chase(k, 3).union.domain) == 11
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 9)
+    result = chase(k, 3)
+    with pytest.raises(ChaseLimitExceeded):
+        result.union
+    monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 2)
     with pytest.raises(ChaseLimitExceeded):
         chase(k, 3)
     # Stage 1 bears three witnesses for each of a and b, as one run of the
-    # names with deficit three along hasMngr; stage 2 bears one for each of
-    # those six, as one run along hasMngr: twelve in all.
+    # names with deficit three along hasMngr, of which the chase to depth 2
+    # keeps two each; stage 2 bears one for each of those, as one run along
+    # hasMngr: eight in all. Unfolded, it bears six and six: twelve.
     k = BagOntology(parse_tbox("Emp SUB EX hasMngr\nEX hasMngr- SUB Mngr\nMngr SUB Emp\n"),
                     parse_abox("Emp(a) 3\nEmp(b) 3\n"))
     born = []
@@ -163,12 +196,13 @@ def test_budget_counts_anonymous_elements_only(monkeypatch):
     monkeypatch.setattr(chase_module.BagInterpretation, "_bear", counting)
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 12)
     assert len(chase(k, 2).union.anonymous()) == 12
-    assert born == [6, 6]
+    assert born == [4, 4, 6, 6]
     born.clear()
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 11)
+    result = chase(k, 2)
     with pytest.raises(ChaseLimitExceeded):
-        chase(k, 2)
-    assert born == [6]  # stage 2's run of six was refused before any of it was born
+        result.union
+    assert born == [4, 4, 6]  # stage 2's run of six was refused before any of it was born
 
 
 def test_huge_depth_on_a_terminating_chase_answers(capsys, fixtures_dir):
