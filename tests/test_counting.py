@@ -2,7 +2,9 @@
 
 Every answer is checked against the reference construction of
 `tests/oracles.py`: the chase built one element and one stage at a time with
-every run at its full count, evaluated by enumerating valuations.
+every run at its full count. The hand-written cases evaluate it by
+enumerating valuations; the random corpus, by `eval_cq` over a chase with no
+cut run, where the evaluator takes its uncounted path.
 """
 
 import random
