@@ -30,8 +30,6 @@ from .ontology import (
     RoleDisjointness,
     RoleInclusion,
     TBox,
-    entails_concept,
-    entails_role,
     is_satisfiable,
     parse_abox,
     parse_tbox,

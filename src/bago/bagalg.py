@@ -16,18 +16,19 @@ either binds one new slot from a row (a concept's extension, a role's
 successors or predecessors of a bound end, or the elements that have a row;
 for a slot of names only, the individuals that have one when they are fewer)
 or multiplies by one entry when all its slots are bound; atoms over
-individuals alone are read once at compile time. Kind restrictions (named,
-anonymous) and inequalities filter where their slots are bound. The steps up
-to the last one binding an answer variable enumerate answer tuples. The
-rest of the query splits into components that share no later slot, and each
-component returns one sum per answer binding (summed once when it reads no
-answer binding) instead of every valuation being emitted: the sum-product
-of the N-semiring (Green, Karvounarakis and Tannen), in exact integers: only
-an answer is held to 64 bits, where its AnswerBag is built. Each level of
-the walk is an iterator on an explicit stack, so a query of any length runs
-without recursion. Over a chase that cuts runs short, the steps that can
-enter a copy of a run bind only canonical copies and weigh each by the
-copies of the full chase it stands for (see the note above `_EMPTY`).
+individuals alone come first, as checks weighed once before any binding.
+Kind restrictions (named, anonymous) and inequalities filter where their
+slots are bound. The steps up to the last one binding an answer variable
+enumerate answer tuples. The rest of the query splits into components that
+share no later slot, and each component returns one sum per answer binding
+(summed once when it reads no answer binding) instead of every valuation
+being emitted: the sum-product of the N-semiring (Green, Karvounarakis and
+Tannen), in exact integers: only an answer is held to 64 bits, where its
+AnswerBag is built. Each level of the walk is an iterator on an explicit
+stack, so a query of any length runs without recursion. One loop binds
+every step; over a chase that cuts runs short, a step that can enter a copy
+of a run binds only canonical copies and weighs each by the copies of the
+full chase it stands for (see the note above `_EMPTY`).
 
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
@@ -184,14 +185,13 @@ class _Plan(NamedTuple):
 
     `slots` holds one slot per representative variable and one per
     individual, filled with its name. `prefix` binds every answer variable
-    (the slots in `answer`); each of its bindings is weighted by `factor`, the
-    atoms over individuals alone, and by the sum of every component of the
-    rest of the query. The `independent` components read no prefix slot, so
-    they are summed once; the `dependent` ones are summed per binding.
+    (the slots in `answer`); each of its bindings is weighted by the sum of
+    every component of the rest of the query. The `independent` components
+    read no prefix slot, so they are summed once; the `dependent` ones are
+    summed per binding.
     """
 
     slots: list
-    factor: int
     prefix: tuple
     dependent: list
     independent: list
@@ -205,20 +205,23 @@ class _Plan(NamedTuple):
 # `neqs`; its weight is the element's multiplicity times the entries of its
 # `checks`. A check step (index, via, at) is its row's entry at slots[at]. A
 # level is an extend step with the checks that follow it, and a component is
-# the checks before its first level together with its levels.
+# the checks before its first level together with its levels. An atom over
+# individuals alone is ordered first, so it is a check before any level.
 #
 # Over a chase that cuts runs short, `copies` is (runs, kept, key, used) on a
 # step that can enter a copy of a run: one that starts a scan or reads the
 # row of a slot that may hold a name (a witness's neighbours lie in its own
-# copy, or are names). The step binds into copy i of run r only when
-# i <= used[r] + 1: the copies of a run are isomorphic, so each homomorphism
-# into the full chase is counted once, as the one that enters the copies of
-# each run in order 1, 2, ... A copy already used weighs 1; entering the next
-# weighs k - used[r], the unused copies of the full chase it stands for. Every
-# walk restores `used` as it backtracks, so each component sums from the
-# prefix's state on its own. `key` is the row's (role name, inverted) for a
-# step that reads a slot's row, which the bare-row sum needs. On every other
-# step, and over a chase with no cut run, `copies` is None.
+# copy, or are names). `_weights` binds every step in one loop, and where a
+# step with `copies` reads a scan or a name's row it binds into copy i of run
+# r only when i <= used[r] + 1: the copies of a run are isomorphic, so each
+# homomorphism into the full chase is counted once, as the one that enters
+# the copies of each run in order 1, 2, ... A copy already used weighs 1;
+# entering the next weighs k - used[r], the unused copies of the full chase
+# it stands for. Every walk restores `used` as it backtracks, so each
+# component sums from the prefix's state on its own. `key` is the row's (role
+# name, inverted) for a step that reads a slot's row, which the bare-row sum
+# needs. On every other step, and over a chase with no cut run, `copies` is
+# None.
 _EMPTY: dict = {}
 
 
@@ -238,37 +241,18 @@ def _weigh(head, slots, weight: int) -> int:
 
 
 def _weights(level, slots):
-    """The weight of each element of the level's row that passes its filters,
-    yielded while the level's slot is bound to it."""
+    """The weight of each element of the level's row that passes its filters
+    (see `copies` above), yielded while the level's slot is bound to it."""
     index, via, out, named, neqs, checks, copies = level
+    runs = entered = None
     if copies is not None and (via < 0 or type(slots[via]) is not Anon):
-        yield from _counted_weights(level, slots)
-        return
+        runs, _, _, used = copies
     for el, m in _row(index, via, slots).items():
         if named is not None and (type(el) is str) is not named:
             continue
         if neqs and any(slots[j] == el for j in neqs):
             continue
-        slots[out] = el
-        for check in checks:
-            m *= _check(check, slots)
-            if not m:
-                break
-        else:
-            yield m
-
-
-def _counted_weights(level, slots):
-    """`_weights` for a step that may enter a copy of a cut run: only the
-    canonical bindings, weighted by the copies they stand for."""
-    index, via, out, named, neqs, checks, (runs, _, _, used) = level
-    for el, m in _row(index, via, slots).items():
-        if named is not None and (type(el) is str) is not named:
-            continue
-        if neqs and any(slots[j] == el for j in neqs):
-            continue
-        entered = None  # the run whose next copy this element enters
-        if type(el) is Anon:
+        if runs is not None and type(el) is Anon:
             top = el
             while top.depth > 1:
                 top = top.parent
@@ -278,7 +262,7 @@ def _counted_weights(level, slots):
                 n = used.get(r, 0)
                 if top.index > n + 1:
                     continue
-                if top.index > n:
+                if top.index > n:  # the element enters the run's next copy
                     entered, used[r] = r, top.index
                     m *= k - n
         slots[out] = el
@@ -289,7 +273,7 @@ def _counted_weights(level, slots):
         else:
             yield m
         if entered is not None:
-            used[entered] = n
+            used[entered], entered = n, None
 
 
 def _bindings(levels, slots, weight: int):
@@ -377,8 +361,8 @@ def _levels(steps) -> tuple:
 
 
 def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Optional[_Plan]:
-    """q's plan over interp, or None when atoms or inequalities over
-    individuals alone already make the answer empty."""
+    """q's plan over interp, or None when an inequality x != x makes the
+    answer empty."""
     slots, named, slot_of = compiled.slots, compiled.named, compiled.slot_of
     consts = {j for j, name in enumerate(slots) if name is not None}
     answer = [slot_of[v] for v in q.answer_vars]
@@ -394,7 +378,6 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
             neqs.append((slot_of[a.left], slot_of[a.right]))
 
     bound, bind_step, steps = set(consts), {}, []
-    factor = 1
     runs, used = interp.runs, {}
 
     def extend(index, via, out, key=None):
@@ -413,11 +396,7 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
         steps.append([index, via, out, kind, [], [], copies])
 
     def check(index, via, at):
-        nonlocal factor
         if via < 0 or via in consts:
-            if at in consts:
-                factor *= _check((index, via, at), slots)
-                return
             index, via = _row(index, via, slots), -1
         steps.append((index, via, at))
 
@@ -453,8 +432,6 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
             else:
                 extend(dict.fromkeys(rows, 1), -1, s)
             extend(rows, s, o, (predicate, inverted))
-    if not factor:
-        return None
     # An inequality filters where its later slot is bound; between two
     # names it holds, and x != x never does.
     for x, y in neqs:
@@ -483,7 +460,7 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
     for group in groups.values():
         reads_prefix = any(j in prefix_slots for step in group for j in _reads(step))
         (dependent if reads_prefix else independent).append(_levels(group))
-    return _Plan(slots, factor, _levels(steps[:cut]), dependent, independent, answer)
+    return _Plan(slots, _levels(steps[:cut]), dependent, independent, answer)
 
 
 def _eval_resolved(q, interp, compiled):
@@ -496,7 +473,7 @@ def _eval_resolved(q, interp, compiled):
         return AnswerBag(arity)
     slots = plan.slots
     head, levels = plan.prefix
-    weight = _weigh(head, slots, plan.factor)
+    weight = _weigh(head, slots, 1)
     for component in plan.independent:
         if not weight:
             break
@@ -833,6 +810,11 @@ def _term_str(t: Term) -> str:
     return f'"{t.name}"' if isinstance(t, Const) else t.name
 
 
+# Operands indent two spaces a level down to this depth and no further, so the
+# printed form grows linearly with nesting; `parse_balg` ignores the spaces.
+_INDENT_LEVELS = 64
+
+
 def to_sexpr(q: BALGQuery) -> str:
     """One line per node, operands indented below it; an explicit stack of
     nodes and closing text, so any depth prints."""
@@ -843,7 +825,7 @@ def to_sexpr(q: BALGQuery) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        pad = "  " * depth
+        pad = "  " * min(depth, _INDENT_LEVELS)
         if isinstance(item, BalgAtom):
             out.append(f"{pad}(atom {item.predicate} {' '.join(map(_term_str, item.terms))})")
         elif isinstance(item, BalgEqFilter):

@@ -22,21 +22,24 @@ Stage 1 works on the named individuals one concept column at a time. The
 seed columns are the atomic extensions and the EX R / EX R- out-degree sums;
 each is pushed, by pointwise max, into the column of every concept it
 entails; each atomic column is written in one bulk update; and the names
-with the same deficit along a role are born as one run. A witness born for
-role R starts with nothing but its R-edge, so every later stage expands it
-from a plan fixed per role: the closure of EX R- at multiplicity 1, built
-once per TBox (`TBox.witness_plans`). The frontier is kept as runs, one per
-role, and a plan is applied to a whole run at once: one bulk update per
-concept write and one birth per role for all its witnesses, which are filed
-into the next stage's runs by role. The literal per-element construction,
-one stage at a time, is the tests' reference in `tests/oracles.py`. A chase
-that would need more than MAX_CHASE_ELEMENTS anonymous elements raises
-ChaseLimitExceeded before allocating any of the run that would pass it.
+with the same deficit along a role are born as one run. This column closure
+is the one place the chase takes a pointwise max. A witness born for role R
+starts with nothing but its R-edge, so every later stage expands it from a
+plan fixed per role and read off the TBox (`_witness_plan`): the atomic
+concepts and the other EX S that EX R- entails, each at multiplicity 1. The
+plans are built once per TBox and kept in `TBox.witness_plans`. The
+frontier is kept as runs, one per role, and a plan is applied to a whole run
+at once: one bulk update per concept write and one birth per role for all
+its witnesses, which are filed into the next stage's runs by role. The
+literal per-element construction, one stage at a time, is the tests'
+reference in `tests/oracles.py`. A chase that would need more than
+MAX_CHASE_ELEMENTS anonymous elements raises ChaseLimitExceeded before
+allocating any of the run that would pass it.
 
 Multiplicity enters the chase in one place only. Every birth below depth 1
-has count 1 (a witness's plan is the closure of EX R- at multiplicity 1), so
-a deficit k > 1 is a name's run along one role: k witnesses whose subtrees
-are isomorphic. A homomorphism of a query with n concept/role atoms sends
+has count 1 (a witness's plan gives each EX S multiplicity 1), so a deficit
+k > 1 is a name's run along one role: k witnesses whose subtrees are
+isomorphic. A homomorphism of a query with n concept/role atoms sends
 each connected group of its witness-mapped variables into one copy of a run,
 and each atom into at most one group, so it uses at most n copies of any
 run. The chase to depth d therefore keeps min(k, d) copies of each run and
@@ -78,6 +81,11 @@ from .query import CQ, ConceptAtom, RoleAtom
 # cut run, and for one unfolded chase; one that would pass it raises
 # ChaseLimitExceeded before allocating.
 MAX_CHASE_ELEMENTS = 1_000_000
+# Budget of characters for one dump (`BagInterpretation.to_text`), about 100
+# per element of a chase at the element budget. A witness prints as its whole
+# ancestry, so a deep chase's dump grows with the square of its depth; one
+# that would pass the budget raises ChaseLimitExceeded before building a line.
+MAX_DUMP_CHARS = 100_000_000
 
 
 class Anon:
@@ -145,6 +153,15 @@ def _ranks(elements: Iterable[Element]) -> dict[Element, int]:
         for w in level:
             rank[w] = len(rank)
     return rank
+
+
+def _text_lengths(rank: Mapping[Element, int]) -> dict[Element, int]:
+    """The length of each ranked element's text (see `_texts`), from its parent's."""
+    size: dict[Element, int] = {}
+    for el in rank:
+        size[el] = (len(el) if type(el) is str
+                    else size[el.parent] + len(str(el.role)) + len(str(el.index)) + 6)
+    return size
 
 
 def _texts(rank: Mapping[Element, int]) -> dict[Element, str]:
@@ -312,13 +329,25 @@ class BagInterpretation:
         if self.runs:
             return self.unfolded().to_text()
         rank = _ranks(self.domain)
+        roles = self.roles
+        # A line is its predicate, elements and multiplicity, plus two
+        # parentheses, a space and a newline, and a comma between two elements.
+        size = _text_lengths(rank)
+        chars = sum(len(name) + size[el] + len(str(m)) + 4
+                    for name, ext in self.concepts.items() for el, m in ext.items())
+        chars += sum(len(name) + size[u] + size[v] + len(str(m)) + 5
+                     for name, ext in roles.items() for (u, v), m in ext.items())
+        if chars > MAX_DUMP_CHARS:
+            raise ChaseLimitExceeded(
+                f"the chase dump needs {chars:,} characters, more than its budget of "
+                f"{MAX_DUMP_CHARS:,}: a witness prints as its whole ancestry"
+            )
         text = _texts(rank)
         lines = []
         for name in sorted(self.concepts):
             for el, m in sorted(self.concepts[name].items(),
                                 key=lambda kv: rank[kv[0]]):
                 lines.append(f"{name}({text[el]}) {m}")
-        roles = self.roles
         for name in sorted(roles):
             for (u, v), m in sorted(roles[name].items(),
                                     key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])):
@@ -337,32 +366,14 @@ def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     return i
 
 
-def _close(seeds: Mapping[Concept, int], tbox: TBox) -> dict[Concept, int]:
-    """Each concept entailed by a seed, at the largest multiplicity forcing it."""
-    closure: dict[Concept, int] = {}
-    for c0, m in seeds.items():
-        for c in tbox.concepts_entailed_by(c0):
-            if closure.get(c, 0) < m:
-                closure[c] = m
-    return closure
-
-
-# Plan for one element: its concept entries as (name, multiplicity) and its
-# births as (role, count), both sorted, so a plan does not depend on the order
-# of the closure it was made from.
-_Plan = tuple[tuple[tuple[str, int], ...], tuple[tuple[Role, int], ...]]
-
-
-def _plan(closure: Mapping[Concept, int], seeds: Mapping[Concept, int]) -> _Plan:
-    """Atomic entries of the closure, and each EX R's deficit over its seed."""
-    writes, births = [], []
-    for c, m in closure.items():
-        if isinstance(c, AtomicConcept):
-            writes.append((c.name, m))
-        elif m > seeds.get(c, 0):
-            births.append((c.role, m - seeds.get(c, 0)))
-    # Names and roles are distinct, so these sort by name and by Role order.
-    return tuple(sorted(writes)), tuple(sorted(births))
+def _witness_plan(tbox: TBox, role: Role) -> tuple:
+    """A witness's plan: (name, 1) for each atomic concept and (S, 1) for each
+    other EX S that its seed EX R- entails, both sorted."""
+    seed = ExistsRole(role.inverse)
+    entailed = tbox.concepts_entailed_by(seed)
+    writes = sorted((c.name, 1) for c in entailed if isinstance(c, AtomicConcept))
+    births = sorted((c.role, 1) for c in entailed if isinstance(c, ExistsRole) and c != seed)
+    return tuple(writes), tuple(births)
 
 
 def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
@@ -381,7 +392,7 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
     tbox, concepts = k.tbox, i.concepts
     anonymous = 0
 
-    def expand(run: Sequence[Element], plan: _Plan, runs: dict[Role, list[Anon]]) -> None:
+    def expand(run: Sequence[Element], plan: tuple, runs: dict[Role, list[Anon]]) -> None:
         """Apply the plan to every element of the run; file the births in `runs`."""
         nonlocal anonymous
         writes, births = plan
@@ -439,8 +450,7 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
         for role, run in frontier.items():
             plan = tbox.witness_plans.get(role)
             if plan is None:
-                seed = {ExistsRole(role.inverse): 1}
-                plan = tbox.witness_plans[role] = _plan(_close(seed, tbox), seed)
+                plan = tbox.witness_plans[role] = _witness_plan(tbox, role)
             expand(run, plan, runs)
         frontier = runs
     return i

@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error;
-3 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
-4 internal cross-check failure; 5 resource limit (recursion depth, memory,
+Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error
+(a file that cannot be read, or is not UTF-8 text, is one); 3 semantic
+refusal (non-rooted query, non-core TBox, unsatisfiable ontology); 4
+internal cross-check failure; 5 resource limit (recursion depth, memory,
 the chase's anonymous-element budget on its depth, branching and unfolding,
-the rewriting's budget of clusters and alternatives, or a branch table too
-long to list).
+the dump's character budget, the rewriting's budget of clusters and
+alternatives, or a branch table too long to list).
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ EXIT_RESOURCE = 5
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_ontology(args) -> BagOntology:

@@ -245,14 +245,6 @@ class TBox:
         return "\n".join(lines) + "\n"
 
 
-def entails_concept(tbox: TBox, sub: Concept, sup: Concept) -> bool:
-    return tbox.entails_concept(sub, sup)
-
-
-def entails_role(tbox: TBox, sub: Role, sup: Role) -> bool:
-    return tbox.entails_role(sub, sup)
-
-
 @dataclass(frozen=True, order=True)
 class ConceptAssertion:
     concept: str

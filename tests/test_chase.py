@@ -8,6 +8,7 @@ from bago import (
     AtomicConcept,
     BagInterpretation,
     BagOntology,
+    ChaseLimitExceeded,
     ExistsRole,
     Role,
     UnsatisfiableOntology,
@@ -276,16 +277,16 @@ def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
     k, _ = employees
     big = BagOntology(k.tbox, parse_abox("Emp(Lee) 500\nMngr(Hill) 2\n"))
     calls = []
-    reference = chase_module._close
+    reference = chase_module._witness_plan
 
-    def counting(seeds, tbox):
-        calls.append(seeds)
-        return reference(seeds, tbox)
+    def counting(tbox, role):
+        calls.append(role)
+        return reference(tbox, role)
 
-    monkeypatch.setattr(chase_module, "_close", counting)
+    monkeypatch.setattr(chase_module, "_witness_plan", counting)
     union = chase(big, 5).union
     assert len(union.anonymous()) >= 500
-    # Only the witness plans close a seed: one per role name and direction.
+    # Only the witness plans read the TBox past stage 1: one per role name and direction.
     assert len(calls) <= 2 * len(union.roles)
 
 
@@ -294,14 +295,33 @@ def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
 GOLDEN_DUMPS = [("employees", 3), ("managers", 3), ("prime", 3), ("prime_pair", 3),
                 ("self_feeding", 6), ("wide_abox", 3)]
 SELF_FEEDING = ("A SUB EX R\nEX R- SUB A\n", "A(a) 2\nR(a,b)\nR(b,a)\n")
+# Inverse roles, ten-plus witnesses in a run and multi-digit multiplicities,
+# which the golden dumps do not print.
+INVERSE_RUNS = ("A SUB EX R-\nEX R SUB B\nB SUB EX S\n", "A(a) 15\nR(b,a) 3\nS(a,b) 107\n")
+
+
+def _dump_ontology(fixtures_dir, name) -> BagOntology:
+    inline = {"self_feeding": SELF_FEEDING, "inverse_runs": INVERSE_RUNS}
+    tbox, abox = inline.get(name) or (
+        (fixtures_dir / name / f).read_text() for f in ("tbox.dl", "abox.bag"))
+    return BagOntology(parse_tbox(tbox), parse_abox(abox))
 
 
 @pytest.mark.parametrize("name,depth", GOLDEN_DUMPS)
 def test_dump_matches_golden_file(fixtures_dir, name, depth):
-    if name == "self_feeding":
-        tbox, abox = SELF_FEEDING
-    else:
-        tbox, abox = ((fixtures_dir / name / f).read_text() for f in ("tbox.dl", "abox.bag"))
-    k = BagOntology(parse_tbox(tbox), parse_abox(abox))
     expected = (GOLDEN / f"{name}.depth{depth}.txt").read_text()
-    assert dump_chase(chase(k, depth)) == expected
+    assert dump_chase(chase(_dump_ontology(fixtures_dir, name), depth)) == expected
+
+
+@pytest.mark.parametrize("name,depth", GOLDEN_DUMPS + [("inverse_runs", 4)])
+def test_dump_budget_is_its_exact_length(monkeypatch, fixtures_dir, name, depth):
+    # to_text sums its length from the elements' text lengths before it builds
+    # a line: a budget of exactly that length prints, one character less refuses.
+    union = chase(_dump_ontology(fixtures_dir, name), depth).union
+    text = union.to_text()
+    assert name != "inverse_runs" or "_w(a,R-,12)" in text
+    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", len(text))
+    assert union.to_text() == text
+    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", len(text) - 1)
+    with pytest.raises(ChaseLimitExceeded, match=f"needs {len(text):,} characters"):
+        union.to_text()

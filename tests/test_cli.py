@@ -84,6 +84,32 @@ def test_parse_error_exit_code(capsys, tmp_path, fixtures_dir):
     assert code == 2 and "error" in err
 
 
+# Each subcommand that reads a file, with BAD in place of one of its files.
+READING_COMMANDS = [
+    ["check", "-T", "BAD", "-A", "employees/abox.bag"],
+    ["chase", "-T", "employees/tbox.dl", "-A", "BAD", "--depth", "1"],
+    ["answer", "-T", "employees/tbox.dl", "-A", "employees/abox.bag", "-q", "BAD"],
+    ["cert", "-T", "employees/tbox.dl", "-A", "employees/abox.bag", "-q", "BAD",
+     "--tuple", "(Lee)", "-k", "1"],
+    ["rewrite", "-T", "BAD", "-q", "employees/query.cq"],
+    ["eval-balg", "-A", "employees/abox.bag", "-q", "BAD"],
+    ["crosscheck", "-T", "employees/tbox.dl", "-A", "BAD", "-q", "employees/query.cq"],
+    ["gen-3col", "-G", "BAD"],
+    ["gen-3col", "-G", "triangle.graph", "--coloring", "BAD"],
+]
+
+
+@pytest.mark.parametrize("argv", READING_COMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, fixtures_dir, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"A(a) 1\n\xff\n")
+    argv = [str(bad) if arg == "BAD" else str(fixtures_dir / arg) if "/" in arg or "." in arg
+            else arg for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot read {bad}: not UTF-8 text (byte 7)"]
+
+
 def test_chase_dump(capsys, fixtures_dir):
     code, out, _ = run(
         capsys, "chase",

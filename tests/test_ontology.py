@@ -10,8 +10,6 @@ from bago import (
     Role,
     RoleAssertion,
     TBox,
-    entails_concept,
-    entails_role,
     is_satisfiable,
     parse_abox,
     parse_tbox,
@@ -32,34 +30,34 @@ def test_role_inverse_normalizes():
 
 def test_entails_concept_running_example(employees):
     k, _ = employees
-    assert entails_concept(k.tbox, AtomicConcept("SalEmp"), AtomicConcept("Emp"))
-    assert entails_concept(k.tbox, AtomicConcept("SalEmp"), ExistsRole(Role("hasMngr")))
-    assert not entails_concept(k.tbox, AtomicConcept("Emp"), AtomicConcept("SalEmp"))
+    assert k.tbox.entails_concept(AtomicConcept("SalEmp"), AtomicConcept("Emp"))
+    assert k.tbox.entails_concept(AtomicConcept("SalEmp"), ExistsRole(Role("hasMngr")))
+    assert not k.tbox.entails_concept(AtomicConcept("Emp"), AtomicConcept("SalEmp"))
 
 
 def test_entails_concept_reflexive_even_for_unknown_names():
     t = TBox()
-    assert entails_concept(t, AtomicConcept("Nowhere"), AtomicConcept("Nowhere"))
-    assert not entails_concept(t, AtomicConcept("X"), AtomicConcept("Y"))
+    assert t.entails_concept(AtomicConcept("Nowhere"), AtomicConcept("Nowhere"))
+    assert not t.entails_concept(AtomicConcept("X"), AtomicConcept("Y"))
 
 
 def test_entails_concept_two_step_chain():
     t = parse_tbox("A SUB B\nB SUB EX P\n")
-    assert entails_concept(t, AtomicConcept("A"), ExistsRole(Role("P")))
+    assert t.entails_concept(AtomicConcept("A"), ExistsRole(Role("P")))
 
 
 def test_entails_role_inverse_symmetry():
     t = parse_tbox("KIND R\nR SUBR S\n")
-    assert entails_role(t, Role("R", True), Role("S", True))
-    assert entails_role(t, Role("R"), Role("R"))
-    assert not entails_role(t, Role("S"), Role("R"))
-    assert entails_role(TBox(), Role("R"), Role("R"))
+    assert t.entails_role(Role("R", True), Role("S", True))
+    assert t.entails_role(Role("R"), Role("R"))
+    assert not t.entails_role(Role("S"), Role("R"))
+    assert TBox().entails_role(Role("R"), Role("R"))
 
 
 def test_exists_edges_from_role_inclusions():
     t = parse_tbox("KIND R\nR SUBR S-\n")
-    assert entails_concept(t, ExistsRole(Role("R")), ExistsRole(Role("S", True)))
-    assert entails_concept(t, ExistsRole(Role("R", True)), ExistsRole(Role("S")))
+    assert t.entails_concept(ExistsRole(Role("R")), ExistsRole(Role("S", True)))
+    assert t.entails_concept(ExistsRole(Role("R", True)), ExistsRole(Role("S")))
 
 
 def test_core_tbox_rejects_role_axioms():

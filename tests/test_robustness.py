@@ -131,6 +131,21 @@ def test_deep_self_feeding_chain_chases_and_dumps_quickly():
     assert elapsed < 2.0
 
 
+def test_chase_dump_past_its_character_budget_exits_with_resource_limit(
+        monkeypatch, capsys, tmp_path):
+    # Five chains of 100 witnesses are well within the element budget, but each
+    # witness prints as its whole ancestry: the dump is refused before a line.
+    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", 10_000)
+    (tmp_path / "t.dl").write_text(SELF_FEEDING)
+    (tmp_path / "a.bag").write_text("A(a) 5\n")
+    code = main(["chase", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+                 "--depth", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_RESOURCE, "")
+    assert len(captured.err.splitlines()) == 1
+    assert "more than its budget of 10,000" in captured.err
+
+
 def test_long_path_query_answers_via_the_chase(capsys, tmp_path):
     # Each atom is one level of the evaluator, kept on an explicit stack, so a
     # query longer than the recursion limit answers.
@@ -163,6 +178,19 @@ def test_deep_balg_answers_through_eval_balg(capsys, tmp_path, fixtures_dir):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (0, "# columns: x\n" + answer, "")
     assert " ".join(to_sexpr(parse_balg(text)).split()) == text.strip()
+
+
+def test_deep_balg_prints_in_linear_size_and_round_trips():
+    # Indentation stops growing at a fixed depth, so past it each level adds
+    # the same number of characters; two spaces per level would add ever more.
+    sizes = []
+    for depth in (1_000, 2_000, 3_000):
+        text = "(arith-union " * depth + "(atom Emp x)" + " (atom Emp x))" * depth
+        printed = to_sexpr(parse_balg(text))
+        assert " ".join(printed.split()) == text
+        assert to_sexpr(parse_balg(printed)) == printed
+        sizes.append(len(printed))
+    assert sizes[2] - sizes[1] == sizes[1] - sizes[0]
 
 
 def test_budget_counts_anonymous_elements_only(monkeypatch):
