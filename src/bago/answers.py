@@ -2,9 +2,13 @@
 
 Certain answers of a rooted query over a satisfiable core ontology reduce to
 evaluating the query over the chase at a depth equal to its atom count. The
-rewriting path compiles the query against the TBox alone and evaluates the
-result over the bare ABox; both paths must produce the same bag, and the
-cross-check harness compares them tuple by tuple.
+chase path builds only what the query can reach of that stage
+(`chase(k, depth, query=q)`): witnesses down to the query's largest distance
+from a root, along the roles it names, with the concepts it names, and one
+copy of each run per role atom. The rewriting path compiles the query
+against the TBox alone and evaluates the result over the bare ABox; both
+paths must produce the same bag, and the cross-check harness compares them
+tuple by tuple.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ def certain_answers(q: CQ, k: BagOntology, via: str = VIA_CHASE) -> AnswerBag:
     """Bag certain answers, computed over the chase or via the rewriting."""
     _validate(q, k)
     if via == VIA_CHASE:
-        return eval_cq(q, chase(k, required_depth(q)).counted)
+        return eval_cq(q, chase(k, required_depth(q), query=q).counted)
     if via == VIA_REWRITE:
         return evaluate_rewriting(rewrite(q, k.tbox), k.abox)
     if via == VIA_BOTH:
-        through_chase = eval_cq(q, chase(k, required_depth(q)).counted)
+        through_chase = eval_cq(q, chase(k, required_depth(q), query=q).counted)
         through_rewrite = evaluate_rewriting(rewrite(q, k.tbox), k.abox)
         if through_chase != through_rewrite:
             raise CrosscheckMismatch(

@@ -61,7 +61,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 from .errors import (U64_MAX, ArityMismatch, IllFormedQuery, MultiplicityOverflow, ParseError,
                      combine)
 from .ontology import BagABox, ConceptAssertion, check_individual, check_name
-from .chase import Anon, BagInterpretation, ChaseResult, required_depth
+from .chase import Anon, BagInterpretation, ChaseResult, kept_copies
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
 
@@ -466,7 +466,7 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
     arity = len(q.answer_vars)
-    if interp.runs and required_depth(q) > interp.kept:
+    if interp.runs and kept_copies(q) > interp.kept:
         interp = interp.unfolded()  # it may use more copies of a run than are kept
     plan = None if compiled.empty else _compile(q, interp, compiled)
     if plan is None:

@@ -18,6 +18,19 @@ only the last; `ChaseResult.stages` rebuilds an earlier stage by chasing to
 that depth. A rooted query with n concept/role atoms has all its answers over
 stage n, which is why callers always pass an explicit depth.
 
+A rooted query meets far less than stage n, and `chase(k, n, query=q)`
+builds `counted` from only that part. The chase is a forest hanging from the
+names, and a class of q's variables that holds an answer variable or an
+individual maps to a name. So a class at Gaifman distance δ from such a
+class maps to a witness of depth at most δ. Let D be the largest such
+distance (`_scope`). Witnesses are born down to depth D only. A witness of
+depth j has its final concepts from stage j + 1 on, so one more stage
+writes the depth-D witnesses' concepts and bears nothing. A homomorphism
+reaches a witness from a name only through the witness's ancestors' edges,
+so every role on that path is one q names. Witnesses are therefore born
+only along role names q mentions, and they carry only concept names q
+mentions. Names keep their whole closure.
+
 Stage 1 works on the named individuals one concept column at a time. The
 seed columns are the atomic extensions and the EX R / EX R- out-degree sums;
 each is pushed, by pointwise max, into the column of every concept it
@@ -39,13 +52,16 @@ allocating any of the run that would pass it.
 Multiplicity enters the chase in one place only. Every birth below depth 1
 has count 1 (a witness's plan gives each EX S multiplicity 1), so a deficit
 k > 1 is a name's run along one role: k witnesses whose subtrees are
-isomorphic. A homomorphism of a query with n concept/role atoms sends
-each connected group of its witness-mapped variables into one copy of a run,
-and each atom into at most one group, so it uses at most n copies of any
-run. The chase to depth d therefore keeps min(k, d) copies of each run and
-records the full k of each run it cuts short (`BagInterpretation.runs`);
-`eval_cq` counts homomorphisms into the full chase over it, exactly. The
-budget thus bounds the chase's depth and branching, and separately the
+isomorphic. The copies of a run hang from one name, and a witness's
+neighbours lie in its own copy or are that name. A homomorphism therefore
+enters two distinct copies of a run only through two distinct role atoms,
+and a query with r role atoms uses at most max(1, r) copies of any run
+(`kept_copies`). The chase to depth d keeps min(k, d) copies of each run;
+the chase for a query keeps min(k, kept_copies(q)). Either records the full
+k of each run it cuts short (`BagInterpretation.runs`), and `eval_cq`
+counts homomorphisms into the full chase over it, exactly. A query with
+more role atoms than the copies kept is evaluated over the unfolded chase.
+The budget thus bounds the chase's depth and branching, and separately the
 unfolded chase that `ChaseResult.stages`, `union` and `bago chase` show.
 
 An interpretation stores each edge once per direction, in the rows of its
@@ -59,8 +75,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind
 from .ontology import (
@@ -75,7 +90,7 @@ from .ontology import (
     TBox,
     is_satisfiable,
 )
-from .query import CQ, ConceptAtom, RoleAtom
+from .query import CQ, ConceptAtom, Const, RoleAtom
 
 # Budget of anonymous elements for one chase, counting the kept copies of a
 # cut run, and for one unfolded chase; one that would pass it raises
@@ -155,12 +170,25 @@ def _ranks(elements: Iterable[Element]) -> dict[Element, int]:
     return rank
 
 
-def _text_lengths(rank: Mapping[Element, int]) -> dict[Element, int]:
-    """The length of each ranked element's text (see `_texts`), from its parent's."""
+def _text_lengths(elements: Iterable[Element]) -> dict[Element, int]:
+    """The length of each element's text (see `_texts`), and of its ancestors'.
+
+    Each length is its parent's plus its own part, so a walk goes up to a
+    known length and back down; nothing is sorted.
+    """
     size: dict[Element, int] = {}
-    for el in rank:
-        size[el] = (len(el) if type(el) is str
-                    else size[el.parent] + len(str(el.role)) + len(str(el.index)) + 6)
+    for el in elements:
+        path = []
+        while type(el) is Anon and el not in size:
+            path.append(el)
+            el = el.parent
+        n = size.get(el)
+        if n is None:
+            n = size[el] = len(el)
+        for w in reversed(path):
+            # "_w(" parent "," role "," index ")"; an inverse role adds "-".
+            n += len(w.role.name) + w.role.inverted + len(str(w.index)) + 6
+            size[w] = n
     return size
 
 
@@ -328,20 +356,21 @@ class BagInterpretation:
     def to_text(self) -> str:
         if self.runs:
             return self.unfolded().to_text()
-        rank = _ranks(self.domain)
-        roles = self.roles
         # A line is its predicate, elements and multiplicity, plus two
         # parentheses, a space and a newline, and a comma between two elements.
-        size = _text_lengths(rank)
+        size = _text_lengths(self.domain)
         chars = sum(len(name) + size[el] + len(str(m)) + 4
                     for name, ext in self.concepts.items() for el, m in ext.items())
         chars += sum(len(name) + size[u] + size[v] + len(str(m)) + 5
-                     for name, ext in roles.items() for (u, v), m in ext.items())
+                     for name in self._edges for u, row in self.rows(name).items()
+                     for v, m in row.items())
         if chars > MAX_DUMP_CHARS:
             raise ChaseLimitExceeded(
                 f"the chase dump needs {chars:,} characters, more than its budget of "
                 f"{MAX_DUMP_CHARS:,}: a witness prints as its whole ancestry"
             )
+        rank = _ranks(self.domain)
+        roles = self.roles
         text = _texts(rank)
         lines = []
         for name in sorted(self.concepts):
@@ -353,6 +382,20 @@ class BagInterpretation:
                                     key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])):
                 lines.append(f"{name}({text[u]},{text[v]}) {m}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _once(build: Callable[[], BagInterpretation]) -> Callable[[], BagInterpretation]:
+    """`build`, run on the first call only. A chase makes one or two of these
+    and may never call them; `functools.cache` takes several times as long to
+    set up."""
+    made: list[BagInterpretation] = []
+
+    def get() -> BagInterpretation:
+        if not made:
+            made.append(build())
+        return made[0]
+
+    return get
 
 
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
@@ -376,7 +419,43 @@ def _witness_plan(tbox: TBox, role: Role) -> tuple:
     return tuple(writes), tuple(births)
 
 
-def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
+class _Scope(NamedTuple):
+    """What of the chase a rooted query can reach: witnesses down to depth
+    `reach`, along the role names in `roles`, with the concept names in
+    `concepts`."""
+
+    reach: int
+    roles: frozenset[str]
+    concepts: frozenset[str]
+
+
+def _scope(q: CQ) -> Optional[_Scope]:
+    """q's scope, or None when a Gaifman class lies apart from every root.
+
+    `reach` is the largest distance from a class that holds an answer
+    variable or an individual: such a class maps to a name, and the chase is
+    a forest, so a class at distance d maps to a witness of depth at most d.
+    """
+    graph, eq = q.gaifman(), q.equality_classes()
+    layer = {eq.class_of(t) for t in q.answer_vars}
+    layer.update(eq.class_of(t) for a in q.atoms for t in a.terms if type(t) is Const)
+    seen, reach = set(layer), -1
+    while layer:
+        reach += 1
+        ahead = set()
+        for c in layer:
+            ahead |= graph.neighbours(c)
+        layer = ahead - seen
+        seen |= layer
+    if len(seen) < len(graph.nodes):
+        return None
+    return _Scope(reach,
+                  frozenset(a.role for a in q.atoms if isinstance(a, RoleAtom)),
+                  frozenset(a.concept for a in q.atoms if isinstance(a, ConceptAtom)))
+
+
+def _grow(k: BagOntology, depth: int, copies: Optional[int] = None,
+          scope: Optional[_Scope] = None) -> BagInterpretation:
     """Chase k to `depth` in place, by columns and runs: what iterating the
     reference stage in `tests/oracles.py` builds one element at a time.
 
@@ -384,12 +463,15 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
     the names with the same deficit along a role form one run. Every later
     stage expands its frontier a run at a time: the witnesses born along one
     role share one plan, so each concept write is one bulk update. Each run
-    gets one budget check and one `_bear`. With `cut`, each name keeps at
-    most `depth` copies of its run along a role, and the full counts of the
-    runs cut short go to `runs`.
+    gets one budget check and one `_bear`. With `copies`, each name keeps at
+    most that many copies of its run along a role, and the full counts of the
+    runs cut short go to `runs`. With a `scope`, witnesses are born along its
+    roles only and down to its reach only, a witness's plan writes its
+    concepts only, and the stage after the reach writes without bearing.
     """
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
+    reach = depth if scope is None else min(depth, scope.reach)
     anonymous = 0
 
     def expand(run: Sequence[Element], plan: tuple, runs: dict[Role, list[Anon]]) -> None:
@@ -407,6 +489,22 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
                     "pass the budget"
                 )
             runs.setdefault(role, []).extend(i._bear(run, role, count))
+
+    plans: dict[Role, tuple] = {}
+
+    def plan_of(role: Role) -> tuple:
+        """The witness plan of `role`, restricted to the scope."""
+        plan = plans.get(role)
+        if plan is None:
+            plan = tbox.witness_plans.get(role)
+            if plan is None:
+                plan = tbox.witness_plans[role] = _witness_plan(tbox, role)
+            if scope is not None:
+                writes, births = plan
+                plan = (tuple(w for w in writes if w[0] in scope.concepts),
+                        tuple(b for b in births if b[0].name in scope.roles))
+            plans[role] = plan
+        return plan
 
     if depth == 0:
         return i
@@ -427,6 +525,8 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
         if isinstance(c, AtomicConcept):
             concepts.setdefault(c.name, {}).update(column)
             continue
+        if reach == 0 or scope is not None and c.role.name not in scope.roles:
+            continue
         seed, deficits = seeds.get(c, {}), {}
         for u, m in column.items():
             if u not in seed or seed[u] < m:
@@ -436,22 +536,21 @@ def _grow(k: BagOntology, depth: int, cut: bool = False) -> BagInterpretation:
     # run of names has a plan of one birth and no writes.
     frontier: dict[Role, list[Anon]] = {}
     for role, count, run in sorted(births, key=lambda b: b[:2]):
-        if cut and count > depth:
+        if copies is not None and count > copies:
             i.runs.update(dict.fromkeys([(u, role.name, role.inverted) for u in run], count))
-            count = depth
+            count = copies
         expand(run, ((), ((role, count),)), frontier)
     if i.runs:
-        i.kept, i._unfold = depth, cache(lambda: _grow(k, depth))
+        i.kept, i._unfold = copies, _once(lambda: _grow(k, depth, None, scope))
 
-    for _ in range(depth - 1):
+    # Stage j expands the witnesses of depth j - 1; past the reach it only writes.
+    for stage in range(2, min(depth, reach + 1) + 1):
         if not frontier:  # the chase terminated; later stages add nothing
             break
         runs: dict[Role, list[Anon]] = {}
         for role, run in frontier.items():
-            plan = tbox.witness_plans.get(role)
-            if plan is None:
-                plan = tbox.witness_plans[role] = _witness_plan(tbox, role)
-            expand(run, plan, runs)
+            writes, births = plan_of(role)
+            expand(run, (writes, births if stage <= reach else ()), runs)
         frontier = runs
     return i
 
@@ -477,8 +576,8 @@ class _View(Sequence):
 @dataclass(frozen=True)
 class ChaseResult:
     """Stages 0..depth with every run unfolded, and the last stage as the
-    chase built it, with at most `depth` copies of each run (`_counted`;
-    None when it is the last stage itself)."""
+    chase built it (`_counted`; None when it is the last stage itself): with
+    at most `depth` copies of each run, or, for a query, bounded by it."""
 
     stages: Sequence[BagInterpretation]
     depth: int
@@ -491,27 +590,49 @@ class ChaseResult:
 
     @property
     def counted(self) -> BagInterpretation:
-        """The union with its runs cut short: what `certain_answers` evaluates."""
+        """The interpretation `certain_answers` evaluates: the union with its
+        runs cut short, and for a query, only what the query can reach."""
         return self.union if self._counted is None else self._counted
 
 
-def chase(k: BagOntology, depth: int) -> ChaseResult:
-    """Stages 0..depth of the canonical bag model of a satisfiable ontology."""
+def chase(k: BagOntology, depth: int, query: Optional[CQ] = None) -> ChaseResult:
+    """Stages 0..depth of the canonical bag model of a satisfiable ontology.
+
+    With a query, `counted` is built for that query alone: what a rooted
+    query can reach of the chase (`_scope`), with `kept_copies(query)` copies
+    of each run. Its answers over it are its answers over the last stage.
+    """
     if k.tbox.kind != CORE:
         raise UnsupportedTBoxKind("the canonical bag model is defined for core TBoxes")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
-    last = _grow(k, depth, cut=True)
+    if query is None:
+        last = _grow(k, depth, depth)
+        full = last.unfolded
+    else:
+        last = _grow(k, depth, kept_copies(query), _scope(query))
+        full = _once(lambda: _grow(k, depth))
     # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
-    return ChaseResult(_View(depth + 1, lambda j: last.unfolded() if j == depth else _grow(k, j)),
+    return ChaseResult(_View(depth + 1, lambda j: full() if j == depth else _grow(k, j)),
                        depth, last)
 
 
 def required_depth(q: CQ) -> int:
     """Concept/role atom count (with repetitions): a lossless chase depth for rooted q."""
     return sum(1 for a in q.atoms if isinstance(a, (ConceptAtom, RoleAtom)))
+
+
+def kept_copies(q: CQ) -> int:
+    """Copies of each run that q's homomorphisms can enter: its role atom count
+    (with repetitions), at least 1.
+
+    The copies of a run hang from one name, and a witness's neighbours lie
+    in its own copy or are that name, so a homomorphism that enters two
+    distinct copies does so through two distinct role atoms.
+    """
+    return max(1, sum(1 for a in q.atoms if isinstance(a, RoleAtom)))
 
 
 def dump_chase(result: ChaseResult) -> str:

@@ -181,6 +181,8 @@ def _cmd_gen_3col(args) -> int:
     if args.eval_model and not args.coloring:
         raise ParseError("--eval-model needs --coloring")
     graph = parse_graph(_read(args.graph))
+    # The coloring is read before any output, so a bad one leaves none.
+    coloring = parse_coloring(_read(args.coloring), graph) if args.coloring else None
     instance = gen_3col(graph, variant=args.variant)
     tbox_text = instance.tbox.to_text()
     abox_text = instance.abox.to_text()
@@ -203,14 +205,12 @@ def _cmd_gen_3col(args) -> int:
         print(query_text, end="")
         print("-- threshold --")
         print(f"{instance.threshold} at tuple {target}")
-    if args.coloring:
-        coloring = parse_coloring(_read(args.coloring), graph)
-        if args.eval_model:
-            model = coloring_model(graph, coloring, variant=args.variant)
-            bag = eval_cq(instance.query, model)
-            value = bag.get(instance.target)
-            bound = 3 * len(graph.vertices) + 1
-            print(f"model-eval: {value} (proper 3-coloring yields exactly {bound})")
+    if args.eval_model:
+        model = coloring_model(graph, coloring, variant=args.variant)
+        bag = eval_cq(instance.query, model)
+        value = bag.get(instance.target)
+        bound = 3 * len(graph.vertices) + 1
+        print(f"model-eval: {value} (proper 3-coloring yields exactly {bound})")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ FIXTURE_SETS = [
     ("unsat_role", "query.cq"),
     ("wide_abox", "query.cq"),
     ("huge_mult", "query.cq"),
+    ("reach", "query.cq"),
 ]
 
 
@@ -263,6 +264,20 @@ def test_gen_3col_model_eval(capsys, fixtures_dir):
     )
     assert code == 0
     assert "model-eval: 10 (proper 3-coloring yields exactly 10)" in out
+
+
+@pytest.mark.parametrize("content", [b"\xff\n", b"nowhere red\n"], ids=["not-utf8", "unparsable"])
+@pytest.mark.parametrize("to_dir", [False, True], ids=["printed", "out-dir"])
+def test_gen_3col_bad_coloring_leaves_no_output(capsys, tmp_path, fixtures_dir, content, to_dir):
+    bad = tmp_path / "bad.coloring"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "gen"
+    argv = ["gen-3col", "-G", str(fixtures_dir / "triangle.graph"), "--coloring", str(bad)]
+    code, out, err = run(capsys, *argv, *(["--out-dir", str(out_dir)] if to_dir else []))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_gen_3col_variant_r_is_refused_by_answer(capsys, tmp_path, fixtures_dir):
