@@ -83,13 +83,12 @@ def bag_cert(r: CertRequest, via: str = VIA_CHASE) -> bool:
     """Does the certain multiplicity of the tuple reach the threshold?
 
     A threshold of 0 holds trivially; an infinite threshold never holds
-    because every computed multiplicity is finite.
+    because every computed multiplicity is finite. Either is decided once
+    the input is validated, as `certain_answers` validates it otherwise.
     """
-    _validate(r.query, r.ontology)
-    if r.threshold == 0:
-        return True
-    if math.isinf(r.threshold):
-        return False
+    if r.threshold == 0 or math.isinf(r.threshold):
+        _validate(r.query, r.ontology)
+        return r.threshold == 0
     return certain_answers(r.query, r.ontology, via=via).get(r.tuple) >= r.threshold
 
 

@@ -26,9 +26,10 @@ being emitted: the sum-product of the N-semiring (Green, Karvounarakis and
 Tannen), in exact integers: only an answer is held to 64 bits, where its
 AnswerBag is built. Each level of the walk is an iterator on an explicit
 stack, so a query of any length runs without recursion. One loop binds
-every step; over a chase that cuts runs short, a step that can enter a copy
-of a run binds only canonical copies and weighs each by the copies of the
-full chase it stands for (see the note above `_EMPTY`).
+every step; over the query's own chase, a step that can enter a copy of a
+cut run binds only canonical copies and weighs each by the copies of the
+full chase it stands for (see the note above `_EMPTY`); any other query
+reads the full last stage instead.
 
 Bag-algebra queries are evaluated over relations of individual names: one
 bag of name tuples per (predicate, arity), read straight from a BagABox (or
@@ -208,7 +209,7 @@ class _Plan(NamedTuple):
 # the checks before its first level together with its levels. An atom over
 # individuals alone is ordered first, so it is a check before any level.
 #
-# Over a chase that cuts runs short, `copies` is (runs, kept, key, used) on a
+# Over q's chase, which cuts runs short, `copies` is (runs, kept, key, used) on a
 # step that can enter a copy of a run: one that starts a scan or reads the
 # row of a slot that may hold a name (a witness's neighbours lie in its own
 # copy, or are names). `_weights` binds every step in one loop, and where a
@@ -217,11 +218,11 @@ class _Plan(NamedTuple):
 # homomorphism into the full chase is counted once, as the one that enters
 # the copies of each run in order 1, 2, ... A copy already used weighs 1;
 # entering the next weighs k - used[r], the unused copies of the full chase
-# it stands for. Every walk restores `used` as it backtracks, so each
-# component sums from the prefix's state on its own. `key` is the row's (role
-# name, inverted) for a step that reads a slot's row, which the bare-row sum
-# needs. On every other step, and over a chase with no cut run, `copies` is
-# None.
+# it stands for; `kept` is kept_copies(q). Every walk restores `used` as it
+# backtracks, so each component sums from the prefix's state on its own. `key`
+# is the row's (role name, inverted) for a step that reads a slot's row, which
+# the bare-row sum needs. On every other step, and over a chase with no cut
+# run, `copies` is None.
 _EMPTY: dict = {}
 
 
@@ -379,13 +380,14 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 
     bound, bind_step, steps = set(consts), {}, []
     runs, used = interp.runs, {}
+    kept = kept_copies(q) if runs else 0
 
     def extend(index, via, out, key=None):
         kind = named[out]
         fixed = via < 0 or via in consts
         copies = None
         if runs and kind is not True and (fixed or named[via] is not False):
-            copies = (runs, interp.kept, key, used)
+            copies = (runs, kept, key, used)
         if fixed:  # a row fixed at compile time is filtered now
             index = _row(index, via, slots)
             if kind is not None:
@@ -466,8 +468,8 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
 def _eval_resolved(q, interp, compiled):
     """Sum of per-valuation products, grouped by the answer tuple."""
     arity = len(q.answer_vars)
-    if interp.runs and kept_copies(q) > interp.kept:
-        interp = interp.unfolded()  # it may use more copies of a run than are kept
+    if interp.query not in (None, q):
+        interp = interp.full()  # chased for another query: it may miss what q reaches
     plan = None if compiled.empty else _compile(q, interp, compiled)
     if plan is None:
         return AnswerBag(arity)

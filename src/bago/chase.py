@@ -56,13 +56,12 @@ isomorphic. The copies of a run hang from one name, and a witness's
 neighbours lie in its own copy or are that name. A homomorphism therefore
 enters two distinct copies of a run only through two distinct role atoms,
 and a query with r role atoms uses at most max(1, r) copies of any run
-(`kept_copies`). The chase to depth d keeps min(k, d) copies of each run;
-the chase for a query keeps min(k, kept_copies(q)). Either records the full
-k of each run it cuts short (`BagInterpretation.runs`), and `eval_cq`
-counts homomorphisms into the full chase over it, exactly. A query with
-more role atoms than the copies kept is evaluated over the unfolded chase.
-The budget thus bounds the chase's depth and branching, and separately the
-unfolded chase that `ChaseResult.stages`, `union` and `bago chase` show.
+(`kept_copies`). The chase for a query q keeps min(k, kept_copies(q))
+copies of each run and records q and the full k of each run it cuts short
+(`BagInterpretation.runs`); `eval_cq` counts q's homomorphisms into the full
+chase over it, exactly, and evaluates any other query over the full last
+stage. That stage, every run at its full count, is the chase with no query,
+`ChaseResult.union` and what `bago chase` prints. The budget bounds each.
 
 An interpretation stores each edge once per direction, in the rows of its
 two ends, and nothing else: `roles` is built from the forward rows when
@@ -90,10 +89,10 @@ from .ontology import (
     TBox,
     is_satisfiable,
 )
-from .query import CQ, ConceptAtom, Const, RoleAtom
+from .query import CQ, ConceptAtom, RoleAtom
 
-# Budget of anonymous elements for one chase, counting the kept copies of a
-# cut run, and for one unfolded chase; one that would pass it raises
+# Budget of anonymous elements for one chase, the full last stage or a query's
+# chase with the copies it keeps of each run; one that would pass it raises
 # ChaseLimitExceeded before allocating.
 MAX_CHASE_ELEMENTS = 1_000_000
 # Budget of characters for one dump (`BagInterpretation.to_text`), about 100
@@ -216,10 +215,10 @@ class BagInterpretation:
     (`_derive_rows`), and then equals what `_add_edge` would have written.
     `roles` is built from the forward rows when it is read.
 
-    A chase may cut runs short: `runs` maps each cut run, as (parent name,
-    role name, inverted), to its full count, and `kept` is the number of
-    copies it keeps of each, Anon(parent, role, 1..kept). `unfolded()` is the
-    interpretation with every run at its full count.
+    A chase built for a `query` may cut runs short: `runs` maps each cut
+    run, as (parent name, role name, inverted), to its full count, of which
+    it keeps Anon(parent, role, 1..kept_copies(query)). `full()` builds, once,
+    the full last stage that such a chase stands for.
     """
 
     def __init__(
@@ -245,8 +244,8 @@ class BagInterpretation:
         # row), are not written yet.
         self._unrowed: dict[tuple[str, bool], list[list[Anon]]] = {}
         self.runs: dict[tuple[str, str, bool], int] = {}
-        self.kept = 0
-        self._unfold: Optional[Callable[[], BagInterpretation]] = None
+        self.query: Optional[CQ] = None
+        self.full: Optional[Callable[[], BagInterpretation]] = None
         for name, ext in roles.items():
             for (u, v), m in ext.items():
                 if m > 0:
@@ -309,10 +308,6 @@ class BagInterpretation:
         return {name: {(u, v): m for u, row in self.rows(name).items() for v, m in row.items()}
                 for name in self._edges}
 
-    def unfolded(self) -> "BagInterpretation":
-        """This interpretation with every cut run at its full count."""
-        return self._unfold() if self.runs else self
-
     def edge_count(self, name: str) -> int:
         """The number of pairs in the role's extension, without deriving any."""
         return self._edges.get(name, 0)
@@ -354,8 +349,8 @@ class BagInterpretation:
                 f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
     def to_text(self) -> str:
-        if self.runs:
-            return self.unfolded().to_text()
+        if self.query is not None:
+            return self.full().to_text()
         # A line is its predicate, elements and multiplicity, plus two
         # parentheses, a space and a newline, and a comma between two elements.
         size = _text_lengths(self.domain)
@@ -385,9 +380,8 @@ class BagInterpretation:
 
 
 def _once(build: Callable[[], BagInterpretation]) -> Callable[[], BagInterpretation]:
-    """`build`, run on the first call only. A chase makes one or two of these
-    and may never call them; `functools.cache` takes several times as long to
-    set up."""
+    """`build`, run on the first call only. A query's chase makes one and may
+    never call it; `functools.cache` takes several times as long to set up."""
     made: list[BagInterpretation] = []
 
     def get() -> BagInterpretation:
@@ -430,32 +424,21 @@ class _Scope(NamedTuple):
 
 
 def _scope(q: CQ) -> Optional[_Scope]:
-    """q's scope, or None when a Gaifman class lies apart from every root.
+    """q's scope, or None when q is not rooted.
 
-    `reach` is the largest distance from a class that holds an answer
-    variable or an individual: such a class maps to a name, and the chase is
-    a forest, so a class at distance d maps to a witness of depth at most d.
+    `reach` is `q.reach`: a class that holds an answer variable or an
+    individual maps to a name, and the chase is a forest, so a class at
+    distance d from one maps to a witness of depth at most d.
     """
-    graph, eq = q.gaifman(), q.equality_classes()
-    layer = {eq.class_of(t) for t in q.answer_vars}
-    layer.update(eq.class_of(t) for a in q.atoms for t in a.terms if type(t) is Const)
-    seen, reach = set(layer), -1
-    while layer:
-        reach += 1
-        ahead = set()
-        for c in layer:
-            ahead |= graph.neighbours(c)
-        layer = ahead - seen
-        seen |= layer
-    if len(seen) < len(graph.nodes):
+    if q.reach is None:
         return None
-    return _Scope(reach,
+    return _Scope(q.reach,
                   frozenset(a.role for a in q.atoms if isinstance(a, RoleAtom)),
                   frozenset(a.concept for a in q.atoms if isinstance(a, ConceptAtom)))
 
 
-def _grow(k: BagOntology, depth: int, copies: Optional[int] = None,
-          scope: Optional[_Scope] = None) -> BagInterpretation:
+def _grow(k: BagOntology, depth: int, query: Optional[CQ] = None,
+          full: Optional[Callable[[], BagInterpretation]] = None) -> BagInterpretation:
     """Chase k to `depth` in place, by columns and runs: what iterating the
     reference stage in `tests/oracles.py` builds one element at a time.
 
@@ -463,14 +446,16 @@ def _grow(k: BagOntology, depth: int, copies: Optional[int] = None,
     the names with the same deficit along a role form one run. Every later
     stage expands its frontier a run at a time: the witnesses born along one
     role share one plan, so each concept write is one bulk update. Each run
-    gets one budget check and one `_bear`. With `copies`, each name keeps at
-    most that many copies of its run along a role, and the full counts of the
-    runs cut short go to `runs`. With a `scope`, witnesses are born along its
-    roles only and down to its reach only, a witness's plan writes its
-    concepts only, and the stage after the reach writes without bearing.
+    gets one budget check and one `_bear`. With a query, which the result
+    records with `full`, each name keeps `kept_copies(query)` copies of its
+    run along a role at most (full counts of cut runs go to `runs`), and a
+    rooted query's `_scope` bears witnesses along its roles, down to its
+    reach, writing its concepts only; the stage after the reach only writes.
     """
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
+    copies, scope = (None, None) if query is None else (kept_copies(query), _scope(query))
+    i.query, i.full = query, full
     reach = depth if scope is None else min(depth, scope.reach)
     anonymous = 0
 
@@ -485,8 +470,7 @@ def _grow(k: BagOntology, depth: int, copies: Optional[int] = None,
             if anonymous > MAX_CHASE_ELEMENTS:
                 raise ChaseLimitExceeded(
                     f"the chase needs more than {MAX_CHASE_ELEMENTS:,} anonymous "
-                    "elements: its depth and branching, or the runs it unfolds, "
-                    "pass the budget"
+                    "elements: its depth and branching pass the budget"
                 )
             runs.setdefault(role, []).extend(i._bear(run, role, count))
 
@@ -540,8 +524,6 @@ def _grow(k: BagOntology, depth: int, copies: Optional[int] = None,
             i.runs.update(dict.fromkeys([(u, role.name, role.inverted) for u in run], count))
             count = copies
         expand(run, ((), ((role, count),)), frontier)
-    if i.runs:
-        i.kept, i._unfold = copies, _once(lambda: _grow(k, depth, None, scope))
 
     # Stage j expands the witnesses of depth j - 1; past the reach it only writes.
     for stage in range(2, min(depth, reach + 1) + 1):
@@ -575,9 +557,9 @@ class _View(Sequence):
 
 @dataclass(frozen=True)
 class ChaseResult:
-    """Stages 0..depth with every run unfolded, and the last stage as the
-    chase built it (`_counted`; None when it is the last stage itself): with
-    at most `depth` copies of each run, or, for a query, bounded by it."""
+    """Stages 0..depth, each built when read but the last, and the chase that
+    `certain_answers` evaluates (`_counted`; None when it is the last stage
+    itself): the last stage, or a query's chase of it."""
 
     stages: Sequence[BagInterpretation]
     depth: int
@@ -590,17 +572,18 @@ class ChaseResult:
 
     @property
     def counted(self) -> BagInterpretation:
-        """The interpretation `certain_answers` evaluates: the union with its
-        runs cut short, and for a query, only what the query can reach."""
+        """The interpretation `certain_answers` evaluates: for a query, only
+        what it can reach of the union, with its runs cut short."""
         return self.union if self._counted is None else self._counted
 
 
 def chase(k: BagOntology, depth: int, query: Optional[CQ] = None) -> ChaseResult:
     """Stages 0..depth of the canonical bag model of a satisfiable ontology.
 
-    With a query, `counted` is built for that query alone: what a rooted
-    query can reach of the chase (`_scope`), with `kept_copies(query)` copies
-    of each run. Its answers over it are its answers over the last stage.
+    With no query, the last stage is built at once. With a query, `counted`
+    is built for that query alone: what a rooted query can reach of the chase
+    (`_scope`), with `kept_copies(query)` copies of each run. Its answers over
+    it are its answers over the last stage, which `union` builds when read.
     """
     if k.tbox.kind != CORE:
         raise UnsupportedTBoxKind("the canonical bag model is defined for core TBoxes")
@@ -608,15 +591,11 @@ def chase(k: BagOntology, depth: int, query: Optional[CQ] = None) -> ChaseResult
         raise ValueError("depth must be nonnegative")
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
-    if query is None:
-        last = _grow(k, depth, depth)
-        full = last.unfolded
-    else:
-        last = _grow(k, depth, kept_copies(query), _scope(query))
-        full = _once(lambda: _grow(k, depth))
+    full = _once(lambda: _grow(k, depth))
+    counted = full() if query is None else _grow(k, depth, query, full)
     # The chase is deterministic, so rerunning it to depth j rebuilds stage j.
     return ChaseResult(_View(depth + 1, lambda j: full() if j == depth else _grow(k, j)),
-                       depth, last)
+                       depth, counted)
 
 
 def required_depth(q: CQ) -> int:
@@ -625,13 +604,8 @@ def required_depth(q: CQ) -> int:
 
 
 def kept_copies(q: CQ) -> int:
-    """Copies of each run that q's homomorphisms can enter: its role atom count
-    (with repetitions), at least 1.
-
-    The copies of a run hang from one name, and a witness's neighbours lie
-    in its own copy or are that name, so a homomorphism that enters two
-    distinct copies does so through two distinct role atoms.
-    """
+    """Copies of each run that q's homomorphisms can enter (see the module
+    docstring): its role atom count, with repetitions, at least 1."""
     return max(1, sum(1 for a in q.atoms if isinstance(a, RoleAtom)))
 
 

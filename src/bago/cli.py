@@ -1,17 +1,18 @@
 """Command-line surface.
 
 Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error
-(a file that cannot be read, or is not UTF-8 text, is one); 3 semantic
-refusal (non-rooted query, non-core TBox, unsatisfiable ontology); 4
-internal cross-check failure; 5 resource limit (recursion depth, memory,
-the chase's anonymous-element budget on its depth, branching and unfolding,
-the dump's character budget, the rewriting's budget of clusters and
-alternatives, or a branch table too long to list).
+(a file that cannot be read or written, or is not UTF-8 text, is one); 3
+semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
+4 internal cross-check failure; 5 resource limit (recursion depth, memory,
+the chase's anonymous-element budget on its depth and branching, the dump's
+character budget, the rewriting's budget of clusters and alternatives, or a
+branch table too long to list).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -59,6 +60,13 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_ontology(args) -> BagOntology:
@@ -135,7 +143,7 @@ def _cmd_rewrite(args) -> int:
                     f"probe={wit.value}"
                 )
     if args.output:
-        Path(args.output).write_text(text)
+        _write(Path(args.output), text)
     else:
         print(text, end="")
     for line in table:
@@ -190,11 +198,12 @@ def _cmd_gen_3col(args) -> int:
     target = "(" + ",".join(instance.target) + ")"
     if args.out_dir:
         out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "tbox.dl").write_text(tbox_text)
-        (out / "abox.bag").write_text(abox_text)
-        (out / "query.cq").write_text(query_text)
-        (out / "threshold.txt").write_text(f"{instance.threshold}\n")
+        with contextlib.suppress(OSError):  # then the first write names the failure
+            out.mkdir(parents=True, exist_ok=True)
+        _write(out / "tbox.dl", tbox_text)
+        _write(out / "abox.bag", abox_text)
+        _write(out / "query.cq", query_text)
+        _write(out / "threshold.txt", f"{instance.threshold}\n")
         print(f"wrote tbox.dl abox.bag query.cq threshold.txt to {out}")
     else:
         print("-- tbox --")

@@ -20,7 +20,8 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, TypeVar, Union
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Optional, TypeVar, Union
 
 from .errors import (
     NotEqualityConsistent,
@@ -275,6 +276,24 @@ class CQ:
             self._gaifman = GaifmanGraph(self.atoms, self._eq)
         return self._gaifman
 
+    @cached_property
+    def reach(self) -> Optional[int]:
+        """The largest Gaifman distance of a class from a root, a class that
+        holds an answer variable or an individual; None when a class lies
+        apart from every root. One breadth-first walk, made when first read."""
+        graph, eq = self.gaifman(), self._eq
+        layer = {eq.class_of(t) for t in self.answer_vars}
+        layer.update(eq.class_of(t) for a in self.atoms for t in a.terms if type(t) is Const)
+        seen, reach = set(layer), -1
+        while layer:
+            reach += 1
+            ahead = set()
+            for c in layer:
+                ahead |= graph.neighbours(c)
+            layer = ahead - seen
+            seen |= layer
+        return reach if len(seen) == len(graph.nodes) else None
+
     def _atom_index(self) -> dict[Term, list[int]]:
         """Each term's atom positions, ascending, one per atom mentioning it."""
         if self._positions is None:
@@ -305,15 +324,9 @@ class CQ:
 
 
 def is_rooted(q: CQ) -> bool:
-    """Every Gaifman component touches an answer variable or an individual."""
-    head = set(q.answer_vars)
-    for component in q.gaifman().components():
-        if not any(
-            any(isinstance(t, Const) or t in head for t in cls)
-            for cls in component
-        ):
-            return False
-    return True
+    """Every Gaifman component touches an answer variable or an individual:
+    the walk from those reaches every class."""
+    return q.reach is not None
 
 
 def equality_consistent(q: CQ, z: Iterable[Var]) -> bool:

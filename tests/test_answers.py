@@ -18,6 +18,7 @@ from bago import (
     parse_cq,
     parse_tbox,
 )
+from bago import answers as answers_module
 from bago.answers import VIA_BOTH, VIA_CHASE, VIA_REWRITE
 from bago.ontology import BagABox
 
@@ -65,6 +66,22 @@ def test_bag_cert_thresholds(employees):
     assert bag_cert(CertRequest(q, k, ("Nobody",), 0))
     assert not bag_cert(CertRequest(q, k, ("Lee",), math.inf))
     assert bag_cert(CertRequest(q, k, ("Lee",), 3), via=VIA_REWRITE)
+
+
+@pytest.mark.parametrize("threshold", [0, 3, math.inf])
+@pytest.mark.parametrize("via", [VIA_CHASE, VIA_REWRITE, VIA_BOTH])
+def test_bag_cert_validates_once(employees, monkeypatch, threshold, via):
+    k, q = employees
+    calls = []
+    check = answers_module.is_satisfiable
+
+    def counting(ontology):
+        calls.append(ontology)
+        return check(ontology)
+
+    monkeypatch.setattr(answers_module, "is_satisfiable", counting)
+    bag_cert(CertRequest(q, k, ("Lee",), threshold), via=via)
+    assert calls == [k]
 
 
 def test_cert_request_checks_arity(employees):

@@ -143,6 +143,14 @@ def test_cert_exit_codes(capsys, fixtures_dir):
     assert run(capsys, *base, "-k", "3", "--via", "both")[0] == 0
     assert run(capsys, *base, "-k", "\u00b2")[0] == 2
     assert run(capsys, *base, "--tuple", "(Lee,Hill)", "-k", "3")[0] == 2
+    # A trivial threshold is decided only after the input is validated.
+    managers = fixtures_dir / "managers"
+    for threshold in ("0", "inf"):
+        code, out, err = run(capsys, "cert", "-T", str(managers / "tbox.dl"),
+                             "-A", str(managers / "abox.bag"),
+                             "-q", str(managers / "query_some.cq"),
+                             "--tuple", "()", "-k", threshold)
+        assert (code, out) == (3, "") and err.startswith("refused: ")
 
 
 def test_rewrite_output_feeds_eval_balg(capsys, tmp_path, fixtures_dir):
@@ -161,6 +169,18 @@ def test_rewrite_output_feeds_eval_balg(capsys, tmp_path, fixtures_dir):
     )
     assert code == 0
     assert out.endswith("(Lee) 1\n")
+
+
+def test_rewrite_into_a_missing_directory_is_an_input_error(capsys, tmp_path, fixtures_dir):
+    target = tmp_path / "missing" / "rw.balg"
+    code, out, err = run(
+        capsys, "rewrite",
+        "-T", str(fixtures_dir / "managers" / "tbox.dl"),
+        "-q", str(fixtures_dir / "managers" / "query_managed.cq"),
+        "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
 
 
 def test_rewrite_explain_table(capsys, fixtures_dir):
@@ -253,6 +273,19 @@ def test_gen_3col_files_round_trip(capsys, tmp_path, fixtures_dir):
     parse_abox((out_dir / "abox.bag").read_text())
     parse_cq((out_dir / "query.cq").read_text())
     assert (out_dir / "threshold.txt").read_text() == "11\n"
+
+
+def test_gen_3col_out_dir_under_a_file_is_an_input_error(capsys, tmp_path, fixtures_dir):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "gen-3col",
+        "-G", str(fixtures_dir / "triangle.graph"),
+        "--out-dir", str(blocker / "gen"),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {blocker / 'gen' / 'tbox.dl'}: ")
 
 
 def test_gen_3col_model_eval(capsys, fixtures_dir):

@@ -1,4 +1,5 @@
-"""The counted chase: a few copies of each run, the rest counted.
+"""The counted chase: the chase built for a query keeps a few copies of
+each run, and the rest are counted.
 
 Every answer is checked against the reference construction of
 `tests/oracles.py`: the chase built one element and one stage at a time with
@@ -10,18 +11,20 @@ The chase bounded by a query (`chase(k, d, query=q)`) is checked against
 `eval_cq` over the whole last stage, and its bounds against the query: its
 witnesses lie no deeper than the query's reach (computed here by relaxing
 distances over the atoms), along roles the query names, with concepts it
-names, and it keeps one copy of a run per role atom.
+names, and it keeps one copy of a run per role atom. Another query over it
+answers as over the whole last stage.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from bago import (Anon, BagABox, BagoError, BagOntology, chase, eval_cq,
-                  interpretation_from_abox, parse_abox, parse_cq, parse_tbox, required_depth)
+from bago import (Anon, BagOntology, chase, eval_cq, interpretation_from_abox, parse_abox,
+                  parse_cq, parse_tbox, required_depth)
 from bago.query import CQ, ConceptAtom, Const, EqualityAtom, InequalityAtom, RoleAtom, Var
-from bago.randgen import random_bag_abox, random_core_tbox, random_instance, random_rooted_cq
+from bago.randgen import random_bag_abox, random_core_tbox, random_rooted_cq
 from oracles import brute_eval_cq, chase_step
 
 # Every A bears an R-successor that is a B and bears an S-successor in turn.
@@ -38,26 +41,36 @@ def _reference(tbox, abox, depth):
     return stage
 
 
+def _kept(interp):
+    """The copies a chase keeps of each run it cuts (0 when it cuts none)."""
+    under = Counter((w.parent, w.role.name, w.role.inverted) for w in interp.domain
+                    if type(w) is Anon and w.depth == 1)
+    kept = {under[r] for r in interp.runs}
+    assert len(kept) <= 1, kept  # every cut run keeps as many
+    return max(kept, default=0)
+
+
 def _assert_counts_like_the_reference(text, depth=None, tbox=TBOX, abox=ABOX):
     q = parse_cq(text) if isinstance(text, str) else text
     depth = required_depth(q) if depth is None else depth
     tbox, abox = parse_tbox(tbox), parse_abox(abox)
-    k = BagOntology(tbox, abox)
-    counted = chase(k, depth).counted
+    counted = chase(BagOntology(tbox, abox), depth, query=q).counted
     assert counted.runs  # a's run is cut short
     got = eval_cq(q, counted)
     assert dict(got.items()) == brute_eval_cq(q, _reference(tbox, abox, depth))
-    assert eval_cq(q, chase(k, depth, query=q).counted) == got
     return got
 
 
-def test_cut_run_keeps_depth_copies_and_records_its_count():
-    result = chase(BagOntology(parse_tbox(TBOX), parse_abox(ABOX)), 2)
+def test_cut_run_keeps_a_copy_per_role_atom_and_records_its_count():
+    q = parse_cq("q(x) :- R(x, y), S(y, z)")
+    result = chase(BagOntology(parse_tbox(TBOX), parse_abox(ABOX)), 2, query=q)
     counted = result.counted
-    assert (counted.runs, counted.kept) == ({("a", "R", False): 6}, 2)
+    assert (counted.runs, _kept(counted), counted.query) == ({("a", "R", False): 6}, 2, q)
     # two copies of a's run, each with its S-child, and b's S-witness
     assert len(counted.anonymous()) == 5
     assert len(result.union.anonymous()) == 13
+    # It stands for the full last stage, the one `union` reads, and prints it.
+    assert counted.full() is result.union
     assert counted.to_text() == result.union.to_text()
 
 
@@ -100,15 +113,23 @@ def test_a_floating_boolean_component():
 
 
 def test_more_atoms_than_copies_kept_unfold_the_run():
-    # y1, y2 and y3 can lie in three distinct copies of a's run, of which
-    # two are kept; x, an existential variable, joins them in one component.
+    # y1, y2 and y3 can lie in three distinct copies of a's run; x, an
+    # existential variable, joins them in one component. The chase for q
+    # keeps three copies. The chase for a query with one role atom keeps
+    # one, so q is evaluated over the full last stage it stands for.
     q = "q() :- A(x), R(x, y1), B(y1), R(x, y2), B(y2), R(x, y3), B(y3)"
     assert _assert_counts_like_the_reference(q, depth=2).get(()) == 7 ** 4
+    k = BagOntology(parse_tbox(TBOX), parse_abox(ABOX))
+    one = chase(k, 2, query=parse_cq("q(x) :- R(x, y)")).counted
+    assert _kept(one) == 1
+    assert eval_cq(parse_cq(q), one).get(()) == 7 ** 4
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_counted_answers_equal_the_reference_chase(seed):
-    # Multiplicities up to 8 exceed most queries' depth, so runs are cut.
+    # Multiplicities up to 8 exceed most queries' role atom counts, so runs
+    # are cut. No run is born along a role the query does not name: 40 to 44
+    # of each 100 instances cut one.
     rng = random.Random(1_600_000 + seed)
     cut = 0
     for _ in range(100):
@@ -116,10 +137,10 @@ def test_counted_answers_equal_the_reference_chase(seed):
         abox = random_bag_abox(rng, max_multiplicity=8)
         q = random_rooted_cq(rng)
         depth = required_depth(q)
-        counted = chase(BagOntology(tbox, abox), depth).counted
+        counted = chase(BagOntology(tbox, abox), depth, query=q).counted
         cut += bool(counted.runs)
         assert eval_cq(q, counted) == eval_cq(q, _reference(tbox, abox, depth)), (tbox, abox, q)
-    assert cut >= 50
+    assert cut >= 35
 
 
 # -- the chase bounded by a query ----------------------------------------------
@@ -146,6 +167,7 @@ def _assert_bounded(q, k, depth=None):
     keeps within q's bounds; returns it."""
     depth = required_depth(q) if depth is None else depth
     bounded = chase(k, depth, query=q).counted
+    assert bounded.query is q
     assert eval_cq(q, bounded) == eval_cq(q, chase(k, depth).union), (k, q, depth)
     roles = {a.role for a in q.atoms if isinstance(a, RoleAtom)}
     concepts = {a.concept for a in q.atoms if isinstance(a, ConceptAtom)}
@@ -155,7 +177,7 @@ def _assert_bounded(q, k, depth=None):
     assert {name for name, ext in bounded.concepts.items()
             if any(type(el) is Anon for el in ext)} <= concepts
     if bounded.runs:
-        assert bounded.kept == max(1, sum(isinstance(a, RoleAtom) for a in q.atoms))
+        assert _kept(bounded) == max(1, sum(isinstance(a, RoleAtom) for a in q.atoms))
     return bounded
 
 
@@ -192,7 +214,7 @@ def test_an_individual_roots_the_query_and_the_deepest_concept_is_written():
     deepest = [w for w in bounded.anonymous() if w.depth == 2]
     assert deepest and all(bounded.concept_mult("C", w) == 1 for w in deepest)
     assert eval_cq(q, bounded).get(()) == 7
-    assert (bounded.runs, bounded.kept) == ({("a", "R", False): 6}, 2)
+    assert (bounded.runs, _kept(bounded)) == ({("a", "R", False): 6}, 2)
 
 
 def test_an_equality_makes_an_existential_class_a_root():
@@ -205,7 +227,7 @@ def test_an_equality_makes_an_existential_class_a_root():
 def test_repeated_and_inverse_role_atoms_keep_one_copy_each():
     # d's three P-predecessors form one run along P-: two role atoms keep two.
     q, bounded, k = _edge("q(x) :- P(y, x), P(y, x), B(y)")
-    assert (bounded.runs, bounded.kept, _depth(bounded)) == ({("d", "P", True): 3}, 2, 1)
+    assert (bounded.runs, _kept(bounded), _depth(bounded)) == ({("d", "P", True): 3}, 2, 1)
     assert {w.role.name for w in bounded.anonymous()} == {"P"}
     assert eval_cq(q, bounded).get(("d",)) == 3
 
@@ -219,11 +241,11 @@ def test_a_role_absent_from_the_tbox_bears_nothing_along_it():
 
 def test_a_run_longer_than_the_role_atoms_is_cut_to_them():
     q, bounded, k = _edge("q(x) :- R(x, y), B(y)")
-    assert (bounded.runs, bounded.kept, len(bounded.anonymous())) == (
+    assert (bounded.runs, _kept(bounded), len(bounded.anonymous())) == (
         {("a", "R", False): 6}, 1, 1)
     assert eval_cq(q, bounded).get(("a",)) == 7
-    # The unfolded interpretation keeps the bounds and every copy.
-    assert len(bounded.unfolded().anonymous()) == 6
+    # The full last stage it stands for has every copy.
+    assert sum(w.depth == 1 and w.parent == "a" for w in bounded.full().anonymous()) == 6
 
 
 def test_a_query_leaves_the_stages_and_the_dump_unchanged():
@@ -242,7 +264,7 @@ def test_a_query_not_rooted_bounds_only_the_copies():
     bounded = chase(k, 2, query=q).counted
     assert eval_cq(q, bounded) == eval_cq(q, chase(k, 2).union)
     assert {w.role.name for w in bounded.anonymous()} == {"R", "S", "P"}
-    assert bounded.kept == 1
+    assert _kept(bounded) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -257,25 +279,23 @@ def test_bounded_chase_answers_as_the_full_chase(seed):
         q = random_rooted_cq(rng, max_atoms=6, max_vars=5)
         k = BagOntology(tbox, abox)
         bounded = _assert_bounded(q, k)
-        smaller += len(bounded.domain) < len(chase(k, required_depth(q)).counted.domain)
+        smaller += len(bounded.domain) < len(chase(k, required_depth(q)).union.domain)
         _assert_bounded(q, k, rng.randrange(required_depth(q) + 2))
     assert smaller >= 30
 
 
-def _outcome(q, interp):
-    try:
-        return eval_cq(q, interp)
-    except BagoError as exc:
-        return type(exc).__name__
-
-
-def test_bounded_chase_on_the_large_multiplicity_corpus():
-    # Runs of up to 2^63 witnesses cannot be unfolded, so the reference is the
-    # chase that keeps `depth` copies of each run.
-    for seed in range(900_000, 902_000):
-        rng = random.Random(seed)
-        tbox, abox, q = random_instance(rng)
-        abox = BagABox([(a, rng.choice((1, 2, 2**31, 2**62, 2**63)))
-                        for a, _ in abox.entries()])
-        k, depth = BagOntology(tbox, abox), required_depth(q)
-        assert _outcome(q, chase(k, depth, query=q).counted) == _outcome(q, chase(k, depth).counted)
+def test_another_query_over_a_query_chase_answers_as_over_the_full_chase():
+    # q's chase may lack the roles, concepts, depths and copies q2 reaches,
+    # so q2 is evaluated over the full last stage it stands for.
+    k = BagOntology(parse_tbox("A SUB EX R\nA SUB EX S\nEX S- SUB B\n"),
+                    parse_abox("A(a) 3\n"))
+    q, q2 = parse_cq("q(x) :- R(x, y)"), parse_cq("q(x) :- S(x, y), B(y)")
+    assert eval_cq(q2, chase(k, 2, query=q).counted).get(("a",)) == 3
+    rng = random.Random(5)
+    for _ in range(2_000):
+        tbox = random_core_tbox(rng)
+        abox = random_bag_abox(rng, max_multiplicity=4)
+        q, q2 = random_rooted_cq(rng), random_rooted_cq(rng)
+        k, depth = BagOntology(tbox, abox), required_depth(q2)
+        got = eval_cq(q2, chase(k, depth, query=q).counted)
+        assert got == eval_cq(q2, chase(k, depth).union), (tbox, abox, q, q2)

@@ -240,7 +240,7 @@ def test_large_multiplicity_corpus_agrees_on_both_paths():
         if via_chase != via_rewrite:
             disagreements.append((seed, via_chase, via_rewrite))
     assert disagreements == []
-    # The chase keeps at most `depth` copies of each run, so no multiplicity
+    # The query's chase keeps one copy of a run per role atom, so no multiplicity
     # passes its budget: every instance is compared.
     assert (skipped, len(outcomes)) == (0, 2000)
     assert "MultiplicityOverflow" in outcomes

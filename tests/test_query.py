@@ -1,10 +1,12 @@
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
 from bago import (
     CQ,
+    BagOntology,
     ConceptAtom,
     Const,
     EqualityAtom,
@@ -14,12 +16,16 @@ from bago import (
     RoleAtom,
     SafetyViolation,
     Var,
+    certain_answers,
     equality_consistent,
     is_rooted,
     linking_atom,
     ma_connected_partition,
+    parse_abox,
     parse_cq,
+    parse_tbox,
 )
+from bago.chase import _scope
 from bago.query import (
     atom_key,
     atoms_mentioning,
@@ -217,6 +223,34 @@ def test_gaifman_components_match_union_find():
     for _ in range(150):
         q = random_small_cq(rng, max_atoms=8, max_vars=4)
         assert set(q.gaifman().components()) == _brute_components(q)
+
+
+def test_rooted_is_one_walk_from_the_roots():
+    # The walk from the roots reaches every class exactly when every
+    # component holds a root, and the chase's scope is read off the same walk.
+    rng = random.Random(7)
+    for _ in range(300):
+        q = random_small_cq(rng, max_atoms=8, max_vars=4)
+        roots = set(q.answer_vars) | {t for a in q.atoms for t in a.terms if type(t) is Const}
+        by_components = all(any(c & roots for c in comp) for comp in _brute_components(q))
+        assert is_rooted(q) == by_components == (_scope(q) is not None), q
+
+
+def test_certain_answers_walk_the_query_once(monkeypatch):
+    walks = []
+    walk = CQ.reach.func
+
+    def counting(q):
+        walks.append(q)
+        return walk(q)
+
+    reach = cached_property(counting)
+    reach.__set_name__(CQ, "reach")
+    monkeypatch.setattr(CQ, "reach", reach)
+    k = BagOntology(parse_tbox("A SUB EX R\nEX R- SUB B\n"), parse_abox("A(a) 3\n"))
+    q = parse_cq("q(x) :- R(x, y), B(y)")
+    assert certain_answers(q, k, via="both").get(("a",)) == 3
+    assert walks == [q]
 
 
 def test_rooted_invariant_under_renaming_and_duplication():

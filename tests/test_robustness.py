@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from bago import (BagOntology, ChaseLimitExceeded, chase, parse_abox, parse_balg, parse_tbox,
-                  to_sexpr)
+from bago import (BagOntology, ChaseLimitExceeded, chase, parse_abox, parse_balg, parse_cq,
+                  parse_tbox, to_sexpr)
 from bago.chase import dump_chase
 from bago.cli import EXIT_RESOURCE, main
 
@@ -39,8 +39,8 @@ def test_huge_multiplicity_via_chase_answers_exactly(capsys, tmp_path, fixtures_
 
 
 def test_huge_multiplicity_chase_dump_exits_with_resource_limit(capsys, tmp_path, fixtures_dir):
-    # Printing the chase unfolds Lee's run, which passes the budget before
-    # any of it is allocated.
+    # The chase with no query has Lee's whole run, which passes the budget
+    # before any of it is allocated.
     files = _employee_files(tmp_path, fixtures_dir, U64_MAX)[:4]
     start = time.process_time()
     code = main(["chase", *files, "--depth", "2"])
@@ -195,23 +195,27 @@ def test_deep_balg_prints_in_linear_size_and_round_trips():
 
 def test_budget_counts_anonymous_elements_only(monkeypatch):
     # Emp(Lee) 10 needs a run of ten witnesses, one per missing manager edge.
-    # The chase to depth 3 keeps three of them; unfolded, it has all ten.
+    # The chase for a query with three role atoms keeps three of them; the
+    # full chase has all ten.
     k = BagOntology(parse_tbox("Emp SUB EX hasMngr\nEX hasMngr- SUB Mngr\n"),
                     parse_abox("Emp(Lee) 10\n"))
+    q = parse_cq("q(x) :- hasMngr(x, y), hasMngr(x, z), hasMngr(x, w)")
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 10)
-    assert len(chase(k, 3).counted.domain) == 4
+    assert len(chase(k, 3, query=q).counted.domain) == 4
     assert len(chase(k, 3).union.domain) == 11
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 9)
-    result = chase(k, 3)
+    result = chase(k, 3, query=q)
     with pytest.raises(ChaseLimitExceeded):
         result.union
-    monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 2)
     with pytest.raises(ChaseLimitExceeded):
         chase(k, 3)
+    monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 2)
+    with pytest.raises(ChaseLimitExceeded):
+        chase(k, 3, query=q)
     # Stage 1 bears three witnesses for each of a and b, as one run of the
-    # names with deficit three along hasMngr, of which the chase to depth 2
-    # keeps two each; stage 2 bears one for each of those, as one run along
-    # hasMngr: eight in all. Unfolded, it bears six and six: twelve.
+    # names with deficit three along hasMngr; stage 2 bears one for each of
+    # those, as one run along hasMngr: six and six, twelve in all, in one
+    # chase.
     k = BagOntology(parse_tbox("Emp SUB EX hasMngr\nEX hasMngr- SUB Mngr\nMngr SUB Emp\n"),
                     parse_abox("Emp(a) 3\nEmp(b) 3\n"))
     born = []
@@ -224,13 +228,12 @@ def test_budget_counts_anonymous_elements_only(monkeypatch):
     monkeypatch.setattr(chase_module.BagInterpretation, "_bear", counting)
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 12)
     assert len(chase(k, 2).union.anonymous()) == 12
-    assert born == [4, 4, 6, 6]
+    assert born == [6, 6]
     born.clear()
     monkeypatch.setattr(chase_module, "MAX_CHASE_ELEMENTS", 11)
-    result = chase(k, 2)
     with pytest.raises(ChaseLimitExceeded):
-        result.union
-    assert born == [4, 4, 6]  # stage 2's run of six was refused before any of it was born
+        chase(k, 2)
+    assert born == [6]  # stage 2's run of six was refused before any of it was born
 
 
 def test_huge_depth_on_a_terminating_chase_answers(capsys, fixtures_dir):
@@ -309,7 +312,7 @@ def _mutate(rng, text):
 
 
 def test_cli_mutation_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, fixtures_dir):
-    from bago import parse_cq, rewrite
+    from bago import rewrite
     from bago.bagalg import to_sexpr
 
     bases = []
