@@ -38,10 +38,15 @@ VIA_BOTH = "both"
 
 
 def _validate(q: CQ, k: BagOntology):
+    """The checks of every answer but satisfiability, which each path makes
+    once: `chase` makes it, and the rewriting path calls `_check_satisfiable`."""
     if k.tbox.kind != CORE:
         raise UnsupportedTBoxKind("certain answers are supported for core TBoxes only")
     if not is_rooted(q):
         raise NotRooted("certain answers are supported for rooted queries only")
+
+
+def _check_satisfiable(k: BagOntology):
     if not is_satisfiable(k):
         raise UnsatisfiableOntology("the ontology has no bag model")
 
@@ -52,6 +57,7 @@ def certain_answers(q: CQ, k: BagOntology, via: str = VIA_CHASE) -> AnswerBag:
     if via == VIA_CHASE:
         return eval_cq(q, chase(k, required_depth(q), query=q).counted)
     if via == VIA_REWRITE:
+        _check_satisfiable(k)
         return evaluate_rewriting(rewrite(q, k.tbox), k.abox)
     if via == VIA_BOTH:
         through_chase = eval_cq(q, chase(k, required_depth(q), query=q).counted)
@@ -88,6 +94,7 @@ def bag_cert(r: CertRequest, via: str = VIA_CHASE) -> bool:
     """
     if r.threshold == 0 or math.isinf(r.threshold):
         _validate(r.query, r.ontology)
+        _check_satisfiable(r.ontology)
         return r.threshold == 0
     return certain_answers(r.query, r.ontology, via=via).get(r.tuple) >= r.threshold
 

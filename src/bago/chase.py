@@ -28,29 +28,25 @@ depth j has its final concepts from stage j + 1 on, so one more stage
 writes the depth-D witnesses' concepts and bears nothing. A homomorphism
 reaches a witness from a name only through the witness's ancestors' edges,
 so every role on that path is one q names. Witnesses are therefore born
-only along role names q mentions, and they carry only concept names q
-mentions. Names keep their whole closure.
+only along role names q mentions, and every element, name or witness, is
+written only the concept names q mentions; a name's stage-0 ABox facts stay.
 
-Stage 1 works on the named individuals one concept column at a time. The
-seed columns are the atomic extensions and the EX R / EX R- out-degree sums;
-each is pushed, by pointwise max, into the column of every concept it
-entails; each atomic column is written in one bulk update; and the names
-with the same deficit along a role are born as one run. This column closure
-is the one place the chase takes a pointwise max. A witness born for role R
-starts with nothing but its R-edge, so every later stage expands it from a
-plan fixed per role and read off the TBox (`_witness_plan`): the atomic
-concepts and the other EX S that EX R- entails, each at multiplicity 1. The
-plans are built once per TBox and kept in `TBox.witness_plans`. The
-frontier is kept as runs, one per role, and a plan is applied to a whole run
-at once: one bulk update per concept write and one birth per role for all
-its witnesses, which are filed into the next stage's runs by role. The
-literal per-element construction, one stage at a time, is the tests'
-reference in `tests/oracles.py`. A chase that would need more than
-MAX_CHASE_ELEMENTS anonymous elements raises ChaseLimitExceeded before
+The chase runs one loop of stages, each over seed columns, never per
+element. Stage 1's seeds are the names' atomic extensions and their EX R /
+EX R- out-degree sums; a later stage's seeds are EX R- at multiplicity 1 for
+every witness born along R in the stage before, the one fact such a witness
+has. Each stage pushes every seed column into the column of every concept it
+entails, taking the pointwise max (`combine("max-union")`) where two meet;
+writes each atomic column in one bulk update; and groups each EX R column's
+deficits by (role, count) into runs, which are born a run at a time. An
+element is closed once, the stage after its birth: its seeds do not change
+afterwards. The literal per-element construction, one stage at a time, is
+the tests' reference in `tests/oracles.py`. A chase that would need more
+than MAX_CHASE_ELEMENTS anonymous elements raises ChaseLimitExceeded before
 allocating any of the run that would pass it.
 
 Multiplicity enters the chase in one place only. Every birth below depth 1
-has count 1 (a witness's plan gives each EX S multiplicity 1), so a deficit
+has count 1 (a witness's one seed has multiplicity 1), so a deficit
 k > 1 is a name's run along one role: k witnesses whose subtrees are
 isomorphic. The copies of a run hang from one name, and a witness's
 neighbours lie in its own copy or are that name. A homomorphism therefore
@@ -76,7 +72,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind
+from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind, combine
 from .ontology import (
     CORE,
     AtomicConcept,
@@ -86,7 +82,6 @@ from .ontology import (
     ConceptAssertion,
     ExistsRole,
     Role,
-    TBox,
     is_satisfiable,
 )
 from .query import CQ, ConceptAtom, RoleAtom
@@ -268,9 +263,8 @@ class BagInterpretation:
         multiplicity 1 in its parent's row along `role`. A run of names is
         written parent by parent, merged into the ABox edges a name may have
         along `role`. A run of witnesses has no row along `role` yet, and
-        `count` is 1 for it: a witness's plan is the closure of EX R- at
-        multiplicity 1, so each of its births has deficit 1. Its rows are
-        written in one bulk update.
+        `count` is 1 for it: a witness's one seed, EX R- at multiplicity 1,
+        gives each of its deficits 1. Its rows are written in one bulk update.
         """
         name, inverted = role.name, role.inverted
         index = self._rows[inverted].setdefault(name, {})
@@ -403,16 +397,6 @@ def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     return i
 
 
-def _witness_plan(tbox: TBox, role: Role) -> tuple:
-    """A witness's plan: (name, 1) for each atomic concept and (S, 1) for each
-    other EX S that its seed EX R- entails, both sorted."""
-    seed = ExistsRole(role.inverse)
-    entailed = tbox.concepts_entailed_by(seed)
-    writes = sorted((c.name, 1) for c in entailed if isinstance(c, AtomicConcept))
-    births = sorted((c.role, 1) for c in entailed if isinstance(c, ExistsRole) and c != seed)
-    return tuple(writes), tuple(births)
-
-
 class _Scope(NamedTuple):
     """What of the chase a rooted query can reach: witnesses down to depth
     `reach`, along the role names in `roles`, with the concept names in
@@ -439,101 +423,61 @@ def _scope(q: CQ) -> Optional[_Scope]:
 
 def _grow(k: BagOntology, depth: int, query: Optional[CQ] = None,
           full: Optional[Callable[[], BagInterpretation]] = None) -> BagInterpretation:
-    """Chase k to `depth` in place, by columns and runs: what iterating the
-    reference stage in `tests/oracles.py` builds one element at a time.
-
-    Stage 1 closes the named individuals one concept column at a time, and
-    the names with the same deficit along a role form one run. Every later
-    stage expands its frontier a run at a time: the witnesses born along one
-    role share one plan, so each concept write is one bulk update. Each run
-    gets one budget check and one `_bear`. With a query, which the result
-    records with `full`, each name keeps `kept_copies(query)` copies of its
-    run along a role at most (full counts of cut runs go to `runs`), and a
-    rooted query's `_scope` bears witnesses along its roles, down to its
-    reach, writing its concepts only; the stage after the reach only writes.
-    """
+    """Chase k to `depth` in place, one stage of seed columns at a time; for a
+    query, recorded with `full`, cut its runs to `kept_copies` and keep to its
+    `_scope`."""
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
     copies, scope = (None, None) if query is None else (kept_copies(query), _scope(query))
     i.query, i.full = query, full
     reach = depth if scope is None else min(depth, scope.reach)
     anonymous = 0
-
-    def expand(run: Sequence[Element], plan: tuple, runs: dict[Role, list[Anon]]) -> None:
-        """Apply the plan to every element of the run; file the births in `runs`."""
-        nonlocal anonymous
-        writes, births = plan
-        for name, m in writes:
-            concepts.setdefault(name, {}).update(dict.fromkeys(run, m))
-        for role, count in births:
+    # Stage 1's seed columns: atomic extensions (read before any write below)
+    # and EX R / EX R- out-degree sums.
+    seeds: dict[Concept, dict[Element, int]] = {AtomicConcept(n): e for n, e in concepts.items()}
+    for name in i._edges:
+        for inverted in (False, True):
+            seeds[ExistsRole(Role(name, inverted))] = {
+                u: sum(row.values()) for u, row in i.rows(name, inverted).items()}
+    for stage in range(1, min(depth, reach + 1) + 1):
+        if not seeds:  # the chase terminated; later stages add nothing
+            break
+        closure: dict[Concept, dict[Element, int]] = {}
+        for c0, column in seeds.items():
+            for c in tbox.concepts_entailed_by(c0):
+                col = closure.setdefault(c, column)
+                if col is not column:
+                    closure[c] = combine("max-union", col, column)
+        births = []
+        for c, column in closure.items():
+            if isinstance(c, AtomicConcept):
+                if scope is None or c.name in scope.concepts:
+                    concepts.setdefault(c.name, {}).update(column)
+                continue
+            if stage > reach or scope is not None and c.role.name not in scope.roles:
+                continue
+            seed, deficits = seeds.get(c, {}), {}
+            if column is seed:  # c's own seed alone reaches c: no deficit
+                continue
+            for u, m in column.items():
+                m -= seed.get(u, 0) if seed else 0
+                if m > 0:
+                    deficits.setdefault(m, []).append(u)
+            births += [(c.role, count, run) for count, run in deficits.items()]
+        # The witnesses born along R are the next stage's seeds: EX R- at 1.
+        seeds = {}
+        for role, count, run in sorted(births, key=lambda b: b[:2]):
+            if copies is not None and count > copies:
+                i.runs.update(dict.fromkeys([(u, role.name, role.inverted) for u in run], count))
+                count = copies
             anonymous += len(run) * count
             if anonymous > MAX_CHASE_ELEMENTS:
                 raise ChaseLimitExceeded(
                     f"the chase needs more than {MAX_CHASE_ELEMENTS:,} anonymous "
                     "elements: its depth and branching pass the budget"
                 )
-            runs.setdefault(role, []).extend(i._bear(run, role, count))
-
-    plans: dict[Role, tuple] = {}
-
-    def plan_of(role: Role) -> tuple:
-        """The witness plan of `role`, restricted to the scope."""
-        plan = plans.get(role)
-        if plan is None:
-            plan = tbox.witness_plans.get(role)
-            if plan is None:
-                plan = tbox.witness_plans[role] = _witness_plan(tbox, role)
-            if scope is not None:
-                writes, births = plan
-                plan = (tuple(w for w in writes if w[0] in scope.concepts),
-                        tuple(b for b in births if b[0].name in scope.roles))
-            plans[role] = plan
-        return plan
-
-    if depth == 0:
-        return i
-    # Seed columns: atomic extensions (read before any write below) and
-    # EX R / EX R- out-degree sums.
-    seeds: dict[Concept, dict[Element, int]] = {AtomicConcept(n): e for n, e in concepts.items()}
-    for name in i._edges:
-        for inverted in (False, True):
-            seeds[ExistsRole(Role(name, inverted))] = {
-                u: sum(row.values()) for u, row in i.rows(name, inverted).items()}
-    closure: dict[Concept, dict[Element, int]] = {}
-    for c0, column in seeds.items():
-        for c in tbox.concepts_entailed_by(c0):
-            col = closure.setdefault(c, {})
-            col.update({u: m for u, m in column.items() if u not in col or col[u] < m})
-    births = []
-    for c, column in closure.items():
-        if isinstance(c, AtomicConcept):
-            concepts.setdefault(c.name, {}).update(column)
-            continue
-        if reach == 0 or scope is not None and c.role.name not in scope.roles:
-            continue
-        seed, deficits = seeds.get(c, {}), {}
-        for u, m in column.items():
-            if u not in seed or seed[u] < m:
-                deficits.setdefault(m - seed.get(u, 0), []).append(u)
-        births += [(c.role, count, run) for count, run in deficits.items()]
-    # The frontier of the next stage, as one run of witnesses per role. Each
-    # run of names has a plan of one birth and no writes.
-    frontier: dict[Role, list[Anon]] = {}
-    for role, count, run in sorted(births, key=lambda b: b[:2]):
-        if copies is not None and count > copies:
-            i.runs.update(dict.fromkeys([(u, role.name, role.inverted) for u in run], count))
-            count = copies
-        expand(run, ((), ((role, count),)), frontier)
-
-    # Stage j expands the witnesses of depth j - 1; past the reach it only writes.
-    for stage in range(2, min(depth, reach + 1) + 1):
-        if not frontier:  # the chase terminated; later stages add nothing
-            break
-        runs: dict[Role, list[Anon]] = {}
-        for role, run in frontier.items():
-            writes, births = plan_of(role)
-            expand(run, (writes, births if stage <= reach else ()), runs)
-        frontier = runs
+            born = i._bear(run, role, count)
+            seeds.setdefault(ExistsRole(role.inverse), {}).update(dict.fromkeys(born, 1))
     return i
 
 

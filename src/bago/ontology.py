@@ -173,10 +173,6 @@ class TBox:
         self._concept_reach: dict[Concept, frozenset[Concept]] = {}
         self._role_reach: dict[Role, frozenset[Role]] = {}
         self._concept_subsumees: dict[Concept, tuple[Concept, ...]] = {}
-        # The chase's plan for a witness born along each role. It depends on the
-        # TBox alone, so it is kept here across chases: `rewrite`'s many small
-        # probe chases over one TBox build each plan once.
-        self.witness_plans: dict[Role, tuple] = {}
 
     def __eq__(self, other):
         return (

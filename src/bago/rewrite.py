@@ -82,7 +82,6 @@ from .query import (
     equality_consistent,
     is_rooted,
     linking_atom,
-    linking_candidates,
     ma_connected_partition,
     outward_terms,
     term_key,
@@ -101,9 +100,6 @@ REWRITE_BUDGET = 1024
 # Reading a branch or its certificate first puts every z in subset order, in
 # time and memory linear in their number; past this many, reading refuses.
 MAX_LISTED_BRANCHES = 1 << 16
-
-LinkChooser = Callable[[list[RoleAtom]], RoleAtom]
-
 
 @dataclass(frozen=True)
 class ProbeWitness:
@@ -125,18 +121,6 @@ class RealisabilityCertificate:
     @property
     def realisable(self) -> bool:
         return self.verdict == REALISABLE
-
-
-def _choose(chooser: Optional[LinkChooser], q: CQ, cluster: frozenset[Var]) -> RoleAtom:
-    """`linking_atom`, or the chooser's pick among the linking candidates."""
-    alpha = linking_atom(q, cluster)  # raises when there is no candidate
-    if chooser is None:
-        return alpha
-    candidates = linking_candidates(q, cluster)
-    pick = chooser(candidates)
-    if pick not in candidates:
-        raise InternalStructureError("link chooser returned a non-candidate atom")
-    return pick
 
 
 def _misshapen(q: CQ, cluster: frozenset[Var]) -> bool:
@@ -200,12 +184,7 @@ def build_probe(q: CQ, cluster: frozenset[Var],
     return probe, abox, anchor
 
 
-def is_realisable(
-    tbox: TBox,
-    q: CQ,
-    z: Iterable[Var],
-    link_chooser: Optional[LinkChooser] = None,
-) -> RealisabilityCertificate:
+def is_realisable(tbox: TBox, q: CQ, z: Iterable[Var]) -> RealisabilityCertificate:
     """Decide whether z can be folded into the anonymous part of the chase.
 
     Raises NotRooted when a cluster of z links to no term outside it.
@@ -221,7 +200,7 @@ def is_realisable(
         if _misshapen(q, cluster):
             return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
         try:
-            alpha = _choose(link_chooser, q, cluster)
+            alpha = linking_atom(q, cluster)
             probe, probe_abox, anchor = build_probe(q, cluster, alpha=alpha)
         except MultipleAnchors:
             return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
@@ -276,18 +255,14 @@ def _substitute(q: CQ, replacement: Mapping[frozenset[Var], list]) -> CQ:
     return CQ(q.answer_vars, new_atoms)
 
 
-def collapse(
-    q: CQ,
-    z: Iterable[Var],
-    link_chooser: Optional[LinkChooser] = None,
-) -> CQ:
+def collapse(q: CQ, z: Iterable[Var]) -> CQ:
     """Replace each ma-connected cluster by its linking atom plus equalities.
 
     Raises NotEqualityConsistent when an equality links z to a term outside
     it, and NotRooted when a cluster links to no term outside it.
     """
     return _substitute(q, {
-        cluster: _link_atoms(q, cluster, _choose(link_chooser, q, cluster))
+        cluster: _link_atoms(q, cluster, linking_atom(q, cluster))
         for cluster in ma_connected_partition(q, z)
     })
 
@@ -603,7 +578,7 @@ class _Factors:
         )
 
 
-def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Rewriting:
+def rewrite(q: CQ, tbox: TBox) -> Rewriting:
     """Compile a rooted query over a core TBox into its bag-algebra rewriting.
 
     Branches come in subset order: by size of z, then lexicographically by
@@ -631,7 +606,7 @@ def rewrite(q: CQ, tbox: TBox, link_chooser: Optional[LinkChooser] = None) -> Re
     realisable: list[list] = [[] for _ in components]
     failed = []
     for cluster, mask, closed in clusters:
-        cert = is_realisable(tbox, q, cluster, link_chooser=link_chooser)
+        cert = is_realisable(tbox, q, cluster)
         if not cert.realisable:
             failed.append(cert)
             continue

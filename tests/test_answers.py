@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -19,8 +20,13 @@ from bago import (
     parse_tbox,
 )
 from bago import answers as answers_module
+from bago.cli import main
 from bago.answers import VIA_BOTH, VIA_CHASE, VIA_REWRITE
 from bago.ontology import BagABox
+from bago.rewrite import PROBE_FRESH
+
+# The package re-exports the function `chase`, which shadows the module name.
+chase_module = importlib.import_module("bago.chase")
 
 
 def test_certain_answers_running_example(employees):
@@ -72,16 +78,44 @@ def test_bag_cert_thresholds(employees):
 @pytest.mark.parametrize("via", [VIA_CHASE, VIA_REWRITE, VIA_BOTH])
 def test_bag_cert_validates_once(employees, monkeypatch, threshold, via):
     k, q = employees
+    calls = _count_satisfiability_checks(monkeypatch)
+    bag_cert(CertRequest(q, k, ("Lee",), threshold), via=via)
+    assert calls == [k]
+
+
+def _count_satisfiability_checks(monkeypatch) -> list:
+    """Record the ontology of each call at both lookup sites: the rewriting
+    path's in `bago.answers` and the chase's in `bago.chase`. The rewriting's
+    probe chases check their own one-assertion ontologies, which are left out."""
     calls = []
     check = answers_module.is_satisfiable
 
     def counting(ontology):
-        calls.append(ontology)
+        if PROBE_FRESH not in ontology.abox.individuals():
+            calls.append(ontology)
         return check(ontology)
 
     monkeypatch.setattr(answers_module, "is_satisfiable", counting)
-    bag_cert(CertRequest(q, k, ("Lee",), threshold), via=via)
+    monkeypatch.setattr(chase_module, "is_satisfiable", counting)
+    return calls
+
+
+@pytest.mark.parametrize("via", [VIA_CHASE, VIA_REWRITE, VIA_BOTH])
+def test_each_path_checks_satisfiability_once(employees, monkeypatch, tmp_path, via):
+    k, q = employees
+    calls = _count_satisfiability_checks(monkeypatch)
+    certain_answers(q, k, via=via)
     assert calls == [k]
+    unsat = BagOntology(parse_tbox("DISJ A B\n"), parse_abox("A(a)\nB(a)\n"))
+    calls.clear()
+    with pytest.raises(UnsatisfiableOntology):
+        certain_answers(parse_cq("q(x) :- A(x)"), unsat, via=via)
+    assert calls == [unsat]
+    for text, file in (("DISJ A B\n", "t.dl"), ("A(a)\nB(a)\n", "a.bag"),
+                       ("q(x) :- A(x)\n", "q.cq")):
+        (tmp_path / file).write_text(text)
+    assert main(["answer", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
+                 "-q", str(tmp_path / "q.cq"), "--via", via]) == 3
 
 
 def test_cert_request_checks_arity(employees):
@@ -105,8 +139,8 @@ def test_crosscheck_detects_corrupted_rewriting(managers, monkeypatch):
 
     k, q_rooted, _ = managers
 
-    def broken_rewrite(q, tbox, link_chooser=None):
-        rw = real_rewrite(q, tbox, link_chooser=link_chooser)
+    def broken_rewrite(q, tbox):
+        rw = real_rewrite(q, tbox)
         return Rewriting(
             rw.source, rw.tbox, rw.branches[:1],
             rw.branches[0].compiled, rw.certificates,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bago import (
+    AnswerBag,
     AtomicConcept,
     BagInterpretation,
     BagOntology,
@@ -15,6 +16,7 @@ from bago import (
     UnsupportedTBoxKind,
     certain_answers,
     chase,
+    eval_cq,
     interpretation_from_abox,
     parse_abox,
     parse_cq,
@@ -22,10 +24,10 @@ from bago import (
     required_depth,
 )
 from bago.chase import Anon, dump_chase
-from bago.ontology import BagABox
+from bago.ontology import BagABox, TBox
 from bago.randgen import random_instance
 from generators import wide_abox
-from oracles import bag_union, chase_step, concept_closure, contains
+from oracles import bag_union, brute_eval_cq, chase_step, concept_closure, contains
 
 LEE = "Lee"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -153,7 +155,7 @@ def test_anonymous_multiplicities_are_one():
                     assert tbox.entails_concept(seed, AtomicConcept(name))
 
 
-# (TBox, ABox) pairs that stress the chase's per-role plans: a self-feeding
+# (TBox, ABox) pairs that stress the chase's later stages: a self-feeding
 # TBox, a self-loop, an inverse seed with a sibling role, multiplicities in
 # the hundreds, and interleaved runs of forward and inverse births.
 HAND_BUILT = {
@@ -204,6 +206,40 @@ def test_first_stage_over_many_names_matches_iterated_naive_step(seed):
     # Stage 1 closes the names a concept column at a time and bears their
     # witnesses in runs of equal deficit; the reference goes name by name.
     _assert_chase_matches_iterated_naive_step(*wide_abox(random.Random(seed)), 3)
+
+
+# In the fixture `shared_successor`, witnesses born along R and along T- both
+# entail EX S, so each stage after the first bears their S-successors as one
+# run.
+@pytest.mark.parametrize("depth", range(5))
+def test_witnesses_of_two_roles_share_a_successor_run(monkeypatch, fixtures_dir, depth):
+    k = _dump_ontology(fixtures_dir, "shared_successor")
+    tbox, abox = k.tbox, k.abox
+    _assert_chase_matches_iterated_naive_step(tbox, abox, depth)
+    reference = interpretation_from_abox(abox)
+    for _ in range(depth):
+        reference = chase_step(reference, tbox)
+    runs = []
+    bear = BagInterpretation._bear
+
+    def recording(self, parents, role, count):
+        runs.append((str(role), sorted({str(u.role) for u in parents if type(u) is Anon})))
+        return bear(self, parents, role, count)
+
+    monkeypatch.setattr(BagInterpretation, "_bear", recording)
+    for text in ("q(x) :- R(x, y), S(y, z), C(z)", "q(x) :- T(v, x), S(v, w), C(w)",
+                 (fixtures_dir / "shared_successor" / "query.cq").read_text()):
+        q = parse_cq(text)
+        got = eval_cq(q, chase(k, depth, query=q).counted)
+        want = eval_cq(q, reference)
+        assert got == want, (text, depth)
+        if len(q.variables()) <= 3:
+            assert dict(got.items()) == brute_eval_cq(q, reference)
+        # The S-witnesses have their C from stage 3 on.
+        assert depth < 3 or len(q.atoms) < 6 or got == AnswerBag(1, {("a",): 15})
+    runs.clear()
+    chase(k, depth)
+    assert (("S", ["R", "T-"]) in runs) == (depth >= 2)
 
 
 # The benchmark's multiplicity-heavy queries, which read successor rows only.
@@ -274,20 +310,24 @@ def test_contains_fails_on_a_smaller_entry_or_a_missing_element():
 
 
 def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
+    # Each stage closes its seed columns, one per concept, not its elements:
+    # a hundredfold longer run reads the TBox as often.
     k, _ = employees
-    big = BagOntology(k.tbox, parse_abox("Emp(Lee) 500\nMngr(Hill) 2\n"))
     calls = []
-    reference = chase_module._witness_plan
+    entailed = TBox.concepts_entailed_by
 
-    def counting(tbox, role):
-        calls.append(role)
-        return reference(tbox, role)
+    def counting(self, c):
+        calls.append(c)
+        return entailed(self, c)
 
-    monkeypatch.setattr(chase_module, "_witness_plan", counting)
-    union = chase(big, 5).union
-    assert len(union.anonymous()) >= 500
-    # Only the witness plans read the TBox past stage 1: one per role name and direction.
-    assert len(calls) <= 2 * len(union.roles)
+    monkeypatch.setattr(TBox, "concepts_entailed_by", counting)
+    counts = []
+    for n in (5, 500):
+        calls.clear()
+        union = chase(BagOntology(k.tbox, parse_abox(f"Emp(Lee) {n}\nMngr(Hill) 2\n")), 5).union
+        assert len(union.anonymous()) >= n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3
 
 
 # dump_chase texts committed under tests/golden/, as (name, depth); the

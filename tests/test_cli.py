@@ -13,6 +13,7 @@ FIXTURE_SETS = [
     ("wide_abox", "query.cq"),
     ("huge_mult", "query.cq"),
     ("reach", "query.cq"),
+    ("shared_successor", "query.cq"),
 ]
 
 

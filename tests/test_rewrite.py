@@ -52,6 +52,7 @@ from bago.query import (
     RoleAtom,
     Var,
     linking_atom,
+    linking_candidates,
 )
 from bago.rewrite import (
     NOT_EQUALITY_CONSISTENT,
@@ -276,11 +277,22 @@ def test_probe_values_are_exactly_one_for_realisable_subsets():
     assert checked > 10
 
 
-def test_choice_independence():
+def _link_last(monkeypatch):
+    """Make `rewrite` link each cluster by its last linking candidate, not
+    `linking_atom`'s least one."""
+    rewrite_mod = importlib.import_module("bago.rewrite")
+    monkeypatch.setattr(rewrite_mod, "linking_atom",
+                        lambda q, cluster: linking_candidates(q, cluster)[-1])
+
+
+def test_choice_independence(monkeypatch):
     q = parse_cq("q(x) :- P(x, y), P(z, y), A(z)")
     t = parse_tbox("B SUB EX P\nEX P- SUB C\n")
     default = rewrite(q, t)
-    flipped = rewrite(q, t, link_chooser=lambda cands: cands[-1])
+    _link_last(monkeypatch)
+    flipped = rewrite(q, t)
+    assert [w.alpha for c in flipped.certificates for w in c.witnesses] != [
+        w.alpha for c in default.certificates for w in c.witnesses]
     rng = random.Random(23)
     for _ in range(20):
         abox = random_bag_abox(rng)
@@ -323,20 +335,21 @@ def _subsets_in_order(vars_):
             yield frozenset(combo)
 
 
-@pytest.mark.parametrize("chooser", [None, lambda cands: cands[-1]],
-                         ids=["default", "last"])
-def test_rewrite_branches_match_per_subset_realisability(chooser):
+@pytest.mark.parametrize("last", [False, True], ids=["default", "last"])
+def test_rewrite_branches_match_per_subset_realisability(monkeypatch, last):
     from bago.randgen import random_core_tbox, random_rooted_cq
 
+    if last:
+        _link_last(monkeypatch)
     rng = random.Random(31)
     several = 0
     for i in range(60):
         tbox = random_core_tbox(rng)
         q = random_rooted_cq(rng, max_atoms=6, max_vars=5) if i % 2 else random_rooted_cq(rng)
-        rw = rewrite(q, tbox, link_chooser=chooser)
+        rw = rewrite(q, tbox)
         want = []
         for zset in _subsets_in_order(q.existential_vars()):
-            cert = is_realisable(tbox, q, zset, link_chooser=chooser)
+            cert = is_realisable(tbox, q, zset)
             if cert.realisable:
                 want.append(cert)
         assert [b.z for b in rw.branches] == [c.z for c in want]
