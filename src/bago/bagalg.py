@@ -32,8 +32,8 @@ full chase it stands for (see the note above `_EMPTY`); any other query
 reads the full last stage instead.
 
 Bag-algebra queries are evaluated over relations of individual names: one
-bag of name tuples per (predicate, arity), read straight from a BagABox (or
-from the named part of a BagInterpretation). These are the N-semiring
+bag of name tuples per (predicate, arity): a BagABox's own store, as it is,
+or built from the named part of a BagInterpretation. These are the N-semiring
 relations of Green, Karvounarakis and Tannen, so equal subexpressions denote
 equal bags. Evaluation is one post-order pass over an explicit stack that
 gives each node a positional key: its operator, its operands' ids and the
@@ -61,7 +61,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (U64_MAX, ArityMismatch, IllFormedQuery, MultiplicityOverflow, ParseError,
                      combine)
-from .ontology import BagABox, ConceptAssertion, check_individual, check_name
+from .ontology import BagABox, Relations, check_individual, check_name
 from .chase import Anon, BagInterpretation, ChaseResult, kept_copies
 from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
 
@@ -627,23 +627,12 @@ BALGQuery = Union[
 ]
 
 
-# (predicate, arity) -> bag of name tuples; a name can be a concept and a role.
-Relations = dict[tuple[str, int], dict[tuple[str, ...], int]]
-
-
-def _relations(source: Union[BagABox, BagInterpretation]) -> Relations:
-    """The source as name relations; anonymous elements of an interpretation drop out."""
+def _relations(interp: BagInterpretation) -> Relations:
+    """The named part of an interpretation as name relations; anonymous elements drop out."""
     rels: Relations = {}
-    if isinstance(source, BagABox):
-        for a, m in source.entries():
-            if isinstance(a, ConceptAssertion):
-                rels.setdefault((a.concept, 1), {})[(a.individual,)] = m
-            else:
-                rels.setdefault((a.role, 2), {})[(a.subject, a.object)] = m
-        return rels
-    for name, ext in source.concepts.items():
+    for name, ext in interp.concepts.items():
         rels[(name, 1)] = {(el,): m for el, m in ext.items() if type(el) is str}
-    for name, ext in source.roles.items():
+    for name, ext in interp.roles.items():
         rels[(name, 2)] = {pair: m for pair, m in ext.items()
                            if type(pair[0]) is str and type(pair[1]) is str}
     return rels
@@ -653,7 +642,7 @@ def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> Answer
     """Evaluation over the source's name relations, each distinct positional
     operation once. Tuple positions follow q.answer_vars."""
     ops, inputs = _plan(q)
-    rels = _relations(source)
+    rels = source.relations if isinstance(source, BagABox) else _relations(source)
     uses = [0] * len(ops)
     for operands in inputs:
         for c in operands:

@@ -79,7 +79,6 @@ from .ontology import (
     BagABox,
     BagOntology,
     Concept,
-    ConceptAssertion,
     ExistsRole,
     Role,
     is_satisfiable,
@@ -387,13 +386,14 @@ def _once(build: Callable[[], BagInterpretation]) -> Callable[[], BagInterpretat
 
 
 def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
-    """Stage 0: assertions become extensions over the named individuals."""
+    """Stage 0: the ABox's name relations become extensions over the named individuals."""
     i = BagInterpretation(abox.individuals(), {}, {})
-    for a, m in abox.entries():
-        if isinstance(a, ConceptAssertion):
-            i.concepts.setdefault(a.concept, {})[a.individual] = m
+    for (name, arity), rel in abox.relations.items():
+        if arity == 1:
+            i.concepts[name] = {a: m for (a,), m in rel.items()}
         else:
-            i._add_edge(a.role, (a.subject, a.object), m)
+            for pair, m in rel.items():
+                i._add_edge(name, pair, m)
     return i
 
 

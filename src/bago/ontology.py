@@ -3,12 +3,16 @@
 A TBox is a finite set of inclusion and disjointness axioms over concepts
 (atomic names and existential restrictions over possibly-inverse roles) and,
 for kind "r" only, over roles. A bag ABox maps ground assertions to positive
-multiplicities. All values are immutable after construction.
+multiplicities, laid out once as name relations: one bag of name tuples per
+(predicate, arity), which the bag algebra, the chase's stage 0 and the
+satisfiability check read as they are. All values are immutable after
+construction.
 
 Entailment between concepts is reflexive-transitive reachability in the graph
 whose edges are the concept inclusions, augmented (kind "r" only) with the
-edges induced by role inclusions on the existential restrictions. Role
-entailment closes the role-inclusion graph under inverse symmetry.
+edges induced by role inclusions on the existential restrictions; a concept's
+subsumees are reachability over the same edges reversed. Role entailment
+closes the role-inclusion graph under inverse symmetry.
 
 Text formats:
 
@@ -156,19 +160,22 @@ class TBox:
         self.kind = kind
         self.axioms = axioms
 
-        concept_edges: dict[Concept, set[Concept]] = {}
+        inclusions: list[tuple[Concept, Concept]] = []
         role_edges: dict[Role, set[Role]] = {}
         for ax in axioms:
             if isinstance(ax, ConceptInclusion):
-                concept_edges.setdefault(ax.sub, set()).add(ax.sup)
-                concept_edges.setdefault(ax.sup, set())
+                inclusions.append((ax.sub, ax.sup))
             elif isinstance(ax, RoleInclusion):
                 for sub, sup in ((ax.sub, ax.sup), (ax.sub.inverse, ax.sup.inverse)):
                     role_edges.setdefault(sub, set()).add(sup)
-                    role_edges.setdefault(sup, set())
-                    concept_edges.setdefault(ExistsRole(sub), set()).add(ExistsRole(sup))
-                    concept_edges.setdefault(ExistsRole(sup), set())
+                    inclusions.append((ExistsRole(sub), ExistsRole(sup)))
+        concept_edges: dict[Concept, set[Concept]] = {}
+        concept_back: dict[Concept, set[Concept]] = {}  # the same edges reversed
+        for sub, sup in inclusions:
+            concept_edges.setdefault(sub, set()).add(sup)
+            concept_back.setdefault(sup, set()).add(sub)
         self._concept_edges = concept_edges
+        self._concept_back = concept_back
         self._role_edges = role_edges
         self._concept_reach: dict[Concept, frozenset[Concept]] = {}
         self._role_reach: dict[Role, frozenset[Role]] = {}
@@ -221,11 +228,7 @@ class TBox:
         cached = self._concept_subsumees.get(c)
         if cached is not None:
             return cached
-        found = {c}
-        for node in self._concept_edges:
-            if c in self.concepts_entailed_by(node):
-                found.add(node)
-        result = tuple(sorted(found, key=concept_key))
+        result = tuple(sorted(self._reach(c, self._concept_back, {}), key=concept_key))
         self._concept_subsumees[c] = result
         return result
 
@@ -263,70 +266,84 @@ class RoleAssertion:
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-def _assertion_key(a: Assertion):
+# (predicate, arity) -> bag of name tuples; a name can be a concept and a role.
+Relations = dict[tuple[str, int], dict[tuple[str, ...], int]]
+
+
+def _split(a: Assertion) -> tuple[tuple[str, int], tuple[str, ...]]:
     if isinstance(a, ConceptAssertion):
-        return (0, a.concept, a.individual, "")
-    return (1, a.role, a.subject, a.object)
+        return (a.concept, 1), (a.individual,)
+    return (a.role, 2), (a.subject, a.object)
+
+
+def _assertion(predicate: str, names: tuple[str, ...]) -> Assertion:
+    return (ConceptAssertion if len(names) == 1 else RoleAssertion)(predicate, *names)
 
 
 class BagABox:
-    """A finite bag of ground assertions; zero entries are never stored."""
+    """A finite bag of ground assertions, kept as name relations.
+
+    `relations` is the only store: {(predicate, arity): {tuple of names: m}},
+    a concept assertion C(a) at (C, 1) with key (a,) and a role assertion
+    R(a,b) at (R, 2) with key (a, b). Zero entries are never stored. Every
+    other view is read off it: `entries` groups the assertions by predicate,
+    not in insertion order, and `items` sorts them.
+    """
 
     def __init__(self, entries: Mapping[Assertion, int] | Iterable[tuple[Assertion, int]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        merged: dict[Assertion, int] = {}
+        self.relations: Relations = {}
         for assertion, count in items:
             if count < 1:
                 raise ValueError(f"multiplicity of {assertion} must be >= 1, got {count}")
-            merged[assertion] = merged.get(assertion, 0) + count
-            if merged[assertion] > U64_MAX:
+            key, names = _split(assertion)
+            rel = self.relations.setdefault(key, {})
+            rel[names] = rel.get(names, 0) + count
+            if rel[names] > U64_MAX:
                 raise ValueError(f"multiplicity of {assertion} exceeds the 64-bit range")
-        self._entries = merged
 
     def __eq__(self, other):
-        return isinstance(other, BagABox) and self._entries == other._entries
+        return isinstance(other, BagABox) and self.relations == other.relations
 
     def __hash__(self):
-        return hash(frozenset(self._entries.items()))
+        return hash(frozenset(self.entries()))
 
     def __len__(self):
-        return len(self._entries)
+        return sum(map(len, self.relations.values()))
 
     def __repr__(self):
-        return f"BagABox({len(self._entries)} assertions)"
+        return f"BagABox({len(self)} assertions)"
 
     def items(self):
-        return sorted(self._entries.items(), key=lambda kv: _assertion_key(kv[0]))
+        """(assertion, multiplicity) pairs sorted by arity, predicate, then names."""
+        return [(_assertion(p, names), m)
+                for (p, _), rel in sorted(self.relations.items(), key=lambda kv: kv[0][::-1])
+                for names, m in sorted(rel.items())]
 
     def entries(self):
-        """(assertion, multiplicity) pairs in insertion order; `items` sorts them."""
-        return self._entries.items()
+        """(assertion, multiplicity) pairs grouped by predicate; `items` sorts them."""
+        return [(_assertion(p, names), m)
+                for (p, _), rel in self.relations.items() for names, m in rel.items()]
 
     def multiplicity(self, assertion: Assertion) -> int:
-        return self._entries.get(assertion, 0)
+        key, names = _split(assertion)
+        return self.relations.get(key, {}).get(names, 0)
 
     def support(self) -> frozenset[Assertion]:
-        return frozenset(self._entries)
+        return frozenset(a for a, _ in self.entries())
 
     def individuals(self) -> tuple[str, ...]:
-        names = set()
-        for a in self._entries:
-            if isinstance(a, ConceptAssertion):
-                names.add(a.individual)
-            else:
-                names.add(a.subject)
-                names.add(a.object)
-        return tuple(sorted(names))
+        return tuple(sorted({n for rel in self.relations.values() for names in rel for n in names}))
 
     def scaled(self, factor: int) -> "BagABox":
         """The same support with every multiplicity scaled by a positive factor."""
         if factor < 1:
             raise ValueError("scaling factor must be positive")
-        return BagABox({a: m * factor for a, m in self._entries.items()})
+        return BagABox((a, m * factor) for a, m in self.entries())
 
     def flattened(self) -> "BagABox":
         """The support with all multiplicities forced to 1."""
-        return BagABox({a: 1 for a in self._entries})
+        return BagABox((a, 1) for a in self.support())
 
     def to_text(self) -> str:
         return "".join(f"{a} {m}\n" for a, m in self.items())
@@ -340,84 +357,73 @@ class BagOntology:
 
 # -- satisfiability ----------------------------------------------------------
 
+def _disjoint_with(axioms) -> dict:
+    """Each first side of a disjointness axiom, mapped to its second sides."""
+    index: dict = {}
+    for ax in axioms:
+        index.setdefault(ax.first, set()).add(ax.second)
+    return index
+
+
 def is_satisfiable(k: BagOntology) -> bool:
     """Decide whether the ontology has a bag model.
 
     Bag satisfiability coincides with set satisfiability of the support, so
     only the support of the ABox is consulted: multiplicities never matter.
+    Names seeded with the same concepts are closed once, and each closure is
+    checked against an index of the declared disjoint pairs.
     """
-    tbox, abox = k.tbox, k.abox
-    concept_disj = tbox.concept_disjointness()
-    role_disj = tbox.role_disjointness()
+    tbox = k.tbox
+    concept_disj = _disjoint_with(tbox.concept_disjointness())
+    role_disj = _disjoint_with(tbox.role_disjointness())
     if not concept_disj and not role_disj:
         return True
 
-    def violates_concepts(entailed):
-        return any(
-            ax.first in entailed and ax.second in entailed for ax in concept_disj
-        )
+    def violates(index, entailed):
+        return any(c in index and not index[c].isdisjoint(entailed) for c in entailed)
 
-    def violates_roles(entailed):
-        return any(ax.first in entailed and ax.second in entailed for ax in role_disj)
-
-    # Named individuals: close the asserted concept memberships.
+    # Named individuals: the concepts each one is seeded with, the roles of each pair.
     seeds: dict[str, set[Concept]] = {}
     pair_roles: dict[tuple[str, str], set[Role]] = {}
-    for assertion in abox.support():
-        if isinstance(assertion, ConceptAssertion):
-            seeds.setdefault(assertion.individual, set()).add(
-                AtomicConcept(assertion.concept)
-            )
-        else:
-            role = Role(assertion.role)
-            seeds.setdefault(assertion.subject, set()).add(ExistsRole(role))
-            seeds.setdefault(assertion.object, set()).add(ExistsRole(role.inverse))
-            pair = (assertion.subject, assertion.object)
-            pair_roles.setdefault(pair, set()).update(tbox.roles_entailed_by(role))
-            rpair = (assertion.object, assertion.subject)
-            pair_roles.setdefault(rpair, set()).update(
-                tbox.roles_entailed_by(role.inverse)
-            )
-
-    entailed_at: dict[str, set[Concept]] = {}
-    for individual, base in seeds.items():
-        entailed = set()
-        for c in base:
-            entailed.update(tbox.concepts_entailed_by(c))
-        entailed_at[individual] = entailed
-        if violates_concepts(entailed):
+    for (name, arity), rel in k.abox.relations.items():
+        if arity == 1:
+            for (a,) in rel:
+                seeds.setdefault(a, set()).add(AtomicConcept(name))
+            continue
+        role = Role(name)
+        ex, ex_inverse = ExistsRole(role), ExistsRole(role.inverse)
+        forward, backward = tbox.roles_entailed_by(role), tbox.roles_entailed_by(role.inverse)
+        for u, v in rel:
+            seeds.setdefault(u, set()).add(ex)
+            seeds.setdefault(v, set()).add(ex_inverse)
+            if role_disj:
+                pair_roles.setdefault((u, v), set()).update(forward)
+                pair_roles.setdefault((v, u), set()).update(backward)
+    if any(violates(role_disj, roles) for roles in pair_roles.values()):
+        return False
+    named: set[Concept] = set()
+    for base in {frozenset(b) for b in seeds.values()}:
+        entailed = set().union(*map(tbox.concepts_entailed_by, base))
+        if violates(concept_disj, entailed):
             return False
-
-    for roles in pair_roles.values():
-        if violates_roles(roles):
-            return False
+        named |= entailed
 
     # Activated roles: roles whose anonymous witnesses the chase could force.
-    activated: set[Role] = set()
-    frontier: list[Role] = []
-    for entailed in entailed_at.values():
-        for c in entailed:
-            if isinstance(c, ExistsRole) and c.role not in activated:
-                activated.add(c.role)
-                frontier.append(c.role)
-    closures: dict[Role, frozenset[Concept]] = {}
+    # A witness along a role has the closure of its inverse's EX and a fresh
+    # edge in both orientations.
+    frontier = [c.role for c in named if isinstance(c, ExistsRole)]
+    activated = set(frontier)
     while frontier:
         role = frontier.pop()
         closure = tbox.concepts_entailed_by(ExistsRole(role.inverse))
-        closures[role] = closure
+        if (violates(concept_disj, closure)
+                or violates(role_disj, tbox.roles_entailed_by(role))
+                or violates(role_disj, tbox.roles_entailed_by(role.inverse))):
+            return False
         for c in closure:
             if isinstance(c, ExistsRole) and c.role not in activated:
                 activated.add(c.role)
                 frontier.append(c.role)
-
-    for role in activated:
-        if violates_concepts(closures[role]):
-            return False
-        # Both orientations of the fresh edge created for this role.
-        if violates_roles(tbox.roles_entailed_by(role)):
-            return False
-        if violates_roles(tbox.roles_entailed_by(role.inverse)):
-            return False
     return True
 
 
