@@ -5,8 +5,8 @@ A TBox is a finite set of inclusion and disjointness axioms over concepts
 for kind "r" only, over roles. A bag ABox maps ground assertions to positive
 multiplicities, laid out once as name relations: one bag of name tuples per
 (predicate, arity), which the bag algebra, the chase's stage 0 and the
-satisfiability check read as they are. All values are immutable after
-construction.
+satisfiability check read as they are; `parse_abox` merges each line straight
+into them. All values are immutable after construction.
 
 Entailment between concepts is reflexive-transitive reachability in the graph
 whose edges are the concept inclusions, augmented (kind "r" only) with the
@@ -26,7 +26,8 @@ Text formats:
       R SUBR S-      # kind R only
       DISJR R S      # kind R only
 
-  ABox, one assertion per line, omitted count means 1, repeated lines sum::
+  ABox, one assertion per line, omitted count means 1, repeated lines sum (a
+  sum past 2^64 - 1 is raised after the last line, so a bad line wins)::
 
       A(a) 3
       hasMngr(Lee,Hill) 2
@@ -387,8 +388,9 @@ def is_satisfiable(k: BagOntology) -> bool:
     pair_roles: dict[tuple[str, str], set[Role]] = {}
     for (name, arity), rel in k.abox.relations.items():
         if arity == 1:
+            concept = AtomicConcept(name)
             for (a,) in rel:
-                seeds.setdefault(a, set()).add(AtomicConcept(name))
+                seeds.setdefault(a, set()).add(concept)
             continue
         role = Role(name)
         ex, ex_inverse = ExistsRole(role), ExistsRole(role.inverse)
@@ -520,7 +522,13 @@ _ASSERTION_RE = re.compile(
 
 
 def parse_abox(text: str) -> BagABox:
-    entries: list[tuple[Assertion, int]] = []
+    """One pass per line, each merged straight into `BagABox.relations`.
+
+    A bad line raises at its line. A sum past 2^64 - 1 raises only after every
+    line has parsed (a later bad line wins), naming the first one to cross.
+    """
+    relations: Relations = {}
+    overflow = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = _strip_comment(raw).strip()
         if not stripped:
@@ -528,21 +536,22 @@ def parse_abox(text: str) -> BagABox:
         m = _ASSERTION_RE.match(stripped)
         if not m:
             raise ParseError(f"malformed assertion {stripped!r}", line=lineno)
-        count = int(m.group("count")) if m.group("count") else 1
+        pred, a1, a2, count = m.groups()
+        count = int(count) if count else 1
         if count < 1:
             raise ParseError("multiplicity must be a positive integer", line=lineno)
         if count > U64_MAX:
             raise ParseError("multiplicity exceeds the 64-bit range", line=lineno)
-        if m.group("a2") is None:
-            check_individual(m.group("a1"), lineno)
-            entries.append((ConceptAssertion(m.group("pred"), m.group("a1")), count))
-        else:
-            check_individual(m.group("a1"), lineno)
-            check_individual(m.group("a2"), lineno)
-            entries.append(
-                (RoleAssertion(m.group("pred"), m.group("a1"), m.group("a2")), count)
-            )
-    try:
-        return BagABox(entries)
-    except ValueError as exc:  # summed repeated lines can leave the 64-bit range
-        raise ParseError(str(exc)) from None
+        names = (a1,) if a2 is None else (a1, a2)
+        for name in names:
+            if name.startswith(RESERVED_INDIVIDUAL_PREFIX):
+                check_individual(name, lineno)  # raises; the regex matched the grammar
+        rel = relations.setdefault((pred, len(names)), {})
+        total = rel[names] = rel.get(names, 0) + count
+        if total > U64_MAX and overflow is None:
+            overflow = f"{pred}({','.join(names)})"
+    if overflow is not None:  # summed repeated lines left the 64-bit range
+        raise ParseError(f"multiplicity of {overflow} exceeds the 64-bit range")
+    abox = BagABox()
+    abox.relations = relations
+    return abox

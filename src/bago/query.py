@@ -429,31 +429,30 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset, counted only for an error."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _tokenize(text: str):
+    """(kind, value, offset) triples, whitespace and comments dropped."""
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line=line, col=col)
+            raise ParseError(f"unexpected character {text[pos]!r}", *_where(text, pos))
         kind = m.lastgroup
-        value = m.group()
         if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+    tokens.append(("eof", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -465,11 +464,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, what, tok):
+        return ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}",
+                          *_where(self.text, tok[2]))
+
     def expect(self, kind, what):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}",
-                             line=tok[2], col=tok[3])
+            raise self.error(what, tok)
         return tok
 
     def term(self) -> Term:
@@ -478,10 +480,11 @@ class _Parser:
             return Var(tok[1])
         if tok[0] == "quoted":
             name = tok[1][1:-1]
-            check_individual(name, line=tok[2])
-            return Const(name)
-        raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}",
-                         line=tok[2], col=tok[3])
+            try:
+                return Const(check_individual(name))
+            except ParseError as exc:  # the line is counted only for an error
+                raise ParseError(exc.args[0], _where(self.text, tok[2])[0]) from None
+        raise self.error("a term", tok)
 
 
 def parse_cq(text: str) -> CQ:

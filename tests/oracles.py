@@ -5,23 +5,28 @@ enumeration for conjunctive queries, literal structural recursion with
 domain-wide sums for bag-algebra queries, the bag chase one element and one
 stage at a time (concept closure, deficits, pointwise-max union and bag
 containment), a from-scratch set-semantics chase (one witness per
-unsatisfied existential), and coloring models built by hand. Both chases
-compute their own inclusion closure from the TBox's axioms. None of it
-shares evaluation code with the package: it reads interpretations only
-through their extensions and accessors, and builds them only through the
-`BagInterpretation` constructor.
+unsatisfied existential), coloring models built by hand, and the ABox
+text parsed as one assertion object per line handed to the `BagABox`
+constructor. Both chases compute their own inclusion closure from the
+TBox's axioms. None of it shares evaluation code with the package: it reads
+interpretations only through their extensions and accessors, and builds
+them only through the `BagInterpretation` constructor.
 """
 
+import re
 from itertools import product
 
 from bago.chase import Anon, BagInterpretation
+from bago.errors import U64_MAX, ParseError
 from bago.ontology import (
     AtomicConcept,
+    BagABox,
     ConceptAssertion,
     ConceptInclusion,
     ExistsRole,
     Role,
     RoleAssertion,
+    check_individual,
 )
 from bago.query import ConceptAtom, Const, EqualityAtom, InequalityAtom, RoleAtom, Var
 from bago.bagalg import (
@@ -392,3 +397,44 @@ def hand_built_coloring_model(graph, coloring, variant="core"):
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return BagInterpretation(domain, concepts, roles)
+
+
+# -- ABox text -----------------------------------------------------------------
+
+_ASSERTION_RE = re.compile(
+    r"(?P<pred>[A-Za-z][A-Za-z0-9_]*)\(\s*(?P<a1>[A-Za-z_][A-Za-z0-9_]*)\s*"
+    r"(?:,\s*(?P<a2>[A-Za-z_][A-Za-z0-9_]*)\s*)?\)\s*(?:(?P<count>\d+)\s*)?\Z"
+)
+
+
+def reference_parse_abox(text):
+    """The ABox parser as one assertion object per line: every line is
+    matched and checked, each individual checked again on its own, and the
+    list handed to the `BagABox` constructor, which merges it in line order."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        pos = raw.find("#")
+        stripped = (raw if pos < 0 else raw[:pos]).strip()
+        if not stripped:
+            continue
+        m = _ASSERTION_RE.match(stripped)
+        if not m:
+            raise ParseError(f"malformed assertion {stripped!r}", line=lineno)
+        count = int(m.group("count")) if m.group("count") else 1
+        if count < 1:
+            raise ParseError("multiplicity must be a positive integer", line=lineno)
+        if count > U64_MAX:
+            raise ParseError("multiplicity exceeds the 64-bit range", line=lineno)
+        if m.group("a2") is None:
+            check_individual(m.group("a1"), lineno)
+            entries.append((ConceptAssertion(m.group("pred"), m.group("a1")), count))
+        else:
+            check_individual(m.group("a1"), lineno)
+            check_individual(m.group("a2"), lineno)
+            entries.append(
+                (RoleAssertion(m.group("pred"), m.group("a1"), m.group("a2")), count)
+            )
+    try:
+        return BagABox(entries)
+    except ValueError as exc:  # summed repeated lines can leave the 64-bit range
+        raise ParseError(str(exc)) from None
