@@ -38,8 +38,9 @@ VIA_BOTH = "both"
 
 
 def _validate(q: CQ, k: BagOntology):
-    """The checks of every answer but satisfiability, which each path makes
-    once: `chase` makes it, and the rewriting path calls `_check_satisfiable`."""
+    """The checks of every answer but satisfiability, which each run makes
+    once: `chase` makes it, and the rewriting path alone calls
+    `_check_satisfiable`."""
     if k.tbox.kind != CORE:
         raise UnsupportedTBoxKind("certain answers are supported for core TBoxes only")
     if not is_rooted(q):
@@ -51,22 +52,28 @@ def _check_satisfiable(k: BagOntology):
         raise UnsatisfiableOntology("the ontology has no bag model")
 
 
+def _both_paths(q: CQ, k: BagOntology) -> tuple[AnswerBag, AnswerBag]:
+    """The answers over the chase and via the rewriting, validated once; the
+    chase's satisfiability check serves both paths."""
+    _validate(q, k)
+    through_chase = eval_cq(q, chase(k, required_depth(q), query=q).counted)
+    return through_chase, evaluate_rewriting(rewrite(q, k.tbox), k.abox)
+
+
 def certain_answers(q: CQ, k: BagOntology, via: str = VIA_CHASE) -> AnswerBag:
-    """Bag certain answers, computed over the chase or via the rewriting."""
+    """Bag certain answers, computed over the chase, via the rewriting, or
+    both ways, raising `CrosscheckMismatch` where the two differ."""
+    if via == VIA_BOTH:
+        through_chase, through_rewrite = _both_paths(q, k)
+        if through_chase != through_rewrite:
+            raise CrosscheckMismatch(_first_difference(through_chase, through_rewrite))
+        return through_chase
     _validate(q, k)
     if via == VIA_CHASE:
         return eval_cq(q, chase(k, required_depth(q), query=q).counted)
     if via == VIA_REWRITE:
         _check_satisfiable(k)
         return evaluate_rewriting(rewrite(q, k.tbox), k.abox)
-    if via == VIA_BOTH:
-        through_chase = eval_cq(q, chase(k, required_depth(q), query=q).counted)
-        through_rewrite = evaluate_rewriting(rewrite(q, k.tbox), k.abox)
-        if through_chase != through_rewrite:
-            raise CrosscheckMismatch(
-                _first_difference(through_chase, through_rewrite)
-            )
-        return through_chase
     raise ValueError(f"unknown evaluation path {via!r}")
 
 
@@ -141,9 +148,7 @@ def crosscheck_one(tbox, abox, q: CQ, label: str = "instance") -> CrosscheckOutc
 
     An error on either path propagates, as it would from `certain_answers`.
     """
-    k = BagOntology(tbox, abox)
-    via_chase = certain_answers(q, k, via=VIA_CHASE)
-    via_rewrite = certain_answers(q, k, via=VIA_REWRITE)
+    via_chase, via_rewrite = _both_paths(q, BagOntology(tbox, abox))
     if via_chase == via_rewrite:
         return CrosscheckOutcome(label, True, via_chase, via_rewrite)
     return CrosscheckOutcome(

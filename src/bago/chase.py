@@ -4,7 +4,10 @@ Elements are of two kinds. A named individual is its name, a plain `str`. An
 anonymous witness is an `Anon(parent, role, index)`: the index-th fresh
 role-successor born for its parent. Elements print as their name or as
 `_w(parent,role,index)`, and sort names first, then witnesses by depth, then
-by (parent, role, index).
+by (parent, role, index). A dump (`BagInterpretation.to_text`) defines each
+witness once, as `@N = _w(P,R,i)` with P a name or an earlier id, and names
+it `@N` in its facts, so a dump is linear in the chase's size and no line's
+length grows with its depth.
 
 Stage 0 reads the bag ABox as an interpretation over the named individuals.
 Each later stage (i) resets every old element's concept multiplicities to its
@@ -87,13 +90,9 @@ from .query import CQ, ConceptAtom, RoleAtom
 
 # Budget of anonymous elements for one chase, the full last stage or a query's
 # chase with the copies it keeps of each run; one that would pass it raises
-# ChaseLimitExceeded before allocating.
+# ChaseLimitExceeded before allocating. It bounds a dump too: each line of
+# one has bounded length (see `BagInterpretation.to_text`).
 MAX_CHASE_ELEMENTS = 1_000_000
-# Budget of characters for one dump (`BagInterpretation.to_text`), about 100
-# per element of a chase at the element budget. A witness prints as its whole
-# ancestry, so a deep chase's dump grows with the square of its depth; one
-# that would pass the budget raises ChaseLimitExceeded before building a line.
-MAX_DUMP_CHARS = 100_000_000
 
 
 class Anon:
@@ -127,7 +126,12 @@ class Anon:
         return self._hash
 
     def __str__(self):
-        return _texts(_ranks([self]))[self]
+        # One walk up the parent chain; the levels are written top down.
+        steps, el = [], self
+        while type(el) is Anon:
+            steps.append(f",{el.role},{el.index})")
+            el = el.parent
+        return "_w(" * len(steps) + el + "".join(reversed(steps))
 
     __repr__ = __str__
 
@@ -161,36 +165,6 @@ def _ranks(elements: Iterable[Element]) -> dict[Element, int]:
         for w in level:
             rank[w] = len(rank)
     return rank
-
-
-def _text_lengths(elements: Iterable[Element]) -> dict[Element, int]:
-    """The length of each element's text (see `_texts`), and of its ancestors'.
-
-    Each length is its parent's plus its own part, so a walk goes up to a
-    known length and back down; nothing is sorted.
-    """
-    size: dict[Element, int] = {}
-    for el in elements:
-        path = []
-        while type(el) is Anon and el not in size:
-            path.append(el)
-            el = el.parent
-        n = size.get(el)
-        if n is None:
-            n = size[el] = len(el)
-        for w in reversed(path):
-            # "_w(" parent "," role "," index ")"; an inverse role adds "-".
-            n += len(w.role.name) + w.role.inverted + len(str(w.index)) + 6
-            size[w] = n
-    return size
-
-
-def _texts(rank: Mapping[Element, int]) -> dict[Element, str]:
-    """Each ranked element's text, built once: a witness ranks after its parent."""
-    text: dict[Element, str] = {}
-    for el in rank:
-        text[el] = el if type(el) is str else f"_w({text[el.parent]},{el.role},{el.index})"
-    return text
 
 
 def ordered(elements: Iterable[Element]) -> list[Element]:
@@ -342,25 +316,25 @@ class BagInterpretation:
                 f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
     def to_text(self) -> str:
+        """Each witness named once, then every fact, one to a line.
+
+        A witness is `@N`, its 1-based position among the witnesses in the
+        canonical order, defined by a line `@N = _w(P,R,i)` whose parent P is
+        a name or an earlier id. The definitions come first; then each
+        concept's facts and each role's, in the order of their elements.
+        """
         if self.query is not None:
             return self.full().to_text()
-        # A line is its predicate, elements and multiplicity, plus two
-        # parentheses, a space and a newline, and a comma between two elements.
-        size = _text_lengths(self.domain)
-        chars = sum(len(name) + size[el] + len(str(m)) + 4
-                    for name, ext in self.concepts.items() for el, m in ext.items())
-        chars += sum(len(name) + size[u] + size[v] + len(str(m)) + 5
-                     for name in self._edges for u, row in self.rows(name).items()
-                     for v, m in row.items())
-        if chars > MAX_DUMP_CHARS:
-            raise ChaseLimitExceeded(
-                f"the chase dump needs {chars:,} characters, more than its budget of "
-                f"{MAX_DUMP_CHARS:,}: a witness prints as its whole ancestry"
-            )
         rank = _ranks(self.domain)
         roles = self.roles
-        text = _texts(rank)
+        text: dict[Element, str] = {}
         lines = []
+        for el in rank:  # in rank order, so a witness follows its parent
+            if type(el) is str:
+                text[el] = el
+            else:
+                text[el] = f"@{len(lines) + 1}"
+                lines.append(f"{text[el]} = _w({text[el.parent]},{el.role},{el.index})")
         for name in sorted(self.concepts):
             for el, m in sorted(self.concepts[name].items(),
                                 key=lambda kv: rank[kv[0]]):

@@ -4,9 +4,9 @@ Exit codes: 0 success / answer true; 1 answer false; 2 usage or input error
 (a file that cannot be read or written, or is not UTF-8 text, is one); 3
 semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
 4 internal cross-check failure; 5 resource limit (recursion depth, memory,
-the chase's anonymous-element budget on its depth and branching, the dump's
-character budget, the rewriting's budget of clusters and alternatives, or a
-branch table too long to list).
+the chase's anonymous-element budget on its depth and branching, the
+rewriting's budget of clusters and alternatives, or a branch table too long
+to list).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    U64_MAX,
     BagoError,
     CrosscheckMismatch,
     NotRooted,
@@ -104,7 +105,10 @@ def _parse_threshold(text: str) -> float:
         return math.inf
     if not (lowered.isascii() and lowered.isdigit()):
         raise ParseError(f"threshold must be a nonnegative integer or 'inf', got {text!r}")
-    return int(lowered)
+    digits = lowered.lstrip("0")
+    # Past 20 digits a threshold is past U64_MAX, which no certain multiplicity
+    # reaches, and may be past int()'s digit limit.
+    return U64_MAX + 1 if len(digits) > 20 else int(digits or "0")
 
 
 def _cmd_cert(args) -> int:

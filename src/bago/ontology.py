@@ -537,7 +537,13 @@ def parse_abox(text: str) -> BagABox:
         if not m:
             raise ParseError(f"malformed assertion {stripped!r}", line=lineno)
         pred, a1, a2, count = m.groups()
-        count = int(count) if count else 1
+        try:
+            count = int(count) if count else 1
+        except ValueError:  # past int()'s digit limit; `\d` admits any decimal digit
+            digits = "".join(map(str, map(int, count))).lstrip("0")
+            if len(digits) > 20:  # U64_MAX has 20 digits
+                raise ParseError("multiplicity exceeds the 64-bit range", line=lineno) from None
+            count = int(digits or "0")
         if count < 1:
             raise ParseError("multiplicity must be a positive integer", line=lineno)
         if count > U64_MAX:

@@ -4,10 +4,10 @@ Everything here is written against the definitions directly: full valuation
 enumeration for conjunctive queries, literal structural recursion with
 domain-wide sums for bag-algebra queries, the bag chase one element and one
 stage at a time (concept closure, deficits, pointwise-max union and bag
-containment), a from-scratch set-semantics chase (one witness per
-unsatisfied existential), coloring models built by hand, and the ABox
-text parsed as one assertion object per line handed to the `BagABox`
-constructor. Both chases compute their own inclusion closure from the
+containment), the chase dump with each witness written as its whole
+ancestry, a from-scratch set-semantics chase (one witness per unsatisfied
+existential), coloring models built by hand, and the ABox text parsed as
+one assertion object per line handed to the `BagABox` constructor. Both chases compute their own inclusion closure from the
 TBox's axioms. None of it shares evaluation code with the package: it reads
 interpretations only through their extensions and accessors, and builds
 them only through the `BagInterpretation` constructor.
@@ -190,6 +190,71 @@ def contains(a, b):
         for name, ext in theirs.items()
         for key, m in ext.items()
     )
+
+
+# -- chase dumps ---------------------------------------------------------------
+
+def _path_key(el):
+    """Names first, sorted; then witnesses by depth, then by their path of
+    (role, direction, index) steps from the name at the root down."""
+    steps = []
+    while isinstance(el, Anon):
+        steps.append((el.role.name, el.role.inverted, el.index))
+        el = el.parent
+    return len(steps), el, steps[::-1]
+
+
+def _full_text(el):
+    """A witness as its whole ancestry, `_w(parent,role,index)`."""
+    if not isinstance(el, Anon):
+        return el
+    role = el.role.name + ("-" if el.role.inverted else "")
+    return f"_w({_full_text(el.parent)},{role},{el.index})"
+
+
+def reference_dump(interp):
+    """The interpretation's facts, one to a line, each witness written as its
+    whole ancestry at every mention: concepts, then roles, by name, each in
+    the canonical order of its elements."""
+    concepts = [f"{name}({_full_text(el)}) {m}"
+                for name in sorted(interp.concepts)
+                for el, m in sorted(interp.concepts[name].items(),
+                                    key=lambda kv: _path_key(kv[0]))]
+    roles = interp.roles
+    facts = [f"{name}({_full_text(u)},{_full_text(v)}) {m}"
+             for name in sorted(roles)
+             for (u, v), m in sorted(roles[name].items(),
+                                     key=lambda kv: (_path_key(kv[0][0]), _path_key(kv[0][1])))]
+    return "".join(line + "\n" for line in concepts + facts)
+
+
+_DEFINITION_RE = re.compile(r"(@\d+) = _w\(([^,()]+),([A-Za-z][A-Za-z0-9_]*-?),(\d+)\)\n")
+_ID_RE = re.compile(r"@\d+")
+
+
+def expand_dump(text):
+    """The dump with every witness id replaced by its whole ancestry and the
+    definition lines dropped, as `reference_dump` writes it.
+
+    Asserts the id form: the definitions come before every fact line, number
+    the witnesses 1, 2, ... in order, and name a parent that is a name or an
+    earlier id; no two define the same witness, and every id a fact names is
+    defined.
+    """
+    ids, lines, facts = {}, [], False
+    for line in text.splitlines(keepends=True):
+        m = _DEFINITION_RE.fullmatch(line)
+        if m is None:
+            facts = facts or not line.startswith("#")
+            lines.append(_ID_RE.sub(lambda w: ids[w.group()], line))
+            continue
+        wid, parent, role, index = m.groups()
+        assert not facts, f"{wid} is defined after a fact line"
+        assert wid == f"@{len(ids) + 1}", f"{wid} is out of sequence"
+        assert parent in ids or not parent.startswith("@"), f"{wid} names an undefined parent"
+        ids[wid] = f"_w({ids.get(parent, parent)},{role},{index})"
+    assert len(set(ids.values())) == len(ids), "a witness is defined twice"
+    return "".join(lines)
 
 
 # -- set-semantics oracle ------------------------------------------------------
@@ -420,7 +485,12 @@ def reference_parse_abox(text):
         m = _ASSERTION_RE.match(stripped)
         if not m:
             raise ParseError(f"malformed assertion {stripped!r}", line=lineno)
-        count = int(m.group("count")) if m.group("count") else 1
+        # Each digit read on its own, leading zeros dropped: a count of more
+        # than 20 digits is past U64_MAX and may be past int()'s digit limit.
+        digits = "".join(str(int(c)) for c in m.group("count") or "1").lstrip("0")
+        if len(digits) > 20:
+            raise ParseError("multiplicity exceeds the 64-bit range", line=lineno)
+        count = int(digits or "0")
         if count < 1:
             raise ParseError("multiplicity must be a positive integer", line=lineno)
         if count > U64_MAX:

@@ -130,3 +130,27 @@ def test_counts_at_the_bound_and_a_name_of_both_arities():
         ("P", 2): {("a", "b"): U64_MAX},
     }
     assert _outcome(parse_abox, text) == _outcome(reference_parse_abox, text)
+
+
+@pytest.mark.parametrize("count,expected", [
+    ("0" * 4299 + "3", 3),  # 4,300 digits: int() reads it
+    ("0" * 4300 + "3", 3),  # 4,301 digits: past int()'s limit, read again
+    ("0" * 4999 + "3", 3),
+    ("\u0660" * 4999 + "\u0663", 3),  # `\d` admits any decimal digit
+    ("0" * 5000 + str(U64_MAX), U64_MAX),
+    ("1" * 4300, "64-bit range"),
+    ("1" * 4301, "64-bit range"),
+    ("1" * 5000, "64-bit range"),
+    ("0" * 4980 + "1" * 21, "64-bit range"),
+    ("0" * 5000, "positive integer"),
+], ids=["zeros-4300", "zeros-4301", "zeros-5000", "arabic-indic-zeros", "zeros-u64-max",
+        "ones-4300", "ones-4301", "ones-5000", "zeros-then-21-digits", "all-zeros"])
+def test_a_count_of_thousands_of_digits_parses_or_raises_at_its_line(count, expected):
+    text = f"B(b)\nA(a) {count}\n"
+    assert _outcome(parse_abox, text) == _outcome(reference_parse_abox, text)
+    if isinstance(expected, int):
+        assert parse_abox(text).relations[("A", 1)][("a",)] == expected
+    else:
+        with pytest.raises(ParseError, match=expected) as info:
+            parse_abox(text)
+        assert info.value.line == 2

@@ -116,6 +116,14 @@ def test_each_path_checks_satisfiability_once(employees, monkeypatch, tmp_path, 
         (tmp_path / file).write_text(text)
     assert main(["answer", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
                  "-q", str(tmp_path / "q.cq"), "--via", via]) == 3
+    if via == VIA_BOTH:  # `crosscheck_one` runs both paths as `--via both` does
+        calls.clear()
+        assert crosscheck_one(k.tbox, k.abox, q).passed
+        assert calls == [k]
+        calls.clear()
+        with pytest.raises(UnsatisfiableOntology):
+            crosscheck_one(unsat.tbox, unsat.abox, parse_cq("q(x) :- A(x)"))
+        assert calls == [unsat]
 
 
 def test_cert_request_checks_arity(employees):

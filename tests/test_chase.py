@@ -1,4 +1,3 @@
-import importlib
 import pathlib
 import random
 
@@ -9,7 +8,6 @@ from bago import (
     AtomicConcept,
     BagInterpretation,
     BagOntology,
-    ChaseLimitExceeded,
     ExistsRole,
     Role,
     UnsatisfiableOntology,
@@ -27,12 +25,18 @@ from bago.chase import Anon, dump_chase
 from bago.ontology import BagABox, TBox
 from bago.randgen import random_instance
 from generators import wide_abox
-from oracles import bag_union, brute_eval_cq, chase_step, concept_closure, contains
+from oracles import (
+    bag_union,
+    brute_eval_cq,
+    chase_step,
+    concept_closure,
+    contains,
+    expand_dump,
+    reference_dump,
+)
 
 LEE = "Lee"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-# The package re-exports the function `chase`, which shadows the module name.
-chase_module = importlib.import_module("bago.chase")
 
 
 def test_concept_closure_running_example(employees):
@@ -277,9 +281,9 @@ def test_dump_format(managers):
     k, _, _ = managers
     text = dump_chase(chase(k, 2))
     lines = text.splitlines()
-    assert lines[0] == "# depth=2"
-    assert "Mngr(_w(Lee,hasMngr,1)) 1" in lines
-    assert "hasMngr(Lee,_w(Lee,hasMngr,1)) 1" in lines
+    assert lines[:2] == ["# depth=2", "@1 = _w(Lee,hasMngr,1)"]
+    assert "Mngr(@1) 1" in lines
+    assert "hasMngr(Lee,@1) 1" in lines
 
 
 def test_model_property_on_random_instances():
@@ -330,8 +334,9 @@ def test_chase_pays_no_concept_closure_per_element(monkeypatch, employees):
     assert counts[0] == counts[1] == 3
 
 
-# dump_chase texts committed under tests/golden/, as (name, depth); the
-# self-feeding chain grows one witness per stage.
+# dump_chase texts committed under tests/golden/, as (name, depth), with each
+# witness written as its whole ancestry; the self-feeding chain grows one
+# witness per stage.
 GOLDEN_DUMPS = [("employees", 3), ("managers", 3), ("prime", 3), ("prime_pair", 3),
                 ("self_feeding", 6), ("wide_abox", 3)]
 SELF_FEEDING = ("A SUB EX R\nEX R- SUB A\n", "A(a) 2\nR(a,b)\nR(b,a)\n")
@@ -350,18 +355,39 @@ def _dump_ontology(fixtures_dir, name) -> BagOntology:
 @pytest.mark.parametrize("name,depth", GOLDEN_DUMPS)
 def test_dump_matches_golden_file(fixtures_dir, name, depth):
     expected = (GOLDEN / f"{name}.depth{depth}.txt").read_text()
-    assert dump_chase(chase(_dump_ontology(fixtures_dir, name), depth)) == expected
+    assert expand_dump(dump_chase(chase(_dump_ontology(fixtures_dir, name), depth))) == expected
+
+
+def _assert_dump_defines_each_witness_once(union):
+    # Expanding the ids gives the facts with every witness as its whole
+    # ancestry; `expand_dump` asserts the definitions' order and parents.
+    text = union.to_text()
+    assert sum(line.startswith("@") for line in text.splitlines()) == len(union.anonymous())
+    assert expand_dump(text) == reference_dump(union)
+    return text
 
 
 @pytest.mark.parametrize("name,depth", GOLDEN_DUMPS + [("inverse_runs", 4)])
-def test_dump_budget_is_its_exact_length(monkeypatch, fixtures_dir, name, depth):
-    # to_text sums its length from the elements' text lengths before it builds
-    # a line: a budget of exactly that length prints, one character less refuses.
-    union = chase(_dump_ontology(fixtures_dir, name), depth).union
-    text = union.to_text()
-    assert name != "inverse_runs" or "_w(a,R-,12)" in text
-    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", len(text))
-    assert union.to_text() == text
-    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", len(text) - 1)
-    with pytest.raises(ChaseLimitExceeded, match=f"needs {len(text):,} characters"):
-        union.to_text()
+def test_dump_defines_each_witness_once(fixtures_dir, name, depth):
+    text = _assert_dump_defines_each_witness_once(
+        chase(_dump_ontology(fixtures_dir, name), depth).union)
+    assert name != "inverse_runs" or "_w(a,R-,12)" in expand_dump(text)
+
+
+def test_dump_of_random_chases_defines_each_witness_once():
+    rng = random.Random(24)
+    cases = [(BagOntology(*random_instance(rng)[:2]), 3) for _ in range(300)]
+    cases += [(BagOntology(parse_tbox(t), parse_abox(a)), 5) for t, a in HAND_BUILT.values()]
+    for k, depth in cases:
+        _assert_dump_defines_each_witness_once(chase(k, depth).union)
+
+
+def test_dump_grows_linearly_with_depth():
+    # Five self-feeding chains: each stage adds five witnesses, and each adds
+    # three lines of bounded length, so equal steps in depth add about equal
+    # bytes (ids gain a digit now and then). Written as whole ancestries, the
+    # steps would grow as 1 : 3 : 5.
+    k = BagOntology(parse_tbox(SELF_FEEDING[0]), parse_abox("A(a) 5\n"))
+    sizes = [len(chase(k, depth).union.to_text()) for depth in (1_000, 2_000, 3_000)]
+    assert (sizes[2] - sizes[1]) / (sizes[1] - sizes[0]) <= 1.2
+    assert sizes[2] < 1_000_000

@@ -122,10 +122,11 @@ def test_chase_dump(capsys, fixtures_dir):
     assert code == 0
     assert out == (
         "# depth=2\n"
+        "@1 = _w(Lee,hasMngr,1)\n"
         "Emp(Lee) 1\n"
         "Mngr(Hill) 1\n"
-        "Mngr(_w(Lee,hasMngr,1)) 1\n"
-        "hasMngr(Lee,_w(Lee,hasMngr,1)) 1\n"
+        "Mngr(@1) 1\n"
+        "hasMngr(Lee,@1) 1\n"
     )
 
 
@@ -384,3 +385,23 @@ def test_threads_flag_is_accepted(capsys, fixtures_dir):
         "-q", str(fixtures_dir / "employees" / "query.cq"),
     )
     assert code == 0 and out == "(Lee) 3\n"
+
+
+def test_counts_and_thresholds_of_thousands_of_digits(capsys, tmp_path, fixtures_dir):
+    # Past int()'s 4,300-digit limit: a count is past the 64-bit range (exit 2),
+    # and a threshold past U64_MAX answers as U64_MAX + 1 does (FALSE, exit 1).
+    employees = fixtures_dir / "employees"
+    (tmp_path / "a.bag").write_text("A(a) " + "1" * 5000 + "\n")
+    code, out, err = run(capsys, "check", "-T", str(employees / "tbox.dl"),
+                         "-A", str(tmp_path / "a.bag"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: line 1: multiplicity exceeds the 64-bit range"]
+    base = ["cert", "-T", str(employees / "tbox.dl"), "-A", str(employees / "abox.bag"),
+            "-q", str(employees / "query.cq"), "--tuple", "(Lee)"]
+    past = run(capsys, *base, "-k", str(2**64))
+    assert past == (1, "FALSE\n", "")
+    for threshold in ("1" * 4300, "1" * 4301, "1" * 5000, "0" * 4980 + "1" * 21):
+        assert run(capsys, *base, "-k", threshold) == past
+    for threshold in ("0" * 4299 + "3", "0" * 4300 + "3", "0" * 5000 + "3"):
+        assert run(capsys, *base, "-k", threshold) == (0, "TRUE\n", "")
+    assert run(capsys, *base, "-k", "0" * 5000 + "4") == past

@@ -127,23 +127,25 @@ def test_deep_self_feeding_chain_chases_and_dumps_quickly():
     elapsed = time.process_time() - start
     assert deepest.depth == depth
     assert deepest is not twin and deepest == twin and hash(deepest) == hash(twin)
-    assert text.endswith(f"R({deepest.parent},{deepest}) 1\n")
+    assert f"\n@{depth} = _w(@{depth - 1},R,1)\n" in text
+    assert text.endswith(f"R(@{depth - 1},@{depth}) 1\n")
     assert elapsed < 2.0
 
 
-def test_chase_dump_past_its_character_budget_exits_with_resource_limit(
-        monkeypatch, capsys, tmp_path):
-    # Five chains of 100 witnesses are well within the element budget, but each
-    # witness prints as its whole ancestry: the dump is refused before a line.
-    monkeypatch.setattr(chase_module, "MAX_DUMP_CHARS", 10_000)
+def test_chase_dump_of_five_deep_chains_prints_every_line(capsys, tmp_path):
+    # Five chains of 100 witnesses: each witness is defined once and named by
+    # its id, so every line is short. Lines: the header, 500 definitions,
+    # A on the name and on all but the deepest witnesses, and 500 edges.
     (tmp_path / "t.dl").write_text(SELF_FEEDING)
     (tmp_path / "a.bag").write_text("A(a) 5\n")
     code = main(["chase", "-T", str(tmp_path / "t.dl"), "-A", str(tmp_path / "a.bag"),
                  "--depth", "100"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (EXIT_RESOURCE, "")
-    assert len(captured.err.splitlines()) == 1
-    assert "more than its budget of 10,000" in captured.err
+    assert (code, captured.err) == (0, "")
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 + 500 + 496 + 500
+    assert lines[500] == "@500 = _w(@495,R,1)"
+    assert max(map(len, lines)) == len("@500 = _w(@495,R,1)")
 
 
 def test_long_path_query_answers_via_the_chase(capsys, tmp_path):
