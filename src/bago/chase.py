@@ -4,7 +4,7 @@ Elements are of two kinds. A named individual is its name, a plain `str`. An
 anonymous witness is an `Anon(parent, role, index)`: the index-th fresh
 role-successor born for its parent. Elements print as their name or as
 `_w(parent,role,index)`, and sort names first, then witnesses by depth, then
-by (parent, role, index). A dump (`BagInterpretation.to_text`) defines each
+by (parent, role, index). A dump (`BagInterpretation.lines`) defines each
 witness once, as `@N = _w(P,R,i)` with P a name or an earlier id, and names
 it `@N` in its facts, so a dump is linear in the chase's size and no line's
 length grows with its depth.
@@ -26,9 +26,9 @@ builds `counted` from only that part. The chase is a forest hanging from the
 names, and a class of q's variables that holds an answer variable or an
 individual maps to a name. So a class at Gaifman distance δ from such a
 class maps to a witness of depth at most δ. Let D be the largest such
-distance (`_scope`). Witnesses are born down to depth D only. A witness of
-depth j has its final concepts from stage j + 1 on, so one more stage
-writes the depth-D witnesses' concepts and bears nothing. A homomorphism
+distance, `q.reach`: `_grow` bears witnesses down to depth D only. A
+witness of depth j has its final concepts from stage j + 1 on, so one more
+stage writes the depth-D witnesses' concepts and bears nothing. A homomorphism
 reaches a witness from a name only through the witness's ancestors' edges,
 so every role on that path is one q names. Witnesses are therefore born
 only along role names q mentions, and every element, name or witness, is
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind, combine
 from .ontology import (
@@ -91,7 +91,7 @@ from .query import CQ, ConceptAtom, RoleAtom
 # Budget of anonymous elements for one chase, the full last stage or a query's
 # chase with the copies it keeps of each run; one that would pass it raises
 # ChaseLimitExceeded before allocating. It bounds a dump too: each line of
-# one has bounded length (see `BagInterpretation.to_text`).
+# one has bounded length (see `BagInterpretation.lines`).
 MAX_CHASE_ELEMENTS = 1_000_000
 
 
@@ -315,8 +315,9 @@ class BagInterpretation:
         return (f"BagInterpretation(|domain|={len(self.domain)}, "
                 f"concepts={sorted(self.concepts)}, roles={sorted(self._edges)})")
 
-    def to_text(self) -> str:
-        """Each witness named once, then every fact, one to a line.
+    def lines(self) -> Iterator[str]:
+        """Each witness named once, then every fact, one line each, as they
+        are written.
 
         A witness is `@N`, its 1-based position among the witnesses in the
         canonical order, defined by a line `@N = _w(P,R,i)` whose parent P is
@@ -324,26 +325,28 @@ class BagInterpretation:
         concept's facts and each role's, in the order of their elements.
         """
         if self.query is not None:
-            return self.full().to_text()
+            yield from self.full().lines()
+            return
         rank = _ranks(self.domain)
-        roles = self.roles
-        text: dict[Element, str] = {}
-        lines = []
-        for el in rank:  # in rank order, so a witness follows its parent
-            if type(el) is str:
-                text[el] = el
-            else:
-                text[el] = f"@{len(lines) + 1}"
-                lines.append(f"{text[el]} = _w({text[el.parent]},{el.role},{el.index})")
+        names = sum(type(el) is str for el in rank)  # ranked before every witness
+
+        def text(el: Element) -> str:
+            return el if type(el) is str else f"@{rank[el] - names + 1}"
+
+        for el in rank:
+            if type(el) is Anon:
+                yield f"{text(el)} = _w({text(el.parent)},{el.role},{el.index})\n"
         for name in sorted(self.concepts):
-            for el, m in sorted(self.concepts[name].items(),
-                                key=lambda kv: rank[kv[0]]):
-                lines.append(f"{name}({text[el]}) {m}")
-        for name in sorted(roles):
-            for (u, v), m in sorted(roles[name].items(),
-                                    key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]])):
-                lines.append(f"{name}({text[u]},{text[v]}) {m}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            for el, m in sorted(self.concepts[name].items(), key=lambda kv: rank[kv[0]]):
+                yield f"{name}({text(el)}) {m}\n"
+        for name in sorted(self._edges):
+            rows = self.rows(name)
+            for u in sorted(rows, key=rank.__getitem__):
+                for v, m in sorted(rows[u].items(), key=lambda kv: rank[kv[0]]):
+                    yield f"{name}({text(u)},{text(v)}) {m}\n"
+
+    def to_text(self) -> str:
+        return "".join(self.lines())
 
 
 def _once(build: Callable[[], BagInterpretation]) -> Callable[[], BagInterpretation]:
@@ -371,40 +374,21 @@ def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
     return i
 
 
-class _Scope(NamedTuple):
-    """What of the chase a rooted query can reach: witnesses down to depth
-    `reach`, along the role names in `roles`, with the concept names in
-    `concepts`."""
-
-    reach: int
-    roles: frozenset[str]
-    concepts: frozenset[str]
-
-
-def _scope(q: CQ) -> Optional[_Scope]:
-    """q's scope, or None when q is not rooted.
-
-    `reach` is `q.reach`: a class that holds an answer variable or an
-    individual maps to a name, and the chase is a forest, so a class at
-    distance d from one maps to a witness of depth at most d.
-    """
-    if q.reach is None:
-        return None
-    return _Scope(q.reach,
-                  frozenset(a.role for a in q.atoms if isinstance(a, RoleAtom)),
-                  frozenset(a.concept for a in q.atoms if isinstance(a, ConceptAtom)))
-
-
 def _grow(k: BagOntology, depth: int, query: Optional[CQ] = None,
           full: Optional[Callable[[], BagInterpretation]] = None) -> BagInterpretation:
     """Chase k to `depth` in place, one stage of seed columns at a time; for a
-    query, recorded with `full`, cut its runs to `kept_copies` and keep to its
-    `_scope`."""
+    query, recorded with `full`, cut its runs to `kept_copies`, and for a
+    rooted one bear witnesses down to depth `query.reach` only, along the role
+    names it mentions, and write only the concept names it mentions."""
     i = interpretation_from_abox(k.abox)
     tbox, concepts = k.tbox, i.concepts
-    copies, scope = (None, None) if query is None else (kept_copies(query), _scope(query))
+    copies = None if query is None else kept_copies(query)
     i.query, i.full = query, full
-    reach = depth if scope is None else min(depth, scope.reach)
+    scoped = query is not None and query.reach is not None
+    reach = min(depth, query.reach) if scoped else depth
+    if scoped:
+        roles = {a.role for a in query.atoms if isinstance(a, RoleAtom)}
+        named = {a.concept for a in query.atoms if isinstance(a, ConceptAtom)}
     anonymous = 0
     # Stage 1's seed columns: atomic extensions (read before any write below)
     # and EX R / EX R- out-degree sums.
@@ -425,10 +409,10 @@ def _grow(k: BagOntology, depth: int, query: Optional[CQ] = None,
         births = []
         for c, column in closure.items():
             if isinstance(c, AtomicConcept):
-                if scope is None or c.name in scope.concepts:
+                if not scoped or c.name in named:
                     concepts.setdefault(c.name, {}).update(column)
                 continue
-            if stage > reach or scope is not None and c.role.name not in scope.roles:
+            if stage > reach or scoped and c.role.name not in roles:
                 continue
             seed, deficits = seeds.get(c, {}), {}
             if column is seed:  # c's own seed alone reaches c: no deficit
@@ -500,8 +484,10 @@ def chase(k: BagOntology, depth: int, query: Optional[CQ] = None) -> ChaseResult
 
     With no query, the last stage is built at once. With a query, `counted`
     is built for that query alone: what a rooted query can reach of the chase
-    (`_scope`), with `kept_copies(query)` copies of each run. Its answers over
-    it are its answers over the last stage, which `union` builds when read.
+    (witnesses down to depth `query.reach`, along the role names it mentions,
+    with only the concept names it mentions), with `kept_copies(query)`
+    copies of each run. Its answers over it are its answers over the last
+    stage, which `union` builds when read.
     """
     if k.tbox.kind != CORE:
         raise UnsupportedTBoxKind("the canonical bag model is defined for core TBoxes")
@@ -527,5 +513,11 @@ def kept_copies(q: CQ) -> int:
     return max(1, sum(1 for a in q.atoms if isinstance(a, RoleAtom)))
 
 
+def dump_lines(result: ChaseResult) -> Iterator[str]:
+    """`bago chase`'s output, a line at a time: the depth, then the last stage."""
+    yield f"# depth={result.depth}\n"
+    yield from result.union.lines()
+
+
 def dump_chase(result: ChaseResult) -> str:
-    return f"# depth={result.depth}\n" + result.union.to_text()
+    return "".join(dump_lines(result))

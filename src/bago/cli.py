@@ -6,7 +6,8 @@ semantic refusal (non-rooted query, non-core TBox, unsatisfiable ontology);
 4 internal cross-check failure; 5 resource limit (recursion depth, memory,
 the chase's anonymous-element budget on its depth and branching, the
 rewriting's budget of clusters and alternatives, or a branch table too long
-to list).
+to list). A warning raised during a command is one stderr line,
+`warning: <message>`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .ontology import BagOntology, is_satisfiable, parse_abox, parse_tbox
 from .query import parse_cq
-from .chase import chase, dump_chase
+from .chase import chase, dump_lines
 from .bagalg import eval_balg, eval_cq, parse_answer_tuple, parse_balg, to_sexpr
 from .answers import (
     VIA_BOTH,
@@ -87,7 +89,7 @@ def _cmd_chase(args) -> int:
     if args.depth < 0:
         raise ParseError("--depth must be nonnegative")
     k = _load_ontology(args)
-    print(dump_chase(chase(k, args.depth)), end="")
+    sys.stdout.writelines(dump_lines(chase(k, args.depth)))
     return EXIT_OK
 
 
@@ -311,23 +313,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (NotRooted, UnsupportedTBoxKind, UnsatisfiableOntology) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except CrosscheckMismatch as exc:
-        print(f"cross-check mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except RESOURCE_LIMITS as exc:
-        print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except BagoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # each distinct warning once per command
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except (NotRooted, UnsupportedTBoxKind, UnsatisfiableOntology) as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return EXIT_REFUSED
+        except CrosscheckMismatch as exc:
+            print(f"cross-check mismatch: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
+        except RESOURCE_LIMITS as exc:
+            print(f"error: resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except BagoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

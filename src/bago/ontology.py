@@ -46,7 +46,6 @@ R = "r"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _INDIVIDUAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-RESERVED_INDIVIDUAL_PREFIX = "_probe_"
 
 
 def check_name(name, what, line=None):
@@ -58,12 +57,6 @@ def check_name(name, what, line=None):
 def check_individual(name, line=None):
     if not _INDIVIDUAL_RE.match(name):
         raise ParseError(f"invalid individual name {name!r}", line=line)
-    if name.startswith(RESERVED_INDIVIDUAL_PREFIX):
-        raise ParseError(
-            f"individual name {name!r} uses the reserved prefix "
-            f"{RESERVED_INDIVIDUAL_PREFIX!r}",
-            line=line,
-        )
     return name
 
 
@@ -549,9 +542,6 @@ def parse_abox(text: str) -> BagABox:
         if count > U64_MAX:
             raise ParseError("multiplicity exceeds the 64-bit range", line=lineno)
         names = (a1,) if a2 is None else (a1, a2)
-        for name in names:
-            if name.startswith(RESERVED_INDIVIDUAL_PREFIX):
-                check_individual(name, lineno)  # raises; the regex matched the grammar
         rel = relations.setdefault((pred, len(names)), {})
         total = rel[names] = rel.get(names, 0) + count
         if total > U64_MAX and overflow is None:

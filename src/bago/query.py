@@ -124,52 +124,6 @@ def atom_key(atom: QueryAtom):
     return (3, "", str(atom.left), str(atom.right))
 
 
-class EqClasses:
-    """The equivalence relation on terms induced by the equality atoms."""
-
-    def __init__(self, atoms: Iterable[QueryAtom]):
-        parent: dict[Term, Term] = {}
-
-        def find(t):
-            root = t
-            while parent[root] != root:
-                root = parent[root]
-            while parent[t] != root:
-                parent[t], t = root, parent[t]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        atoms = list(atoms)
-        for atom in atoms:
-            for t in atom.terms:
-                parent.setdefault(t, t)
-        for atom in atoms:
-            if isinstance(atom, EqualityAtom):
-                union(atom.left, atom.right)
-        groups: dict[Term, set[Term]] = {}
-        for t in parent:
-            groups.setdefault(find(t), set()).add(t)
-        self._classes = [frozenset(members) for members in groups.values()]
-        self._class_of: dict[Term, frozenset[Term]] = {
-            t: cls for cls in self._classes for t in cls
-        }
-
-    def class_of(self, t: Term) -> frozenset[Term]:
-        return self._class_of.get(t, frozenset((t,)))
-
-    def classes(self) -> list[frozenset[Term]]:
-        """The classes, in the order their first terms occur in the atoms."""
-        return list(self._classes)
-
-    def constants_of(self, t: Term) -> list[Const]:
-        return sorted((m for m in self.class_of(t) if isinstance(m, Const)),
-                      key=term_key)
-
-
 Node = TypeVar("Node", bound=Hashable)
 
 
@@ -195,26 +149,32 @@ def connected_components(nodes: Iterable[Node],
     return out
 
 
-class GaifmanGraph:
-    """Nodes are equality classes of mentioned terms; edges come from role atoms."""
+class EqClasses:
+    """The equivalence relation on terms induced by the equality atoms: the
+    components of the graph whose edges are the equality atoms."""
 
-    def __init__(self, atoms: Iterable[QueryAtom], eq: EqClasses):
+    def __init__(self, atoms: Iterable[QueryAtom]):
         atoms = list(atoms)
-        self.nodes = frozenset(eq.class_of(t) for a in atoms for t in a.terms)
-        adjacency: dict[frozenset[Term], set[frozenset[Term]]] = {n: set() for n in self.nodes}
+        equal: dict[Term, list[Term]] = {t: [] for a in atoms for t in a.terms}
         for a in atoms:
-            if isinstance(a, RoleAtom):
-                s, o = eq.class_of(a.subject), eq.class_of(a.object)
-                if s != o:  # a self-loop is no edge
-                    adjacency[s].add(o)
-                    adjacency[o].add(s)
-        self._adjacency = adjacency
+            if isinstance(a, EqualityAtom):
+                equal[a.left].append(a.right)
+                equal[a.right].append(a.left)
+        self._classes = connected_components(equal, equal.__getitem__)
+        self._class_of: dict[Term, frozenset[Term]] = {
+            t: cls for cls in self._classes for t in cls
+        }
 
-    def neighbours(self, node):
-        return self._adjacency.get(node, set())
+    def class_of(self, t: Term) -> frozenset[Term]:
+        return self._class_of.get(t, frozenset((t,)))
 
-    def components(self) -> list[frozenset[frozenset[Term]]]:
-        return connected_components(self.nodes, self._adjacency.__getitem__)
+    def classes(self) -> list[frozenset[Term]]:
+        """The classes, in the order their first terms occur in the atoms."""
+        return list(self._classes)
+
+    def constants_of(self, t: Term) -> list[Const]:
+        return sorted((m for m in self.class_of(t) if isinstance(m, Const)),
+                      key=term_key)
 
 
 class CQ:
@@ -237,8 +197,6 @@ class CQ:
             raise SafetyViolation("query must contain at least one concept or role atom")
         self._eq = EqClasses(self.atoms)
         self._check_safety()
-        self._gaifman = None
-        self._positions = None
 
     def _check_safety(self):
         anchored = set()
@@ -271,17 +229,26 @@ class CQ:
     def equality_classes(self) -> EqClasses:
         return self._eq
 
-    def gaifman(self) -> GaifmanGraph:
-        if self._gaifman is None:
-            self._gaifman = GaifmanGraph(self.atoms, self._eq)
-        return self._gaifman
+    @cached_property
+    def gaifman(self) -> dict[frozenset[Term], set[frozenset[Term]]]:
+        """The Gaifman graph: each class of a mentioned term, mapped to the
+        classes a role atom joins it to; a self-loop is no edge."""
+        eq = self._eq
+        graph: dict[frozenset[Term], set[frozenset[Term]]] = {c: set() for c in eq.classes()}
+        for a in self.atoms:
+            if isinstance(a, RoleAtom):
+                s, o = eq.class_of(a.subject), eq.class_of(a.object)
+                if s != o:
+                    graph[s].add(o)
+                    graph[o].add(s)
+        return graph
 
     @cached_property
     def reach(self) -> Optional[int]:
         """The largest Gaifman distance of a class from a root, a class that
         holds an answer variable or an individual; None when a class lies
         apart from every root. One breadth-first walk, made when first read."""
-        graph, eq = self.gaifman(), self._eq
+        graph, eq = self.gaifman, self._eq
         layer = {eq.class_of(t) for t in self.answer_vars}
         layer.update(eq.class_of(t) for a in self.atoms for t in a.terms if type(t) is Const)
         seen, reach = set(layer), -1
@@ -289,20 +256,19 @@ class CQ:
             reach += 1
             ahead = set()
             for c in layer:
-                ahead |= graph.neighbours(c)
+                ahead |= graph[c]
             layer = ahead - seen
             seen |= layer
-        return reach if len(seen) == len(graph.nodes) else None
+        return reach if len(seen) == len(graph) else None
 
+    @cached_property
     def _atom_index(self) -> dict[Term, list[int]]:
         """Each term's atom positions, ascending, one per atom mentioning it."""
-        if self._positions is None:
-            index: dict[Term, list[int]] = {}
-            for i, a in enumerate(self.atoms):
-                for t in dict.fromkeys(a.terms):
-                    index.setdefault(t, []).append(i)
-            self._positions = index
-        return self._positions
+        index: dict[Term, list[int]] = {}
+        for i, a in enumerate(self.atoms):
+            for t in dict.fromkeys(a.terms):
+                index.setdefault(t, []).append(i)
+        return index
 
     def __eq__(self, other):
         return (
@@ -350,21 +316,20 @@ def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
     zset = frozenset(z)
     if not zset:
         return []
-    eq = q.equality_classes()
-    graph = q.gaifman()
+    eq, graph = q.equality_classes(), q.gaifman
     z_classes = {eq.class_of(v) for v in zset}
     for cls in z_classes:
         if not cls <= zset:
             raise NotEqualityConsistent(
                 f"{sorted(map(str, cls))} is not equality-consistent with z")
     subsets = [frozenset(v for c in comp for v in c)
-               for comp in connected_components(z_classes, graph.neighbours)]
+               for comp in connected_components(z_classes, lambda c: graph.get(c, ()))]
     return sorted(subsets, key=lambda s: min(v.name for v in s))
 
 
 def atoms_mentioning(q: CQ, vars_: Iterable[Var]) -> list[QueryAtom]:
     """The sub-conjunction of all atoms mentioning at least one given variable."""
-    index = q._atom_index()
+    index = q._atom_index
     hits = {i for v in vars_ for i in index.get(v, ())}
     return [q.atoms[i] for i in sorted(hits)]
 

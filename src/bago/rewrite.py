@@ -87,8 +87,10 @@ from .query import (
     term_key,
 )
 
-PROBE_ANCHOR = "_probe_a"
-PROBE_FRESH = "_probe_b"
+# The probe's individuals lie outside the individual-name grammar, so no
+# query constant or ABox name can be either of them.
+PROBE_ANCHOR = "@anchor"
+PROBE_FRESH = "@fresh"
 
 REALISABLE = "realisable"
 NOT_EQUALITY_CONSISTENT = "not-equality-consistent"
@@ -458,7 +460,7 @@ def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
     counts against REWRITE_BUDGET.
     """
     head = set(q.answer_vars)
-    eq, graph = q.equality_classes(), q.gaifman()
+    eq, graph = q.equality_classes(), q.gaifman
     bit: dict[frozenset[Term], int] = {}
     for v in q.existential_vars():
         cls = eq.class_of(v)
@@ -467,7 +469,7 @@ def _clusters(q: CQ) -> list[tuple[frozenset[Var], int, int]]:
     if len(bit) > REWRITE_BUDGET:
         raise _over_budget()
     classes = list(bit)
-    adjacent = [sum(bit[n] for n in graph.neighbours(cls) if n in bit) for cls in classes]
+    adjacent = [sum(bit[n] for n in graph[cls] if n in bit) for cls in classes]
 
     def members(mask: int) -> list[int]:
         return [i for i in range(len(classes)) if mask >> i & 1]

@@ -11,9 +11,9 @@ from bago.errors import U64_MAX
 
 from oracles import reference_parse_abox
 
-# "P" is both a concept and a role; "_probe_" inside a name is legal.
+# "P" is both a concept and a role; "_probe_" anywhere in a name is legal.
 PREDICATES = ("A", "B", "P", "R", "P_probe_x")
-NAMES = ("a", "b", "_c", "d_1", "x_probe_", "a_probe_b")
+NAMES = ("a", "b", "_c", "d_1", "x_probe_", "a_probe_b", "_probe_a")
 SPACES = ("", "", " ", "  ", "\t")
 
 
@@ -68,8 +68,8 @@ FAULTY_LINES = {
                   "A(a)(b)", "A(a) 1 2", "A(a b)", "(a)", "A(a,)"],
     "count of 0": ["A(a) 0", "R(a,b) 000"],
     "count past 2^64 - 1": [f"A(a) {U64_MAX + 1}", f"R(a,b) {10 ** 30}"],
-    "reserved prefix": ["A(_probe_1)", "R(a,_probe_x)", "R(_probe_a,_probe_b)",
-                        "R( _probe_a , b ) 2"],
+    "probe individual": ["A(@anchor)", "R(a,@fresh)", "R(@anchor,@fresh)",
+                         "R( @anchor , b ) 2"],
 }
 
 
@@ -98,7 +98,7 @@ def test_messages_of_each_faulty_line():
         "A(a": (2, "malformed assertion 'A(a'"),
         "A(a) 0": (2, "multiplicity must be a positive integer"),
         f"A(a) {U64_MAX + 1}": (2, "multiplicity exceeds the 64-bit range"),
-        "R(a,_probe_x)": (2, "individual name '_probe_x' uses the reserved prefix '_probe_'"),
+        "R(a,@fresh)": (2, "malformed assertion 'R(a,@fresh)'"),
     }
     for bad, (line, message) in cases.items():
         with pytest.raises(ParseError) as err:

@@ -14,6 +14,7 @@ FIXTURE_SETS = [
     ("huge_mult", "query.cq"),
     ("reach", "query.cq"),
     ("shared_successor", "query.cq"),
+    ("head_order", "query.cq"),
 ]
 
 
@@ -73,6 +74,19 @@ def test_answer_refuses_non_rooted(capsys, fixtures_dir):
         "-q", str(fixtures_dir / "managers" / "query_some.cq"),
     )
     assert code == 3 and "refused" in err
+
+
+@pytest.mark.parametrize("via", ["chase", "rewrite", "both"])
+def test_a_warning_is_one_stderr_line(capsys, tmp_path, fixtures_dir, via):
+    (tmp_path / "q.cq").write_text('q(x) :- A(x), "a" = "b"\n')
+    (tmp_path / "a.bag").write_text("A(a) 1\n")
+    code, out, err = run(
+        capsys, "answer", "-T", str(fixtures_dir / "employees" / "tbox.dl"),
+        "-A", str(tmp_path / "a.bag"), "-q", str(tmp_path / "q.cq"), "--via", via,
+    )
+    assert (code, out) == (0, "EMPTY\n")
+    assert err == ('warning: equality "a" = "b" between distinct individuals: '
+                   "the query always evaluates to the empty bag\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path, fixtures_dir):

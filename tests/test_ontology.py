@@ -87,7 +87,7 @@ def test_abox_rejects_bad_input():
     with pytest.raises(ParseError):
         parse_abox("A(a) 0\n")
     with pytest.raises(ParseError):
-        parse_abox("A(_probe_a)\n")
+        parse_abox("A(@anchor)\n")
     with pytest.raises(ParseError):
         parse_abox("A(a b)\n")
     with pytest.raises(ValueError):

@@ -25,10 +25,10 @@ from bago import (
     parse_cq,
     parse_tbox,
 )
-from bago.chase import _scope
 from bago.query import (
     atom_key,
     atoms_mentioning,
+    connected_components,
     linking_candidates,
     outward_terms,
     term_key,
@@ -110,6 +110,46 @@ def test_equality_classes_follow_the_equalities():
     eq = q.equality_classes()
     assert eq.class_of(y) == {y, z, Var("w")}
     assert eq.class_of(x) == {x}
+
+
+def _classes_by_merging(atoms):
+    """The equality classes by merging the classes of each equality's two
+    sides until none changes, ordered by their first term's first occurrence."""
+    terms = list(dict.fromkeys(t for a in atoms for t in a.terms))
+    classes = [{t} for t in terms]
+    pairs = [(a.left, a.right) for a in atoms if isinstance(a, EqualityAtom)]
+    merged = True
+    while merged:
+        merged = False
+        for left, right in pairs:
+            (lc,), (rc,) = ([c for c in classes if t in c] for t in (left, right))
+            if lc is not rc:
+                lc |= rc
+                classes.remove(rc)
+                merged = True
+    return sorted(map(frozenset, classes), key=lambda c: min(map(terms.index, c)))
+
+
+def test_equality_classes_equal_merging_in_first_occurrence_order():
+    rng = random.Random(25)
+    pool = [Var(f"v{i}") for i in range(6)] + [Const("a"), Const("b")]
+    checked = 0
+    while checked < 300:
+        atoms = [ConceptAtom("A", rng.choice(pool)) if rng.random() < 0.4
+                 else RoleAtom("R", rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 4)):
+            atoms.insert(rng.randint(0, len(atoms)),
+                         EqualityAtom(rng.choice(pool), rng.choice(pool)))
+        try:
+            q = CQ([], atoms)
+        except SafetyViolation:
+            continue
+        eq = q.equality_classes()
+        expected = _classes_by_merging(atoms)
+        assert eq.classes() == expected, atoms
+        assert all(eq.class_of(t) == c for c in expected for t in c)
+        checked += 1
 
 
 def test_rooted_examples(managers):
@@ -222,7 +262,8 @@ def test_gaifman_components_match_union_find():
     rng = random.Random(5)
     for _ in range(150):
         q = random_small_cq(rng, max_atoms=8, max_vars=4)
-        assert set(q.gaifman().components()) == _brute_components(q)
+        graph = q.gaifman
+        assert set(connected_components(graph, graph.__getitem__)) == _brute_components(q)
 
 
 def test_rooted_is_one_walk_from_the_roots():
@@ -233,7 +274,7 @@ def test_rooted_is_one_walk_from_the_roots():
         q = random_small_cq(rng, max_atoms=8, max_vars=4)
         roots = set(q.answer_vars) | {t for a in q.atoms for t in a.terms if type(t) is Const}
         by_components = all(any(c & roots for c in comp) for comp in _brute_components(q))
-        assert is_rooted(q) == by_components == (_scope(q) is not None), q
+        assert is_rooted(q) == by_components == (q.reach is not None), q
 
 
 def test_certain_answers_walk_the_query_once(monkeypatch):

@@ -34,12 +34,11 @@ def test_error_position_and_message(text, line, col, message):
     assert str(err.value) == f"line {line}, col {col}: {message}"
 
 
-def test_a_reserved_individual_carries_its_line_only():
+def test_an_invalid_individual_carries_its_line_only():
     with pytest.raises(ParseError) as err:
-        parse_cq('q(x) :-\n  A(x),\n  B("_probe_1")')
+        parse_cq('q(x) :-\n  A(x),\n  B("1a")')
     assert (err.value.line, err.value.col) == (3, None)
-    assert str(err.value) == (
-        "line 3: individual name '_probe_1' uses the reserved prefix '_probe_'")
+    assert str(err.value) == "line 3: invalid individual name '1a'"
 
 
 def test_a_stray_character_is_placed_by_its_offset():

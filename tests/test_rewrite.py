@@ -14,6 +14,7 @@ from bago import (
     MultipleAnchors,
     NotEqualityConsistent,
     NotRooted,
+    ParseError,
     UnsupportedTBoxKind,
     build_probe,
     certain_answers,
@@ -43,7 +44,7 @@ from bago.bagalg import (
 )
 from bago.cli import main
 from bago.errors import RewriteLimitExceeded
-from bago.ontology import BagABox, RoleAssertion
+from bago.ontology import BagABox, RoleAssertion, check_individual
 from bago.query import (
     ConceptAtom,
     Const,
@@ -56,6 +57,8 @@ from bago.query import (
 )
 from bago.rewrite import (
     NOT_EQUALITY_CONSISTENT,
+    PROBE_ANCHOR,
+    PROBE_FRESH,
     REALISABLE,
     UNREALISABLE,
     _clusters,
@@ -80,39 +83,61 @@ def q_r():
 
 def test_build_probe_shape(q_r):
     probe, probe_abox, anchor = build_probe(q_r, {y})
-    assert anchor == "_probe_a"
+    assert anchor == "@anchor"
     expected = CQ(
         (),
         (
             RoleAtom("hasMngr", x, y),
             ConceptAtom("Mngr", y),
-            EqualityAtom(x, Const("_probe_a")),
-            InequalityAtom(y, Const("_probe_a")),
+            EqualityAtom(x, Const("@anchor")),
+            InequalityAtom(y, Const("@anchor")),
         ),
         allow_inequalities=True,
     )
     assert probe == expected
-    assert probe_abox == BagABox({RoleAssertion("hasMngr", "_probe_a", "_probe_b"): 1})
+    assert probe_abox == BagABox({RoleAssertion("hasMngr", "@anchor", "@fresh"): 1})
 
 
 def test_build_probe_reversed_orientation():
     q = parse_cq("q(x) :- P(y, x), A(y)")
     probe, probe_abox, anchor = build_probe(q, {y})
-    assert probe_abox == BagABox({RoleAssertion("P", "_probe_b", "_probe_a"): 1})
-    assert anchor == "_probe_a"
+    assert probe_abox == BagABox({RoleAssertion("P", "@fresh", "@anchor"): 1})
+    assert anchor == "@anchor"
 
 
 def test_build_probe_uses_linked_individual_as_anchor():
     q = parse_cq('q() :- R("a", y), B(y)')
     probe, probe_abox, anchor = build_probe(q, {y})
     assert anchor == "a"
-    assert probe_abox == BagABox({RoleAssertion("R", "a", "_probe_b"): 1})
+    assert probe_abox == BagABox({RoleAssertion("R", "a", "@fresh"): 1})
 
 
 def test_build_probe_multiple_anchors():
     q = parse_cq('q() :- R("a", y), S("b", y)')
     with pytest.raises(MultipleAnchors):
         build_probe(q, {y})
+
+
+def test_probe_individuals_lie_outside_the_individual_grammar():
+    for name in (PROBE_ANCHOR, PROBE_FRESH):
+        with pytest.raises(ParseError):
+            check_individual(name)
+
+
+@pytest.mark.parametrize("text, answer", [
+    ("q(x) :- R(x, y), B(y)", (("_probe_a",), 11)),
+    ('q() :- R("_probe_a", y), B(y)', ((), 11)),
+    ('q(y) :- R("_probe_a", y), B(y)', (("b",), 9)),
+    ('q() :- R(x, y), A(x), x = "_probe_a"', ((), 25)),
+])
+def test_a_probe_like_name_is_an_ordinary_individual(text, answer):
+    # A(_probe_a) 5 needs five R-successors: the three named ones and two
+    # witnesses, each of which is a B once.
+    k = BagOntology(parse_tbox("A SUB EX R\nEX R- SUB B\n"),
+                    parse_abox("A(_probe_a) 5\nR(_probe_a,b) 3\nB(b) 1\n"))
+    q = parse_cq(text)
+    bags = [certain_answers(q, k, via=via).items() for via in ("chase", "rewrite")]
+    assert bags == [[answer]] * 2
 
 
 def test_realisability_of_example_subsets(t_r, q_r):
