@@ -42,7 +42,6 @@ from .query import (
     InequalityAtom,
     RoleAtom,
     Var,
-    equality_consistent,
     is_rooted,
     linking_atom,
     ma_connected_partition,

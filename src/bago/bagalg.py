@@ -142,45 +142,6 @@ def parse_answer_tuple(text: str) -> tuple[str, ...]:
 
 # -- conjunctive query evaluation --------------------------------------------
 
-# Kinds a variable may range over, as the type its elements must have.
-NAMED_ONLY = str
-ANON_ONLY = Anon
-ANY_ELEMENT = object
-
-
-class _CompiledQuery:
-    """Equality classes resolved to slots, one per class.
-
-    A class holding an individual gets a slot filled with its name. Any other
-    class gets an empty slot, whose kind `named` (True for names only, False
-    for witnesses only, None for either) is the one its variables agree on.
-    A class with two individuals, with an individual and an anonymous-only
-    variable, or with two kinds makes the query `empty`.
-    """
-
-    def __init__(self, q: CQ, kinds: Mapping[Var, type]):
-        self.slot_of: dict[Term, int] = {}
-        self.slots: list = []
-        self.named: list = []
-        self.empty = False
-        for j, cls in enumerate(q.equality_classes().classes()):
-            name, kind = None, ANY_ELEMENT
-            for t in cls:
-                self.slot_of[t] = j
-                if type(t) is Const:
-                    self.empty |= name is not None or kind is ANON_ONLY
-                    name = t.name
-                else:
-                    wanted = kinds.get(t, ANY_ELEMENT)
-                    if wanted is not ANY_ELEMENT:
-                        self.empty |= kind not in (ANY_ELEMENT, wanted)
-                        self.empty |= wanted is ANON_ONLY and name is not None
-                        kind = wanted
-            self.slots.append(name)
-            self.named.append(None if name is not None or kind is ANY_ELEMENT
-                              else kind is NAMED_ONLY)
-
-
 class _Plan(NamedTuple):
     """A CQ compiled against one interpretation.
 
@@ -361,10 +322,32 @@ def _levels(steps) -> tuple:
     return head, levels
 
 
-def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Optional[_Plan]:
-    """q's plan over interp, or None when an inequality x != x makes the
-    answer empty."""
-    slots, named, slot_of = compiled.slots, compiled.named, compiled.slot_of
+def _compile(q: CQ, interp: BagInterpretation, kinds: Mapping[Var, bool]) -> Optional[_Plan]:
+    """q's plan over interp, or None when its answer is empty.
+
+    `kinds` maps a variable to True (names only) or False (witnesses only).
+    Each equality class gets one slot: filled with its individual's name if
+    it holds one, else empty, of the kind its variables agree on (`named`,
+    None for either). The answer is empty when a class holds two
+    individuals, an individual and a witnesses-only variable, or two kinds,
+    and when an inequality reads x != x.
+    """
+    slot_of: dict[Term, int] = {}
+    slots, named = [], []
+    for j, cls in enumerate(q.equality_classes().classes()):
+        name = kind = None
+        for t in cls:
+            slot_of[t] = j
+            if type(t) is Const:
+                if name is not None or kind is False:
+                    return None
+                name = t.name
+            elif (wanted := kinds.get(t)) is not None:
+                if (kind is not None and kind is not wanted) or (not wanted and name is not None):
+                    return None
+                kind = wanted
+        slots.append(name)
+        named.append(None if name is not None else kind)
     consts = {j for j, name in enumerate(slots) if name is not None}
     answer = [slot_of[v] for v in q.answer_vars]
     atoms, sizes, neqs = [], [], []  # atoms as (predicate, is a role, slots)
@@ -465,12 +448,12 @@ def _compile(q: CQ, interp: BagInterpretation, compiled: _CompiledQuery) -> Opti
     return _Plan(slots, _levels(steps[:cut]), dependent, independent, answer)
 
 
-def _eval_resolved(q, interp, compiled):
+def _eval_resolved(q, interp, kinds):
     """Sum of per-valuation products, grouped by the answer tuple."""
     arity = len(q.answer_vars)
     if interp.query not in (None, q):
         interp = interp.full()  # chased for another query: it may miss what q reaches
-    plan = None if compiled.empty else _compile(q, interp, compiled)
+    plan = _compile(q, interp, kinds)
     if plan is None:
         return AnswerBag(arity)
     slots = plan.slots
@@ -488,7 +471,7 @@ def _eval_resolved(q, interp, compiled):
                 if not w:
                     break
             else:
-                # Answer slots hold names only (their kind is NAMED_ONLY).
+                # Answer slots hold names only (their kind is True).
                 key = tuple(slots[j] for j in plan.answer)
                 answers[key] = answers.get(key, 0) + w
     return AnswerBag(arity, answers)
@@ -496,8 +479,7 @@ def _eval_resolved(q, interp, compiled):
 
 def eval_cq(q: CQ, i: BagInterpretation) -> AnswerBag:
     """Bag answers: sum over valuations of the product of atom multiplicities."""
-    kinds = {v: NAMED_ONLY for v in q.answer_vars}
-    return _eval_resolved(q, i, _CompiledQuery(q, kinds))
+    return _eval_resolved(q, i, dict.fromkeys(q.answer_vars, True))
 
 
 def eval_cq_neq(q: CQ, i: BagInterpretation) -> AnswerBag:
@@ -511,11 +493,10 @@ def eval_partitioned(q: CQ, z: Iterable[Var], result: ChaseResult) -> AnswerBag:
     existential = set(q.existential_vars())
     if not zset <= existential:
         raise ValueError("z must be a subset of the existential variables")
-    kinds = {v: NAMED_ONLY for v in q.answer_vars}
+    kinds = dict.fromkeys(q.answer_vars, True)
     for v in existential:
-        kinds[v] = ANON_ONLY if v in zset else NAMED_ONLY
-    compiled = _CompiledQuery(q, kinds)
-    return _eval_resolved(q, result.union, compiled)
+        kinds[v] = v not in zset
+    return _eval_resolved(q, result.union, kinds)
 
 
 # -- bag-algebra queries ------------------------------------------------------
@@ -797,10 +778,6 @@ def _columns(positions):
 
 # -- s-expression form --------------------------------------------------------
 
-def _term_str(t: Term) -> str:
-    return f'"{t.name}"' if isinstance(t, Const) else t.name
-
-
 # Operands indent two spaces a level down to this depth and no further, so the
 # printed form grows linearly with nesting; `parse_balg` ignores the spaces.
 _INDENT_LEVELS = 64
@@ -818,10 +795,10 @@ def to_sexpr(q: BALGQuery) -> str:
             continue
         pad = "  " * min(depth, _INDENT_LEVELS)
         if isinstance(item, BalgAtom):
-            out.append(f"{pad}(atom {item.predicate} {' '.join(map(_term_str, item.terms))})")
+            out.append(f"{pad}(atom {item.predicate} {' '.join(map(str, item.terms))})")
         elif isinstance(item, BalgEqFilter):
             out.append(f"{pad}(eq-filter\n")
-            stack += ((f"\n{pad}  {item.var.name} {_term_str(item.term)})", 0),
+            stack += ((f"\n{pad}  {item.var.name} {item.term})", 0),
                       (item.child, depth + 1))
         elif isinstance(item, BalgProject):
             out.append(f"{pad}(project ({' '.join(v.name for v in item.projected)})\n")

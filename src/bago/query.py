@@ -295,17 +295,6 @@ def is_rooted(q: CQ) -> bool:
     return q.reach is not None
 
 
-def equality_consistent(q: CQ, z: Iterable[Var]) -> bool:
-    """No equality links a variable of z with a term outside z."""
-    zset = set(z)
-    for a in atoms_mentioning(q, zset):
-        if isinstance(a, EqualityAtom):
-            sides = [t in zset if isinstance(t, Var) else False for t in a.terms]
-            if sides[0] != sides[1]:
-                return False
-    return True
-
-
 def ma_connected_partition(q: CQ, z: Iterable[Var]) -> list[frozenset[Var]]:
     """Partition z into its maximally-connected-in-the-anonymous-part subsets.
 
@@ -334,30 +323,22 @@ def atoms_mentioning(q: CQ, vars_: Iterable[Var]) -> list[QueryAtom]:
     return [q.atoms[i] for i in sorted(hits)]
 
 
-def linking_candidates(q: CQ, cluster: frozenset[Var]) -> list[RoleAtom]:
-    """Role atoms of the cluster's induced subquery with exactly one end in it.
-
-    A cluster is a part of `ma_connected_partition(q, z)`, so z is not needed:
-    every term outside the cluster that its atoms mention lies outside z.
-    """
-    out = {a for a in atoms_mentioning(q, cluster)
-           if isinstance(a, RoleAtom) and (a.subject in cluster) != (a.object in cluster)}
-    return sorted(out, key=atom_key)
-
-
 def linking_atom(q: CQ, cluster: frozenset[Var]) -> RoleAtom:
-    """The canonically least linking atom; exists for every rooted query.
+    """The canonically least role atom with exactly one end in the cluster;
+    exists for every rooted query.
 
     A cluster of existential variables without one is a whole Gaifman
     component with no answer variable or individual: NotRooted.
 
     Atoms whose outward endpoint is a variable are preferred over atoms
     linking to an individual: the compiled form anchors the cluster's
-    identifying equalities on that variable, and any answer is unchanged
-    because the choice of linking atom never affects the evaluation. As in
-    `linking_candidates`, the cluster alone decides.
+    identifying equalities on that variable, which keeps its column in every
+    branch; among such atoms the choice changes no answer. A cluster is a
+    part of `ma_connected_partition(q, z)`, so z is not needed:
+    every term outside the cluster that its atoms mention lies outside z.
     """
-    candidates = linking_candidates(q, cluster)
+    candidates = [a for a in atoms_mentioning(q, cluster)
+                  if isinstance(a, RoleAtom) and (a.subject in cluster) != (a.object in cluster)]
     if not candidates:
         raise NotRooted(
             f"no linking atom for cluster {sorted(v.name for v in cluster)}: its "
@@ -372,7 +353,7 @@ def linking_atom(q: CQ, cluster: frozenset[Var]) -> RoleAtom:
 
 def outward_terms(q: CQ, cluster: frozenset[Var]) -> list[Term]:
     """Terms outside the cluster that its induced subquery mentions, in
-    canonical order. As in `linking_candidates`, the cluster alone decides."""
+    canonical order. As in `linking_atom`, the cluster alone decides."""
     return sorted({t for a in atoms_mentioning(q, cluster) for t in a.terms if t not in cluster},
                   key=term_key)
 

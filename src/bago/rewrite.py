@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import (
     InternalStructureError,
     MultipleAnchors,
+    NotEqualityConsistent,
     NotRooted,
     RewriteLimitExceeded,
     UnsatisfiableOntology,
@@ -79,7 +80,6 @@ from .query import (
     Term,
     Var,
     atoms_mentioning,
-    equality_consistent,
     is_rooted,
     linking_atom,
     ma_connected_partition,
@@ -108,8 +108,6 @@ class ProbeWitness:
     subset: frozenset[Var]
     alpha: RoleAtom
     anchor: str
-    probe_query: CQ
-    probe_abox: BagABox
     value: int
 
 
@@ -135,7 +133,7 @@ def _misshapen(q: CQ, cluster: frozenset[Var]) -> bool:
     outward term (all of which the probe sends to its anchor) must read as
     one role in one direction from the outward term, and no role atom may
     join two terms of one equality class inside the cluster: neither kind of
-    element has a self-loop. As in `linking_candidates`, the cluster alone
+    element has a self-loop. As in `linking_atom`, the cluster alone
     decides.
     """
     eq = q.equality_classes()
@@ -158,7 +156,7 @@ def build_probe(q: CQ, cluster: frozenset[Var],
                 alpha: RoleAtom | None = None) -> tuple[CQ, BagABox, str]:
     """The Boolean probe, its one-assertion ABox, and the anchor individual.
 
-    As in `linking_candidates`, the cluster alone decides. Raises
+    As in `linking_atom`, the cluster alone decides. Raises
     MultipleAnchors when the cluster links outward to two distinct
     individuals; the cluster is then unrealisable regardless of any choice.
     """
@@ -194,10 +192,12 @@ def is_realisable(tbox: TBox, q: CQ, z: Iterable[Var]) -> RealisabilityCertifica
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("realisability is defined for core TBoxes")
     zset = frozenset(z)
-    if not equality_consistent(q, zset):
+    try:
+        clusters = ma_connected_partition(q, zset)
+    except NotEqualityConsistent:
         return RealisabilityCertificate(zset, NOT_EQUALITY_CONSISTENT)
     witnesses = []
-    for cluster in ma_connected_partition(q, zset):
+    for cluster in clusters:
         # Either refusal decides the cluster with no probe built.
         if _misshapen(q, cluster):
             return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
@@ -211,7 +211,7 @@ def is_realisable(tbox: TBox, q: CQ, z: Iterable[Var]) -> RealisabilityCertifica
         except UnsatisfiableOntology:  # no model has an edge along alpha's role
             return RealisabilityCertificate(zset, UNREALISABLE, failing=cluster)
         value = eval_cq_neq(probe, probe_chase.union).get(())
-        witness = ProbeWitness(cluster, alpha, anchor, probe, probe_abox, value)
+        witness = ProbeWitness(cluster, alpha, anchor, value)
         if value < 1:
             return RealisabilityCertificate(zset, UNREALISABLE, witnesses=(witness,),
                                             failing=cluster)
@@ -220,22 +220,13 @@ def is_realisable(tbox: TBox, q: CQ, z: Iterable[Var]) -> RealisabilityCertifica
 
 
 def _link_atoms(q: CQ, cluster: frozenset[Var], alpha: RoleAtom) -> list:
-    """A cluster's replacement: its linking atom plus identifying equalities."""
+    """A cluster's replacement: its linking atom plus identifying equalities,
+    each outward variable equated with every individual and every later term
+    (individuals sort first)."""
     outward = outward_terms(q, cluster)
-    atoms: list = [alpha]
-    seen_pairs = set()
-    for y in outward:
-        if not isinstance(y, Var):
-            continue
-        for t in outward:
-            if t == y:
-                continue
-            pair = frozenset((y, t))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            atoms.append(EqualityAtom(y, t))
-    return atoms
+    named = [t for t in outward if isinstance(t, Const)]
+    return [alpha] + [EqualityAtom(y, t) for i, y in enumerate(outward) if isinstance(y, Var)
+                      for t in named + outward[i + 1:]]
 
 
 def _substitute(q: CQ, replacement: Mapping[frozenset[Var], list]) -> CQ:

@@ -508,3 +508,23 @@ def test_each_distinct_positional_operation_runs_once(monkeypatch):
     star = ", ".join(f"R(x, y{i})" for i in range(1, 9))
     rw = rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox("A SUB EX R\nEX R- SUB A\n"))
     assert _counted_evaluation(monkeypatch, rw)[1] == 2
+
+
+def test_order_is_connected_first():
+    # An atom that shares no slot with the atoms placed before it starts a
+    # new component, which the compiler may do only when no unplaced atom is
+    # joined to the placed ones: else it enumerates a cross product.
+    rng = random.Random(53)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        free = [set(rng.sample(range(6), rng.randint(0, 2))) for _ in range(n)]
+        preferred = set(rng.sample(range(6), rng.randint(0, 6)))
+        sizes = [rng.randint(0, 5) for _ in range(n)]
+        order = bagalg._order(free, preferred, sizes)
+        assert sorted(order) == list(range(n)), (free, order)
+        seen: set[int] = set()
+        for k, i in enumerate(order):
+            if seen.isdisjoint(free[i]):
+                rest = order[k + 1:]
+                assert all(seen.isdisjoint(free[a]) for a in rest), (free, preferred, sizes, order)
+            seen |= free[i]

@@ -15,6 +15,7 @@ FIXTURE_SETS = [
     ("reach", "query.cq"),
     ("shared_successor", "query.cq"),
     ("head_order", "query.cq"),
+    ("verdicts", "query.cq"),
 ]
 
 
@@ -210,6 +211,29 @@ def test_rewrite_explain_table(capsys, fixtures_dir):
     assert "# z={} verdict=realisable" in out
     assert "# z={y} verdict=realisable" in out
     assert "probe=1" in out
+
+
+def test_explain_table_shows_every_verdict(capsys, fixtures_dir):
+    # One refusal per refused cluster: {s} has two anchors, {u}'s probe
+    # ontology is unsatisfiable, {v} fails the shape check and {w}'s probe
+    # has value 0.
+    base = fixtures_dir / "verdicts"
+    code, out, _ = run(
+        capsys, "rewrite", "-T", str(base / "tbox.dl"), "-q", str(base / "query.cq"),
+        "--explain",
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        "# branches: 2",
+        "# z={} verdict=realisable",
+        "# z={y} verdict=realisable",
+        "#   subset={y} alpha=R(x,y) anchor=@anchor probe=1",
+        "# z={s} verdict=unrealisable failing={s}",
+        "# z={u} verdict=unrealisable failing={u}",
+        "# z={v} verdict=unrealisable failing={v}",
+        "# z={w} verdict=unrealisable failing={w}",
+        "#   subset={w} alpha=R(x,w) anchor=@anchor probe=0",
+    ]
 
 
 def test_probe_over_a_role_with_no_model_answers(capsys, fixtures_dir):

@@ -16,8 +16,8 @@ from bago import (
     RoleAtom,
     SafetyViolation,
     Var,
+    NotEqualityConsistent,
     certain_answers,
-    equality_consistent,
     is_rooted,
     linking_atom,
     ma_connected_partition,
@@ -29,7 +29,6 @@ from bago.query import (
     atom_key,
     atoms_mentioning,
     connected_components,
-    linking_candidates,
     outward_terms,
     term_key,
 )
@@ -167,12 +166,14 @@ def test_rooted_via_equality_to_individual():
 
 def test_equality_consistent():
     q = parse_cq("q(x) :- R(x, y), A(z)")
-    assert equality_consistent(q, {y})
+    assert ma_connected_partition(q, {y}) == [frozenset({y})]
     q2 = parse_cq("q(x) :- R(x, y), y = x")
-    assert not equality_consistent(q2, {y})
+    with pytest.raises(NotEqualityConsistent):
+        ma_connected_partition(q2, {y})
     q3 = parse_cq("q() :- R(y1, y2), y1 = y2")
-    assert equality_consistent(q3, {y1, y2})
-    assert not equality_consistent(q3, {y1})
+    assert ma_connected_partition(q3, {y1, y2}) == [frozenset({y1, y2})]
+    with pytest.raises(NotEqualityConsistent):
+        ma_connected_partition(q3, {y1})
 
 
 def test_ma_connected_partition_examples():
@@ -197,7 +198,6 @@ def test_linking_atom_examples():
     assert linking_atom(q2, {y}) == RoleAtom("R", Const("a"), y)
     tie = parse_cq("q(x) :- P(x, y), P(z, y), A(z)")
     assert linking_atom(tie, {y}) == RoleAtom("P", x, y)
-    assert linking_candidates(tie, {y}) == [RoleAtom("P", x, y), RoleAtom("P", z, y)]
 
 
 def test_linking_atom_prefers_variable_endpoint():
@@ -225,15 +225,21 @@ def test_cluster_helpers_read_the_same_with_z_or_the_cluster_alone():
         existential = q.existential_vars()
         for size in range(1, len(existential) + 1):
             for z in map(frozenset, itertools.combinations(existential, size)):
-                if not equality_consistent(q, z):
+                try:
+                    partition = ma_connected_partition(q, z)
+                except NotEqualityConsistent:
                     continue
-                for part in ma_connected_partition(q, z):
+                for part in partition:
                     parts += 1
                     atoms = [a for a in q.atoms if any(t in part for t in a.terms)]
-                    links = {a for a in atoms if isinstance(a, RoleAtom)
-                             and (a.subject in z) != (a.object in z)}
+                    links = [a for a in atoms if isinstance(a, RoleAtom)
+                             and (a.subject in z) != (a.object in z)]
                     outward = {t for a in atoms for t in a.terms if t not in z}
-                    assert linking_candidates(q, part) == sorted(links, key=atom_key)
+                    # Under the same preference: a variable outward end first.
+                    least = min(links, key=lambda a: (
+                        isinstance(a.object if a.subject in z else a.subject, Const),
+                        atom_key(a)))
+                    assert linking_atom(q, part) == least
                     assert outward_terms(q, part) == sorted(outward, key=term_key)
     assert parts >= 2000
 

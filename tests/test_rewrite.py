@@ -52,8 +52,9 @@ from bago.query import (
     InequalityAtom,
     RoleAtom,
     Var,
+    atom_key,
+    atoms_mentioning,
     linking_atom,
-    linking_candidates,
 )
 from bago.rewrite import (
     NOT_EQUALITY_CONSISTENT,
@@ -303,11 +304,15 @@ def test_probe_values_are_exactly_one_for_realisable_subsets():
 
 
 def _link_last(monkeypatch):
-    """Make `rewrite` link each cluster by its last linking candidate, not
-    `linking_atom`'s least one."""
+    """Make `rewrite` link each cluster by its last linking candidate in
+    canonical order, not `linking_atom`'s least one under its preference."""
+
+    def last(q, cluster):
+        return max((a for a in atoms_mentioning(q, cluster) if isinstance(a, RoleAtom)
+                    and (a.subject in cluster) != (a.object in cluster)), key=atom_key)
+
     rewrite_mod = importlib.import_module("bago.rewrite")
-    monkeypatch.setattr(rewrite_mod, "linking_atom",
-                        lambda q, cluster: linking_candidates(q, cluster)[-1])
+    monkeypatch.setattr(rewrite_mod, "linking_atom", last)
 
 
 def test_choice_independence(monkeypatch):
