@@ -31,24 +31,29 @@ cut run binds only canonical copies and weighs each by the copies of the
 full chase it stands for (see the note above `_EMPTY`); any other query
 reads the full last stage instead.
 
-Bag-algebra queries are evaluated over relations of individual names: one
-bag of name tuples per (predicate, arity): a BagABox's own store, as it is,
-or built from the named part of a BagInterpretation. These are the N-semiring
+Bag-algebra queries are evaluated over relations of individual names: one bag
+of name tuples per (predicate, arity): a BagABox's own store, as it is, or
+built from the named part of a BagInterpretation. These are the N-semiring
 relations of Green, Karvounarakis and Tannen, so equal subexpressions denote
 equal bags. Evaluation is one post-order pass over an explicit stack that
 gives each node a positional key: its operator, its operands' ids and the
 column positions it reads, with no variable name. Keys are interned bottom-up,
 so subterms that differ only in their variables' names (the fresh `_z` of a
-rewriting) are one operation, run once: atoms select their relation's tuples
-(distinct variables read the relation itself), joins multiply on matched
-columns, equality filters keep matching tuples (or append a copy of a column
-for a fresh variable), projections sum out columns, and the three bag unions
-/ difference act pointwise through `errors.combine`. A result is dropped once
-its last consumer has read it. The four binary nodes share one base class
-carrying their s-expression tag and combine op. Every node carries its
-answer-variable list; the variable side conditions are checked at
-construction time and violations raise IllFormedQuery. Printing and parsing
-the s-expression form also keep explicit stacks, so any depth round-trips.
+rewriting) are one operation, run once. A reverse pass folds each chain of
+like unions into one n-ary union (a max-union reads each leaf once), drops a
+difference's subtrahend from the max-union it subtracts from (max(a, b) ∸ b =
+a ∸ b), and runs only what a run operation reads. Atoms select their
+relation's tuples (distinct variables read the relation itself), joins
+multiply on matched columns (by one lookup per left tuple when they are all
+the right's), equality filters keep matching tuples (or append a copy of a
+column for a fresh variable), projections sum out columns, and the unions and
+difference act pointwise through `errors.combine`. A result is dropped once
+its last consumer has read it; the root's becomes the AnswerBag's store. The
+four binary nodes share one base class carrying their s-expression tag and
+combine op. Every node carries its answer-variable list; the variable side
+conditions are checked at construction time and violations raise
+IllFormedQuery. Printing and parsing the s-expression form also keep explicit
+stacks, so any depth round-trips.
 """
 
 from __future__ import annotations
@@ -80,9 +85,14 @@ class AnswerBag:
                 raise ValueError("multiplicities are nonnegative")
             if m:
                 store[tuple(tup)] = store.get(tuple(tup), 0) + m
+        self._own(store)
+
+    def _own(self, store: dict[tuple[str, ...], int]) -> "AnswerBag":
+        """Take a fresh map of arity-long tuples to positive counts as it is."""
         if store and max(store.values()) > U64_MAX:
             raise MultiplicityOverflow("an answer multiplicity exceeds the 64-bit range")
         self._entries = store
+        return self
 
     def get(self, tup: tuple[str, ...]) -> int:
         return self._entries.get(tuple(tup), 0)
@@ -474,7 +484,7 @@ def _eval_resolved(q, interp, kinds):
                 # Answer slots hold names only (their kind is True).
                 key = tuple(slots[j] for j in plan.answer)
                 answers[key] = answers.get(key, 0) + w
-    return AnswerBag(arity, answers)
+    return AnswerBag(arity)._own(answers)
 
 
 def eval_cq(q: CQ, i: BagInterpretation) -> AnswerBag:
@@ -622,20 +632,19 @@ def _relations(interp: BagInterpretation) -> Relations:
 def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> AnswerBag:
     """Evaluation over the source's name relations, each distinct positional
     operation once. Tuple positions follow q.answer_vars."""
-    ops, inputs = _plan(q)
+    ops, inputs, uses = _plan(q)
     rels = source.relations if isinstance(source, BagABox) else _relations(source)
-    uses = [0] * len(ops)
-    for operands in inputs:
-        for c in operands:
-            uses[c] += 1
     results: list = [None] * len(ops)
     for j, op in enumerate(ops):
-        results[j] = _apply(op, results, rels)
+        if not uses[j]:  # no operation that runs reads it
+            continue
+        results[j] = _apply(op, [results[c] for c in inputs[j]], rels)
         for c in inputs[j]:  # a result goes once its last consumer has read it
             uses[c] -= 1
             if not uses[c]:
                 results[c] = None
-    return AnswerBag(len(q.answer_vars), results[-1])
+    out = results[-1]  # an atom's may be the ABox's own relation, or _EMPTY
+    return AnswerBag(len(q.answer_vars))._own(dict(out) if ops[-1][0] == "atom" else out)
 
 
 # An operation is a flat tuple: its tag, the ids of its operands, then the
@@ -646,12 +655,12 @@ def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> Answer
 #   ("eq-col", c, column, column) / ("eq-const", c, column, name) /
 #   ("eq-new", c, column)           the last appends a copy of the column
 #   ("join", l, r, *per right column: its left column or -1)
-#   (combine op, l, r, *per left column: its right column)
+#   (combine op, l, r, *per left column: its right column, where they differ)
 
 
-def _plan(root) -> tuple[list[tuple], list[tuple]]:
-    """The tree's distinct operations, operands first and the root last, and
-    the operand ids of each.
+def _plan(root) -> tuple[list, list, list[int]]:
+    """The tree's distinct operations, operands first and the root last, the
+    ids each reads (see `_fold`), and how many operations that run read each.
 
     Keys are interned bottom-up: a node's key holds its operands' ids and is
     never built by walking its subtree again.
@@ -677,7 +686,38 @@ def _plan(root) -> tuple[list[tuple], list[tuple]]:
             inputs.append(key[1:3] if isinstance(node, BalgBinary)
                           else () if type(node) is BalgAtom else key[1:2])
         ids[id(node)] = j
-    return list(interned), inputs
+    return _fold(list(interned), inputs)
+
+
+def _fold(ops, inputs):
+    """One reverse pass, readers first: a union whose columns line up reads the
+    leaves of its chain of like unions (max is idempotent: each once), a
+    difference drops its subtrahend from the max-union on its left, and what
+    no run operation reads is not run."""
+    direct, uses, absorbed = [0] * len(ops), [0] * len(ops), {}
+    for operands in inputs:
+        for c in operands:
+            direct[c] += 1
+    uses[-1] = 1
+    for j in range(len(ops) - 1, -1, -1):
+        op = ops[j]
+        if not uses[j]:
+            continue
+        if len(op) == 3 and op[0] in ("max-union", "arith-union"):
+            tag, out, stack = op[0], [], list(inputs[j])
+            while stack:  # through each like union that only its parent reads
+                c = stack.pop()
+                if ops[c][0] == tag and len(ops[c]) == 3 and direct[c] == 1:
+                    stack += inputs[c]
+                elif c != absorbed.get(j):
+                    out.append(c)
+            inputs[j] = list(dict.fromkeys(out)) if tag == "max-union" else out
+        elif len(op) == 3 and op[0] == "difference" and direct[op[1]] == 1:
+            if ops[op[1]][0] == "max-union":  # max(a, b) ∸ b = a ∸ b
+                absorbed[op[1]] = op[2]
+        for c in inputs[j]:
+            uses[c] += 1
+    return ops, inputs, uses
 
 
 def _key(node, ids) -> tuple:
@@ -701,22 +741,24 @@ def _key(node, ids) -> tuple:
     l, r = ids[id(node.left)], ids[id(node.right)]
     if node.combine is None:
         return ("join", l, r, *[lcols.index(v) if v in lcols else -1 for v in rcols])
+    if lcols == rcols:
+        return (node.combine, l, r)
     return (node.combine, l, r, *[rcols.index(v) for v in lcols])
 
 
-def _apply(op, results, rels: Relations) -> dict[tuple[str, ...], int]:
-    """One operation over its operands' results, which it never mutates."""
+def _apply(op, args, rels: Relations) -> dict[tuple[str, ...], int]:
+    """One operation over its operands' results `args`, which it never mutates."""
     tag = op[0]
     if tag == "atom":
         return _scan(rels.get((op[1], len(op) - 2), _EMPTY), op[2:])
     if tag == "join":
-        return _join(results[op[1]], results[op[2]], op[3:])
-    child = results[op[1]]
+        return _join(*args, op[3:])
+    child = args[0] if args else None
     if tag == "project":
-        keep = _columns(op[2:])
+        i = op[2] if len(op) == 3 else None
+        keys = [(tup[i],) for tup in child] if i is not None else map(_columns(op[2:]), child)
         out: dict[tuple[str, ...], int] = {}
-        for tup, m in child.items():
-            key = keep(tup)
+        for key, m in zip(keys, child.values()):
             out[key] = out.get(key, 0) + m
         return out
     if tag == "eq-const":
@@ -728,11 +770,10 @@ def _apply(op, results, rels: Relations) -> dict[tuple[str, ...], int]:
     if tag == "eq-new":
         pos = op[2]
         return {tup + (tup[pos],): m for tup, m in child.items()}
-    perm, right = op[3:], results[op[2]]  # a union or difference
-    if perm != tuple(range(len(perm))):
-        remap = _columns(perm)
-        right = {remap(tup): m for tup, m in right.items()}
-    return combine(tag, results[op[1]], right)
+    if len(op) > 3:  # a binary union or difference whose right columns move
+        remap = _columns(op[3:])
+        args = [child, {remap(tup): m for tup, m in args[1].items()}]
+    return combine(tag, *args)
 
 
 def _scan(rel, spec) -> dict[tuple[str, ...], int]:
@@ -754,6 +795,12 @@ def _scan(rel, spec) -> dict[tuple[str, ...], int]:
 
 def _join(left, right, cols) -> dict[tuple[str, ...], int]:
     """Left tuples extended by the right columns that no left column matches."""
+    if -1 not in cols:  # the right map is its own index: a keyed semi-join
+        if len(cols) == 1:
+            i = cols[0]
+            return {t: m * rm for t, m in left.items() if (rm := right.get((t[i],)))}
+        lkey = _columns(cols)
+        return {t: m * rm for t, m in left.items() if (rm := right.get(lkey(t)))}
     shared = [i for i, c in enumerate(cols) if c >= 0]
     rkey, lkey = _columns(shared), _columns([cols[i] for i in shared])
     rest = _columns([i for i, c in enumerate(cols) if c < 0])

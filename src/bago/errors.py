@@ -5,7 +5,7 @@ multiplicities are checked when parsed, answer multiplicities when their
 AnswerBag is built, and everything in between is exact (Python integers
 never wrap), so both answer paths report overflow on the same inputs.
 
-`combine` is the one pointwise kernel behind every bag union, intersection,
+`combine` is the one n-ary pointwise kernel behind every bag union, intersection,
 difference and containment test (bags as the N-semiring of Green et al.).
 """
 
@@ -93,34 +93,27 @@ class InternalStructureError(BagoError):
     """An internal invariant failed (e.g. no linking atom for a rooted query)."""
 
 
-# op -> (pointwise function, the keys whose result can be nonzero), for the
-# ops that walk keys; the two unions copy a map instead.
-_COMBINE = {
-    "intersection": (min, lambda a, b: a.keys() & b.keys()),
-    "difference": (lambda a, b: max(a - b, 0), lambda a, b: a.keys()),
-}
+def combine(op, *maps):
+    """Pointwise `op` folded over the maps, as a new map; zero results are dropped.
 
-
-def combine(op, a, b):
-    """Pointwise `op` of two multiplicity maps, as a new map; zero results are dropped.
-
-    A union copies the larger map and updates it from the smaller one.
+    A union copies the largest map and updates it from the others (a union of
+    none is empty); intersection and difference fold two or more from the left.
     """
     if op == "max-union" or op == "arith-union":
-        big, small = (a, b) if len(a) >= len(b) else (b, a)
-        out = dict(big)
-        if op == "max-union":
-            out.update({k: m for k, m in small.items() if k not in out or out[k] < m})
-        else:
-            out.update({k: out[k] + m if k in out else m for k, m in small.items()})
+        rest = sorted(maps, key=len)
+        out = dict(rest.pop()) if rest else {}
+        for small in rest:
+            if op == "max-union":
+                out.update({k: m for k, m in small.items() if out.get(k, 0) < m})
+            else:
+                out.update({k: out.get(k, 0) + m for k, m in small.items()})
         return {k: m for k, m in out.items() if m} if 0 in out.values() else out
-    try:
-        fn, keys = _COMBINE[op]
-    except KeyError:
-        raise ValueError(f"unknown bag operation {op!r}") from None
-    out = {}
-    for k in keys(a, b):
-        m = fn(a.get(k, 0), b.get(k, 0))
-        if m:
-            out[k] = m
+    if op not in ("intersection", "difference"):
+        raise ValueError(f"unknown bag operation {op!r}")
+    out, *rest = maps
+    for b in rest:
+        if op == "difference":
+            out = {k: d for k, m in out.items() if (d := m - b.get(k, 0)) > 0}
+        else:
+            out = {k: m if m <= n else n for k, m in out.items() if m and (n := b.get(k))}
     return out

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from bago import (BagABox, BagOntology, ParseError, certain_answers, eval_balg, parse_abox,
-                  parse_cq)
+                  parse_cq, parse_tbox)
+from bago import bagalg
 from bago.errors import U64_MAX
 from bago.ontology import ConceptAssertion, RoleAssertion
 from bago.randgen import random_bag_abox, random_rooted_cq
@@ -136,3 +137,17 @@ def test_answering_wide_aboxes_leaves_the_abox_intact():
             evaluate_rewriting(rewrite(q, tbox), abox)
             certain_answers(q, BagOntology(tbox, abox), via="both")
             assert abox.relations == before
+
+
+@pytest.mark.parametrize("query", ["q(x, y) :- R(x, y)", "q(x) :- Missing(x)"])
+def test_answer_bags_do_not_share_the_abox_relations(query):
+    # A one-atom rewriting reads the ABox's relation itself, and an atom over
+    # a predicate the ABox lacks reads the shared empty map: the answer bag
+    # must own a copy of either.
+    abox = parse_abox("R(a,b) 2\nR(b,b) 1\nA(a) 3\n")
+    before = copy.deepcopy(abox.relations)
+    bag = evaluate_rewriting(rewrite(parse_cq(query), parse_tbox("")), abox)
+    assert all(bag._entries is not rel for rel in abox.relations.values())
+    assert bag._entries is not bagalg._EMPTY
+    bag._entries[("c",) * bag.arity] = 1
+    assert abox.relations == before and bagalg._EMPTY == {}

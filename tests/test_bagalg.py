@@ -141,6 +141,9 @@ def test_combine_returns_a_new_map_without_zero_entries():
             out = combine(op, a, b)
             assert out == expected and out is not a and out is not b
     assert big == {"a": 2, "b": 0, "c": 1} and small == {"a": 3, "d": 0}
+    # The unions fold any number of maps, none included.
+    assert combine("arith-union", big, small, small) == {"a": 8, "c": 1}
+    assert combine("max-union", small) == {"a": 3} and combine("max-union") == {}
 
 
 def test_eval_balg_reference_branches(managers):
@@ -457,7 +460,7 @@ def test_grafted_renamed_copies_match_brute_force():
         interp = random_interp(rng, allow_anon=(i % 2 == 0))
         node = _grafted(rng, random_balg(rng))
         assert dict(eval_balg(node, interp).items()) == brute_eval_balg(node, interp)
-        ops, _ = bagalg._plan(node)
+        ops = bagalg._plan(node)[0]
         saved += len(_subterms(node)) - len(ops)
     assert saved > 80  # the copies do share operations
 
@@ -474,8 +477,10 @@ _R, _A = BalgAtom("R", (x, y)), BalgAtom("A", (x,))
     (BalgArithUnion, BalgEqFilter(_R, x, y), BalgEqFilter(BalgProject((y,), _R), x, y)),
     (BalgArithUnion, _A, BalgProject((y,), BalgAtom("A", (x, y)))),
     (BalgDiff, BalgArithUnion(_R, _R), BalgArithUnion(_R, BalgAtom("R", (y, x)))),
+    # The subtrahend reads the union's leaf in swapped columns: not absorbed.
+    (lambda p, q: BalgDiff(BalgMaxUnion(p, BalgAtom("A", (x, y))), q), _R, BalgAtom("R", (y, x))),
 ], ids=["swapped-join", "repeated-variable", "two-constants", "compare-vs-append",
-        "concept-vs-role", "union-order"])
+        "concept-vs-role", "union-order", "swapped-subtrahend"])
 def test_positionally_different_subterms_are_not_shared(build, p, q):
     abox = parse_abox("R(a,b) 2\nR(b,a) 3\nR(a,a) 5\nR(b,c) 7\n"
                       "A(a) 2\nA(b) 3\nA(a,c) 4\n")
@@ -484,6 +489,48 @@ def test_positionally_different_subterms_are_not_shared(build, p, q):
     expected = brute_eval_balg(node, interp)
     assert expected != brute_eval_balg(build(p, p), interp)
     assert dict(eval_balg(node, abox).items()) == expected
+
+
+def _role_projection(role, var, kept):
+    """The role's first column, `kept`, summed over its second, `var`."""
+    return BalgProject((var,), BalgAtom(role, (kept, var)))
+
+
+# Shapes the plan folds or runs as a keyed semi-join, each against the oracle.
+_FOLDED = {
+    "absorbed-subtrahend": BalgDiff(
+        BalgMaxUnion(BalgMaxUnion(_A, _role_projection("R", y, x)), _role_projection("S", y, x)),
+        _role_projection("R", z, x)),
+    "nothing-left": BalgDiff(BalgMaxUnion(_A, BalgAtom("A", (x,))), BalgAtom("A", (x,))),
+    "arith-chain-repeats-a-leaf": BalgArithUnion(
+        BalgArithUnion(BalgArithUnion(_A, _role_projection("R", y, x)), _A),
+        _role_projection("R", z, x)),
+    "max-chain-repeats-a-leaf": BalgMaxUnion(
+        BalgMaxUnion(_R, BalgAtom("S", (x, y))), BalgMaxUnion(BalgAtom("R", (x, y)), _R)),
+    "swapped-semi-join": BalgJoin(BalgAtom("S", (x, y)), BalgAtom("R", (y, x))),
+    "self-join": BalgJoin(_R, _R),
+    "nullary-right": BalgJoin(_A, BalgProject((x, y), BalgAtom("S", (x, y)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_FOLDED))
+def test_folded_plans_match_brute_force(name):
+    abox = parse_abox("R(a,b) 2\nR(b,a) 3\nR(a,a) 5\nR(b,c) 7\nS(b,a) 4\nS(c,c) 1\n"
+                      "A(a) 2\nA(b) 3\nA(c) 6\n")
+    node = _FOLDED[name]
+    expected = brute_eval_balg(node, interpretation_from_abox(abox))
+    assert dict(eval_balg(node, abox).items()) == expected
+    ops, inputs, uses = bagalg._plan(node)
+    unions = [inputs[j] for j, op in enumerate(ops) if uses[j] and op[0] == "max-union"]
+    if name == "absorbed-subtrahend":
+        # One max-union runs, over A and the S leaf: the R leaf, which the
+        # subtrahend equals up to its variable's name, is dropped.
+        r_out = ops.index(("project", ops.index(("atom", "R", 0, 1)), 0))
+        assert len(unions) == 1 and len(unions[0]) == 2 and r_out not in unions[0]
+    if name == "max-chain-repeats-a-leaf":  # one union, over R and S once each
+        assert [len(leaves) for leaves in unions] == [2]
+    if name == "nothing-left":  # the union's one leaf is the subtrahend
+        assert unions == [[]] and inputs[-1][1] == ops.index(("atom", "A", 0))
 
 
 def _counted_evaluation(monkeypatch, rw):
@@ -503,8 +550,9 @@ def _counted_evaluation(monkeypatch, rw):
 def test_each_distinct_positional_operation_runs_once(monkeypatch):
     chain = "A SUB EX R\nEX R- SUB B\nB SUB EX S\nEX S- SUB B\nC SUB A\n"
     rw = rewrite(parse_cq("q(x) :- R(x, y), S(y, z), B(z)"), parse_tbox(chain))
-    # 39 tree nodes with 15 atoms over 5 predicates.
-    assert _counted_evaluation(monkeypatch, rw) == (24, 5)
+    # 39 tree nodes with 15 atoms over 5 predicates make 24 distinct
+    # operations. Three are inner unions that the chains reading them fold in.
+    assert _counted_evaluation(monkeypatch, rw) == (21, 5)
     star = ", ".join(f"R(x, y{i})" for i in range(1, 9))
     rw = rewrite(parse_cq(f"q(x) :- {star}"), parse_tbox("A SUB EX R\nEX R- SUB A\n"))
     assert _counted_evaluation(monkeypatch, rw)[1] == 2
