@@ -13,8 +13,7 @@ Each equality class gets one integer slot in a flat list; a class pinned to
 an individual starts filled with its name. The atoms are ordered connected
 first, atoms over answer variables first, and each becomes a step that
 either binds one new slot from a row (a concept's extension, a role's
-successors or predecessors of a bound end, or the elements that have a row;
-for a slot of names only, the individuals that have one when they are fewer)
+successors or predecessors of a bound end, or the elements that have a row)
 or multiplies by one entry when all its slots are bound; atoms over
 individuals alone come first, as checks weighed once before any binding.
 Kind restrictions (named, anonymous) and inequalities filter where their
@@ -38,22 +37,22 @@ relations of Green, Karvounarakis and Tannen, so equal subexpressions denote
 equal bags. Evaluation is one post-order pass over an explicit stack that
 gives each node a positional key: its operator, its operands' ids and the
 column positions it reads, with no variable name. Keys are interned bottom-up,
-so subterms that differ only in their variables' names (the fresh `_z` of a
-rewriting) are one operation, run once. A reverse pass folds each chain of
-like unions into one n-ary union (a max-union reads each leaf once), drops a
-difference's subtrahend from the max-union it subtracts from (max(a, b) ∸ b =
-a ∸ b), and runs only what a run operation reads. Atoms select their
-relation's tuples (distinct variables read the relation itself), joins
-multiply on matched columns (by one lookup per left tuple when they are all
-the right's), equality filters keep matching tuples (or append a copy of a
-column for a fresh variable), projections sum out columns, and the unions and
-difference act pointwise through `errors.combine`. A result is dropped once
-its last consumer has read it; the root's becomes the AnswerBag's store. The
-four binary nodes share one base class carrying their s-expression tag and
-combine op. Every node carries its answer-variable list; the variable side
-conditions are checked at construction time and violations raise
-IllFormedQuery. Printing and parsing the s-expression form also keep explicit
-stacks, so any depth round-trips.
+so subterms that differ only in their variables' names are one operation, run
+once. A reverse pass folds each chain of like unions into one n-ary union (a
+max-union reads each leaf once), drops a difference's subtrahend from the
+max-union it subtracts from (max(a, b) ∸ b = a ∸ b), and runs only what a run
+operation reads. Atoms select their relation's tuples (distinct variables read
+the relation itself), joins multiply on matched columns (by one lookup per left
+tuple when they are all the right's), equality filters keep matching tuples
+(or append a copy of a column for a fresh variable), projections sum out
+columns, and the unions and difference act pointwise through `errors.combine`.
+A result is dropped once its last consumer has read it; the root's becomes the
+AnswerBag's store. The four binary nodes share one base class carrying their
+s-expression tag and combine op. Every node carries its answer-variable list;
+the variable side conditions are checked at construction time and violations
+raise IllFormedQuery. Printing the s-expression form keeps an explicit stack,
+and parsing reads it into nested lists on one, each list becoming its node as
+it closes, so any depth round-trips.
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ from .errors import (U64_MAX, ArityMismatch, IllFormedQuery, MultiplicityOverflo
                      combine)
 from .ontology import BagABox, Relations, check_individual, check_name
 from .chase import Anon, BagInterpretation, ChaseResult, kept_copies
-from .query import CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var
+from .query import (CQ, ConceptAtom, Const, InequalityAtom, RoleAtom, Term, Var,
+                    connected_components)
 
 
 class AnswerBag:
@@ -419,13 +419,7 @@ def _compile(q: CQ, interp: BagInterpretation, kinds: Mapping[Var, bool]) -> Opt
             if inverted:
                 s, o = o, s
             rows = interp.rows(predicate, inverted)
-            names = interp.names
-            # A slot of names only starts from the individuals when they are
-            # fewer: a chase's rows are mostly its witnesses'.
-            if named[s] and len(names) < len(rows):
-                extend({u: 1 for u in names if u in rows}, -1, s)
-            else:
-                extend(dict.fromkeys(rows, 1), -1, s)
+            extend(dict.fromkeys(rows, 1), -1, s)
             extend(rows, s, o, (predicate, inverted))
     # An inequality filters where its later slot is bound; between two
     # names it holds, and x != x never does.
@@ -439,20 +433,18 @@ def _compile(q: CQ, interp: BagInterpretation, kinds: Mapping[Var, bool]) -> Opt
 
     cut = max((bind_step[j] + 1 for j in answer if j in bind_step), default=0)
     prefix_slots = {j for j, k in bind_step.items() if k < cut}
-    # The rest splits into components that share no slot bound after the cut;
-    # each step joins the components of the slots it reads, or starts one.
-    comp: list[int] = []
-    for k, step in enumerate(steps[cut:]):
-        linked = {comp[bind_step[j] - cut] for j in _reads(step) if bind_step.get(j, -1) >= cut}
-        c = min(linked, default=k)
-        if len(linked) > 1:
-            comp = [c if x in linked else x for x in comp]
-        comp.append(c)
-    groups: dict[int, list] = {}
-    for c, step in zip(comp, steps[cut:]):
-        groups.setdefault(c, []).append(step)
+    # The rest splits into components that share no slot bound after the cut:
+    # each step is linked to the step that binds each slot it reads.
+    rest = range(cut, len(steps))
+    links: dict[int, list[int]] = {k: [] for k in rest}
+    for k in rest:
+        for j in _reads(steps[k]):
+            if bind_step.get(j, -1) >= cut:
+                links[k].append(bind_step[j])
+                links[bind_step[j]].append(k)
     dependent, independent = [], []
-    for group in groups.values():
+    for comp in connected_components(rest, links.__getitem__):
+        group = [steps[k] for k in sorted(comp)]
         reads_prefix = any(j in prefix_slots for step in group for j in _reads(step))
         (dependent if reads_prefix else independent).append(_levels(group))
     return _Plan(slots, _levels(steps[:cut]), dependent, independent, answer)
@@ -511,14 +503,6 @@ def eval_partitioned(q: CQ, z: Iterable[Var], result: ChaseResult) -> AnswerBag:
 
 # -- bag-algebra queries ------------------------------------------------------
 
-def _merge_vars(*groups):
-    seen: dict[Var, None] = {}
-    for group in groups:
-        for v in group:
-            seen.setdefault(v, None)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class BalgAtom:
     predicate: str
@@ -528,10 +512,8 @@ class BalgAtom:
     def __post_init__(self):
         if len(self.terms) not in (1, 2):
             raise IllFormedQuery("atoms are unary (concepts) or binary (roles)")
-        object.__setattr__(
-            self, "answer_vars",
-            _merge_vars([t for t in self.terms if isinstance(t, Var)]),
-        )
+        object.__setattr__(self, "answer_vars",
+                           tuple(dict.fromkeys(t for t in self.terms if isinstance(t, Var))))
 
 
 @dataclass(frozen=True)
@@ -547,9 +529,8 @@ class BalgEqFilter:
                 f"equality filter variable {self.var} is not answered by the operand"
             )
         extra = (self.term,) if isinstance(self.term, Var) else ()
-        object.__setattr__(
-            self, "answer_vars", _merge_vars(self.child.answer_vars, extra)
-        )
+        object.__setattr__(self, "answer_vars",
+                           tuple(dict.fromkeys(self.child.answer_vars + extra)))
 
 
 @dataclass(frozen=True)
@@ -591,10 +572,8 @@ class BalgJoin(BalgBinary):
     tag, combine = "join", None  # multiplies on the shared variables instead
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "answer_vars",
-            _merge_vars(self.left.answer_vars, self.right.answer_vars),
-        )
+        object.__setattr__(self, "answer_vars",
+                           tuple(dict.fromkeys(self.left.answer_vars + self.right.answer_vars)))
 
 
 class BalgMaxUnion(BalgBinary):
@@ -856,98 +835,69 @@ def to_sexpr(q: BALGQuery) -> str:
     return "".join(out)
 
 
-_SEXPR_TOKEN_RE = re.compile(r'\(|\)|"[^"\n]*"|[^\s()"]+')
+# A lone '"' is a token of its own, so it fails as a name or a term.
+_SEXPR_TOKEN_RE = re.compile(r'\(|\)|"[^"\n]*"|[^\s()"]+|"')
 
 
 def parse_balg(text: str) -> BALGQuery:
     """Parse the s-expression form emitted by to_sexpr.
 
-    Open operators wait on an explicit stack for their operands, so any
-    nesting depth parses.
+    The tokens fill nested lists on one explicit stack, so any nesting depth
+    parses. A list becomes its node when it closes, its operands having
+    closed before it; only project's variable list stays a list.
     """
-    stripped = re.sub(r"#[^\n]*", "", text)
-    tokens = _SEXPR_TOKEN_RE.findall(stripped)
-    pos = 0
+    lists: list[list] = [[]]
+    for tok in _SEXPR_TOKEN_RE.findall(re.sub(r"#[^\n]*", "", text)):
+        if tok == "(":
+            lists.append([])
+        elif tok != ")":
+            lists[-1].append(tok)
+        elif len(lists) > 1:
+            form = lists.pop()
+            lists[-1].append(form if lists[-1] == ["project"] else _node(form))
+        else:
+            raise ParseError("unexpected ')'")
+    top = lists[0]
+    if len(lists) > 1 or not top:
+        raise ParseError("unexpected end of bag-algebra expression")
+    if type(top[0]) is str:
+        raise ParseError(f"expected '(', found {top[0]!r}")
+    if len(top) > 1:
+        raise ParseError("trailing input after expression")
+    return top[0]
 
-    def next_token():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of bag-algebra expression")
-        tok = tokens[pos]
-        pos += 1
-        return tok
 
-    def parse_term(tok) -> Term:
-        if tok.startswith('"') and tok.endswith('"'):
-            name = tok[1:-1]
-            check_individual(name)
-            return Const(name)
-        if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", tok):
-            raise ParseError(f"invalid term {tok!r}")
-        return Var(tok)
+def _node(form: list) -> BALGQuery:
+    """The node of one form whose operands are nodes already, once its shape
+    is checked: per argument, a token (t), project's variable list (l) or a
+    node (n)."""
+    head, args = (form[0], form[1:]) if form else (None, [])
+    if type(head) is not str:
+        raise ParseError("expected an operator after '('")
+    shape = "".join("t" if type(a) is str else "l" if type(a) is list else "n" for a in args)
+    if head == "atom" and args and shape == "t" * len(args):
+        return BalgAtom(check_name(args[0], "predicate"), tuple(map(_term, args[1:])))
+    if head == "project" and shape == "ln" and all(type(v) is str for v in args[0]):
+        return BalgProject(tuple(_var(v, head) for v in args[0]), args[1])
+    if head == "eq-filter" and shape == "ntt":
+        return BalgEqFilter(args[0], _var(args[1], head), _term(args[2]))
+    if head in _BINARY_BY_TAG and shape == "nn":
+        return _BINARY_BY_TAG[head](*args)
+    if head in ("atom", "project", "eq-filter") or head in _BINARY_BY_TAG:
+        raise ParseError(f"ill-formed {head} expression")
+    raise ParseError(f"unknown operator {head!r}")
 
-    def parse_var(tok, what) -> Var:
-        term = parse_term(tok)
-        if not isinstance(term, Var):
-            raise ParseError(f"{what} expects a variable, found {tok!r}")
-        return term
 
-    def listed(parse) -> list:
-        """Items up to the next ')', which is consumed."""
-        items = []
-        while tokens[pos] != ")":
-            items.append(parse(next_token()))
-        next_token()
-        return items
+def _term(tok: str) -> Term:
+    if len(tok) > 1 and tok[0] == tok[-1] == '"':
+        return Const(check_individual(tok[1:-1]))
+    if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", tok):
+        raise ParseError(f"invalid term {tok!r}")
+    return Var(tok)
 
-    def close(head, operands, projected) -> BALGQuery:
-        """The node of an operator whose operands are parsed; reads its tail."""
-        if head == "eq-filter":
-            var = parse_var(next_token(), "eq-filter")
-            term = parse_term(next_token())
-            if next_token() != ")":
-                raise ParseError("expected ')' to close eq-filter")
-            return BalgEqFilter(operands[0], var, term)
-        if next_token() != ")":
-            raise ParseError(f"expected ')' to close {head}")
-        if head == "project":
-            return BalgProject(projected, operands[0])
-        return _BINARY_BY_TAG[head](*operands)
 
-    # Each open operator is [head, operands parsed so far, projected variables].
-    open_ops: list[list] = []
-    try:
-        while True:
-            tok = next_token()
-            if tok != "(":
-                raise ParseError(f"expected '(', found {tok!r}")
-            head = next_token()
-            if head == "atom":
-                pred = check_name(next_token(), "predicate")
-                node = BalgAtom(pred, tuple(listed(parse_term)))
-            elif head == "project":
-                if next_token() != "(":
-                    raise ParseError("expected a variable list after project")
-                projected = tuple(listed(lambda tok: parse_var(tok, "project")))
-                open_ops.append([head, [], projected])
-                continue
-            elif head == "eq-filter" or head in _BINARY_BY_TAG:
-                open_ops.append([head, [], ()])
-                continue
-            else:
-                raise ParseError(f"unknown operator {head!r}")
-            # A finished node fills its parent, closing every parent it completes.
-            while open_ops:
-                head, operands, projected = open_ops[-1]
-                operands.append(node)
-                if len(operands) < (2 if head in _BINARY_BY_TAG else 1):
-                    break
-                open_ops.pop()
-                node = close(head, operands, projected)
-            if not open_ops:
-                break
-    except IndexError:
-        raise ParseError("unexpected end of bag-algebra expression") from None
-    if pos != len(tokens):
-        raise ParseError(f"trailing input after expression: {tokens[pos]!r}")
-    return node
+def _var(tok: str, what: str) -> Var:
+    term = _term(tok)
+    if not isinstance(term, Var):
+        raise ParseError(f"{what} expects a variable, found {tok!r}")
+    return term

@@ -5,8 +5,8 @@ multiplicities are checked when parsed, answer multiplicities when their
 AnswerBag is built, and everything in between is exact (Python integers
 never wrap), so both answer paths report overflow on the same inputs.
 
-`combine` is the one n-ary pointwise kernel behind every bag union, intersection,
-difference and containment test (bags as the N-semiring of Green et al.).
+`combine` is the one n-ary pointwise kernel behind every bag union, intersection
+and difference (bags as the N-semiring of Green et al.).
 """
 
 U64_MAX = 2**64 - 1

@@ -260,59 +260,47 @@ def collapse(q: CQ, z: Iterable[Var]) -> CQ:
     })
 
 
-class _FreshVars:
-    def __init__(self):
-        self.counter = 0
-
-    def __call__(self) -> Var:
-        self.counter += 1
-        return Var(f"_z{self.counter}")
+# Every fresh variable is this one name: each sits in one atom projected away
+# right above it, query variables cannot start with `_`, and evaluation keys by
+# position. So no operator sees two, and equal subterms print identically.
+_Z = Var("_z")
 
 
-def _zeta(concept: Concept, t: Term, fresh: _FreshVars) -> BALGQuery:
+def _zeta(concept: Concept, t: Term) -> BALGQuery:
     """Atom template: A(t), or a projected role atom for EX R / EX R-."""
     if isinstance(concept, AtomicConcept):
         return BalgAtom(concept.name, (t,))
     role = concept.role
-    y = fresh()
-    terms = (y, t) if role.inverted else (t, y)
-    return BalgProject((y,), BalgAtom(role.name, terms))
+    terms = (_Z, t) if role.inverted else (t, _Z)
+    return BalgProject((_Z,), BalgAtom(role.name, terms))
 
 
-def _eta(tbox: TBox, concept: Concept, t: Term, fresh: _FreshVars) -> BALGQuery:
+def _eta(tbox: TBox, concept: Concept, t: Term) -> BALGQuery:
     """Max union of the atom templates of all entailed subsumees."""
     node = None
     for sub in tbox.concept_subsumees(concept):
-        piece = _zeta(sub, t, fresh)
+        piece = _zeta(sub, t)
         node = piece if node is None else BalgMaxUnion(node, piece)
     return node
 
 
-def _theta(tbox: TBox, role: Role, t: Term, fresh: _FreshVars) -> BALGQuery:
+def _theta(tbox: TBox, role: Role, t: Term) -> BALGQuery:
     """Entailed successors minus the ones already present as plain atoms."""
-    return BalgDiff(_eta(tbox, ExistsRole(role), t, fresh),
-                    _zeta(ExistsRole(role), t, fresh))
+    return BalgDiff(_eta(tbox, ExistsRole(role), t), _zeta(ExistsRole(role), t))
 
 
-def chase_back(
-    q_z: CQ,
-    z: Iterable[Var],
-    tbox: TBox,
-    fresh: Optional[_FreshVars] = None,
-) -> BALGQuery:
+def chase_back(q_z: CQ, z: Iterable[Var], tbox: TBox) -> BALGQuery:
     """Rewrite a collapsed query so it evaluates over the bare ABox."""
     if tbox.kind != CORE:
         raise UnsupportedTBoxKind("chase-back is defined for core TBoxes")
     existential = set(q_z.existential_vars())
     zset = frozenset(z) & existential
-    if fresh is None:
-        fresh = _FreshVars()
-    conjuncts, equalities, always_empty = _translate(q_z.atoms, zset, tbox, fresh)
+    conjuncts, equalities, always_empty = _translate(q_z.atoms, zset, tbox)
     return _close(conjuncts, equalities, always_empty, q_z.equality_classes(),
                   existential - zset)
 
 
-def _translate(items: Iterable, zset: frozenset[Var], tbox: TBox, fresh: _FreshVars):
+def _translate(items: Iterable, zset: frozenset[Var], tbox: TBox):
     """Concept and role atoms as compiled conjuncts, equality atoms as pairs,
     and whether two distinct individuals are equated.
 
@@ -326,16 +314,16 @@ def _translate(items: Iterable, zset: frozenset[Var], tbox: TBox, fresh: _FreshV
         if isinstance(atom, ConceptAtom):
             if atom.term in zset:
                 raise InternalStructureError(f"unexpected concept atom {atom} on z")
-            conjuncts.append(_eta(tbox, AtomicConcept(atom.concept), atom.term, fresh))
+            conjuncts.append(_eta(tbox, AtomicConcept(atom.concept), atom.term))
         elif isinstance(atom, RoleAtom):
             sub_in = isinstance(atom.subject, Var) and atom.subject in zset
             obj_in = isinstance(atom.object, Var) and atom.object in zset
             if sub_in and obj_in:
                 raise InternalStructureError(f"unexpected all-z role atom {atom}")
             if obj_in:
-                conjuncts.append(_theta(tbox, Role(atom.role), atom.subject, fresh))
+                conjuncts.append(_theta(tbox, Role(atom.role), atom.subject))
             elif sub_in:
-                conjuncts.append(_theta(tbox, Role(atom.role, True), atom.object, fresh))
+                conjuncts.append(_theta(tbox, Role(atom.role, True), atom.object))
             else:
                 conjuncts.append(BalgAtom(atom.role, (atom.subject, atom.object)))
         elif isinstance(atom, EqualityAtom):
@@ -608,7 +596,6 @@ def rewrite(q: CQ, tbox: TBox) -> Rewriting:
         realisable[slot[next(iter(cluster))]].append((cluster, mask, closed))
 
     alternatives, nodes = [], []
-    fresh = _FreshVars()  # shared: no fresh variable is bound twice in the output
     for members, candidates in zip(components, realisable):
         # Each alternative is a set of pairwise disjoint, non-adjacent
         # realisable clusters, which are then exactly its maximal clusters.
@@ -635,8 +622,7 @@ def rewrite(q: CQ, tbox: TBox) -> Rewriting:
             sub = CQ([v for v in q.variables() if v in boundary], atoms)
         alternatives.append(found)
         nodes.append([
-            chase_back(_substitute(sub, {s: replacement[s] for s in chosen}), zset,
-                       tbox, fresh=fresh)
+            chase_back(_substitute(sub, {s: replacement[s] for s in chosen}), zset, tbox)
             for zset, chosen in found
         ])
 
@@ -650,7 +636,7 @@ def rewrite(q: CQ, tbox: TBox) -> Rewriting:
         elif home not in placed:
             placed.add(home)
             items.append(home)
-    factors = _Factors(q, alternatives, nodes, *_translate(items, frozenset(), tbox, fresh),
+    factors = _Factors(q, alternatives, nodes, *_translate(items, frozenset(), tbox),
                        witness, replacement, subset_order)
     combined = factors.assemble([_balanced_union(n) for n in nodes])
     n = factors.count()

@@ -1,11 +1,13 @@
 """Seeded generators for oracle-equivalence and property suites."""
 
+import pathlib
 import random
 
-from bago import CQ, parse_abox, parse_tbox
+from bago import CQ, NotRooted, parse_abox, parse_cq, parse_tbox, rewrite
 from bago.chase import Anon, BagInterpretation
 from bago.ontology import Role
 from bago.query import ConceptAtom, Const, EqualityAtom, RoleAtom, Var
+from bago.randgen import random_instance
 from bago.bagalg import (
     BalgArithUnion,
     BalgAtom,
@@ -16,6 +18,7 @@ from bago.bagalg import (
     BalgProject,
 )
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = ["a", "b", "c", "d"]
 CONCEPTS = ["A", "B"]
 ROLES = ["R", "S"]
@@ -143,3 +146,18 @@ def wide_abox(rng: random.Random, n=200):
     lines += ["B(maxed) 2", "R(i1,maxed) 3", "S(maxed,i2) 1"]
     rng.shuffle(lines)
     return parse_tbox(WIDE_TBOX), parse_abox("\n".join(lines) + "\n")
+
+
+def rewriting_corpus(n=300, seed=29):
+    """The rewriting of every fixture query that has one, then of n seeded
+    `randgen` instances."""
+    for path in sorted(FIXTURES.glob("*/*.cq")):
+        try:
+            yield rewrite(parse_cq(path.read_text()),
+                          parse_tbox((path.parent / "tbox.dl").read_text()))
+        except NotRooted:
+            pass
+    rng = random.Random(seed)
+    for _ in range(n):
+        tbox, _, q = random_instance(rng)
+        yield rewrite(q, tbox)

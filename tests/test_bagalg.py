@@ -5,6 +5,7 @@ import pytest
 from bago import (
     AnswerBag,
     ArityMismatch,
+    BagoError,
     BagOntology,
     CQ,
     IllFormedQuery,
@@ -38,7 +39,7 @@ from bago.bagalg import (
 )
 from bago.query import Const, InequalityAtom, RoleAtom, Var
 
-from generators import random_balg, random_interp, random_small_cq
+from generators import random_balg, random_interp, random_small_cq, rewriting_corpus
 from oracles import brute_eval_balg, brute_eval_cq
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -201,6 +202,34 @@ def test_sexpr_round_trip():
     for _ in range(100):
         node = random_balg(rng)
         assert parse_balg(to_sexpr(node)) == node
+
+
+def test_rewritings_round_trip_and_mutants_parse_or_fail_cleanly():
+    texts = []
+    for rw in rewriting_corpus():
+        text = to_sexpr(rw.combined)
+        assert parse_balg(text) == rw.combined
+        texts.append(text)
+    # Each mutant has one to three characters deleted, inserted or doubled;
+    # it reads as a tree that prints back to itself, or fails as a BagoError.
+    rng = random.Random(29)
+    parsed = 0
+    for _ in range(2_000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(("delete", "insert", "double"))
+            if edit == "insert":
+                text = text[:i] + rng.choice('()" xyz_aA#\n') + text[i:]
+            elif i < len(text):
+                text = text[:i] + (text[i] * 2 if edit == "double" else "") + text[i + 1:]
+        try:
+            node = parse_balg(text)
+        except BagoError:
+            continue
+        assert parse_balg(to_sexpr(node)) == node
+        parsed += 1
+    assert 0 < parsed < 2_000
 
 
 def test_answer_tuple_parsing():

@@ -393,7 +393,10 @@ def test_chase_refuses_unsatisfiable(capsys, tmp_path):
     '(atom "a" x)',
     "(atom ( x)",
     '(project ("a") (atom R x y))',
-], ids=["side-condition", "quoted-predicate", "paren-predicate", "quoted-projection"])
+    '(atom Emp "Lee)',
+    '(atom hasMngr "Lee" y")',
+], ids=["side-condition", "quoted-predicate", "paren-predicate", "quoted-projection",
+        "unterminated-quote", "stray-quote"])
 def test_eval_balg_rejects_ill_formed(capsys, tmp_path, fixtures_dir, text):
     (tmp_path / "bad.balg").write_text(text + "\n")
     code, _, err = run(

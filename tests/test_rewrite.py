@@ -68,6 +68,8 @@ from bago.rewrite import (
 
 from bago.randgen import random_bag_abox
 
+from generators import rewriting_corpus
+
 x, y, z = Var("x"), Var("y"), Var("z")
 Q_R_TEXT = "q(x) :- hasMngr(x, y), Mngr(y)"
 
@@ -198,8 +200,8 @@ def test_collapse_keeps_atom_multiplicity_outside_cluster():
     assert collapsed == parse_cq("q(x) :- A(x), A(x), R(x, y)")
 
 
-def _branch_empty_ast(fresh="_z1"):
-    f = Var(fresh)
+def _branch_empty_ast():
+    f = Var("_z")
     return BalgProject(
         (y,),
         BalgJoin(
@@ -212,14 +214,14 @@ def _branch_empty_ast(fresh="_z1"):
     )
 
 
-def _branch_y_ast(fresh1="_z1", fresh2="_z2"):
-    f1, f2 = Var(fresh1), Var(fresh2)
+def _branch_y_ast():
+    f = Var("_z")
     return BalgDiff(
         BalgMaxUnion(
             BalgAtom("Emp", (x,)),
-            BalgProject((f1,), BalgAtom("hasMngr", (x, f1))),
+            BalgProject((f,), BalgAtom("hasMngr", (x, f))),
         ),
-        BalgProject((f2,), BalgAtom("hasMngr", (x, f2))),
+        BalgProject((f,), BalgAtom("hasMngr", (x, f))),
     )
 
 
@@ -242,11 +244,27 @@ def test_rewrite_branch_structure(t_r, q_r):
     assert [b.z for b in rw.branches] == [frozenset(), frozenset({y})]
     assert rw.branches[0].collapsed == q_r
     assert rw.branches[1].collapsed == parse_cq("q(x) :- hasMngr(x, y)")
-    assert rw.combined == BalgArithUnion(
-        _branch_empty_ast(), _branch_y_ast("_z2", "_z3")
-    )
+    assert rw.combined == BalgArithUnion(_branch_empty_ast(), _branch_y_ast())
     a_r = parse_abox("Emp(Lee)\nMngr(Hill)\n")
     assert evaluate_rewriting(rw, a_r) == AnswerBag(1, {("Lee",): 1})
+
+
+def test_every_fresh_variable_is_projected_right_above_its_atom():
+    # One name serves every fresh variable only because no operator above a
+    # fresh atom's projection ever sees it: `_z` is answered by its atom alone.
+    fresh = Var("_z")
+    for rw in rewriting_corpus():
+        stack = [(rw.combined, None)]
+        while stack:
+            node, parent = stack.pop()
+            if fresh in node.answer_vars or fresh in getattr(node, "terms", ()):
+                assert type(node) is BalgAtom, node
+                assert type(parent) is BalgProject and parent.projected == (fresh,), parent
+            if isinstance(node, BalgProject) and fresh in node.projected:
+                assert type(node.child) is BalgAtom, node
+            children = (getattr(node, "child", None), getattr(node, "left", None),
+                        getattr(node, "right", None))
+            stack += [(c, node) for c in children if c is not None]
 
 
 def test_rewrite_single_branch_is_plain_query():
