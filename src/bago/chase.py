@@ -140,48 +140,36 @@ class Anon:
 Element = Union[str, Anon]
 
 
-def _ranks(elements: Iterable[Element]) -> dict[Element, int]:
-    """Positions in the canonical element order, for the elements and their ancestors.
+def _ranks(domain: Iterable[Element]) -> dict[Element, int]:
+    """Positions in the canonical order of a domain's elements, in that order.
 
     Names come first, sorted; witnesses follow level by level, shallower
     first, and a level sorts by (parent's rank, role, index). That is the
     order of comparing ancestor paths from the root down, computed without
-    building the paths.
+    building the paths. A domain holds every witness's parent, so each
+    parent is ranked before its children's level is sorted.
     """
-    levels: list[list[Element]] = [[]]
-    seen: set[Element] = set()
-    for el in elements:
-        while el not in seen:
-            seen.add(el)
-            if type(el) is not Anon:
-                levels[0].append(el)
-                break
-            levels.extend([] for _ in range(el.depth + 1 - len(levels)))
-            levels[el.depth].append(el)
-            el = el.parent
-    rank = {name: r for r, name in enumerate(sorted(levels[0]))}
-    for level in levels[1:]:
+    levels: dict[int, list[Element]] = {0: []}
+    for el in domain:
+        levels.setdefault(el.depth if type(el) is Anon else 0, []).append(el)
+    rank = {name: r for r, name in enumerate(sorted(levels.pop(0)))}
+    for depth in sorted(levels):
+        level = levels[depth]
         level.sort(key=lambda w: (rank[w.parent], w.role.name, w.role.inverted, w.index))
         for w in level:
             rank[w] = len(rank)
     return rank
 
 
-def ordered(elements: Iterable[Element]) -> list[Element]:
-    """The elements in canonical order (see `_ranks`)."""
-    elements = list(elements)
-    return sorted(elements, key=_ranks(elements).__getitem__)
-
-
 class BagInterpretation:
     """Finite bag interpretation, each edge stored in its two ends' rows.
 
-    `names` holds the domain's named individuals. A witness born by `_bear`
-    has its edge to its parent stored once, in the parent's row. The
-    witness's own row, its inverse-role counterpart, follows from `w.parent`
-    and `w.role`; it is written on first read, per role name and direction
-    (`_derive_rows`), and then equals what `_add_edge` would have written.
-    `roles` is built from the forward rows when it is read.
+    A witness born by `_bear` has its edge to its parent stored once, in the
+    parent's row. The witness's own row, its inverse-role counterpart,
+    follows from `w.parent` and `w.role`; it is written on first read, per
+    role name and direction (`_derive_rows`), and then equals what
+    `_add_role` would have written. `roles` is built from the forward rows
+    when it is read.
 
     A chase built for a `query` may cut runs short: `runs` maps each cut
     run, as (parent name, role name, inverted), to its full count, of which
@@ -196,7 +184,9 @@ class BagInterpretation:
         roles: Mapping[str, Mapping[tuple[Element, Element], int]],
     ):
         self.domain = set(domain)
-        self.names: set[str] = {el for el in self.domain if type(el) is str}
+        for el in self.domain:
+            if type(el) is Anon and el.parent not in self.domain:
+                raise ValueError(f"witness {el} without its parent in the domain")
         self.concepts: dict[str, dict[Element, int]] = {}
         for name, ext in concepts.items():
             for el, m in ext.items():
@@ -215,19 +205,21 @@ class BagInterpretation:
         self.query: Optional[CQ] = None
         self.full: Optional[Callable[[], BagInterpretation]] = None
         for name, ext in roles.items():
-            for (u, v), m in ext.items():
-                if m > 0:
-                    if u not in self.domain or v not in self.domain:
-                        raise ValueError(f"pair ({u},{v}) outside the domain")
-                    self._add_edge(name, (u, v), m)
+            pairs = {pair: m for pair, m in ext.items() if m > 0}
+            for u, v in pairs:
+                if u not in self.domain or v not in self.domain:
+                    raise ValueError(f"pair ({u},{v}) outside the domain")
+            if pairs:
+                self._add_role(name, pairs)
 
-    def _add_edge(self, name: str, pair: tuple[Element, Element], m: int) -> None:
-        u, v = pair
-        row = self._rows[False].setdefault(name, {}).setdefault(u, {})
-        if v not in row:
-            self._edges[name] = self._edges.get(name, 0) + 1
-        row[v] = m
-        self._rows[True].setdefault(name, {}).setdefault(v, {})[u] = m
+    def _add_role(self, name: str, pairs: Mapping[tuple[Element, Element], int]) -> None:
+        """Write a role's extension, each pair in the rows of both its ends."""
+        forward = self._rows[False].setdefault(name, {})
+        backward = self._rows[True].setdefault(name, {})
+        for (u, v), m in pairs.items():
+            forward.setdefault(u, {})[v] = m
+            backward.setdefault(v, {})[u] = m
+        self._edges[name] = len(pairs)
 
     def _bear(self, parents: Sequence[Element], role: Role, count: int) -> list[Anon]:
         """Give each parent `count` fresh witnesses along `role`; return them all.
@@ -298,7 +290,8 @@ class BagInterpretation:
         return sum(self.successors(role, u).values())
 
     def anonymous(self) -> list[Anon]:
-        return ordered(el for el in self.domain if type(el) is Anon)
+        """The witnesses in canonical order (see `_ranks`)."""
+        return [el for el in _ranks(self.domain) if type(el) is Anon]
 
     def __eq__(self, other):
         return (
@@ -369,8 +362,7 @@ def interpretation_from_abox(abox: BagABox) -> BagInterpretation:
         if arity == 1:
             i.concepts[name] = {a: m for (a,), m in rel.items()}
         else:
-            for pair, m in rel.items():
-                i._add_edge(name, pair, m)
+            i._add_role(name, rel)
     return i
 
 

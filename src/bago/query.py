@@ -30,7 +30,7 @@ from .errors import (
     RepeatedAnswerVariable,
     SafetyViolation,
 )
-from .ontology import check_individual
+from .ontology import check_individual, check_name
 
 
 @dataclass(frozen=True, order=True)
@@ -205,6 +205,8 @@ class CQ:
                 for t in a.terms:
                     anchored.add(self._eq.class_of(t))
         for v in self.variables():
+            # The query grammar's names, so none is the rewriting's fresh `_z`.
+            check_name(v.name, "variable")
             if self._eq.class_of(v) not in anchored:
                 raise SafetyViolation(
                     f"variable {v} is not connected to any concept or role atom"
@@ -486,6 +488,4 @@ def parse_cq(text: str) -> CQ:
         else:
             break
     p.expect("eof", "end of query")
-    # The tokenizer only admits identifiers starting with a letter, so user
-    # variables can never collide with generated '_'-prefixed fresh variables.
     return CQ(answer_vars, atoms)

@@ -11,6 +11,9 @@ fixtures exist for direct model evaluation and corpus purposes.
 The kind-R variant replaces the color pool by a role with a role inclusion;
 the engine refuses to answer over it altogether.
 
+Both variants are written as the TBox, ABox and query text a user would
+write, and `parse_tbox`, `parse_abox` and `parse_cq` build the instance.
+
 Graph file: a ``v`` line listing vertices and ``e`` lines for edges.
 Coloring file: one ``<vertex> <color>`` line per vertex, colors in r/g/b.
 """
@@ -21,20 +24,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidGraph, ParseError
-from .ontology import (
-    BagABox,
-    ConceptAssertion,
-    ConceptInclusion,
-    AtomicConcept,
-    ExistsRole,
-    Role,
-    RoleAssertion,
-    RoleInclusion,
-    TBox,
-    _strip_comment,
-)
+from .ontology import BagABox, RoleAssertion, TBox, _strip_comment, parse_abox, parse_tbox
 from .chase import BagInterpretation, interpretation_from_abox
-from .query import CQ, ConceptAtom, RoleAtom, Var, connected_components
+from .query import CQ, connected_components, parse_cq
 
 AUX_VERTEX = "_aux"
 COLOR_NAMES = {"r": "_r", "g": "_g", "b": "_b"}
@@ -127,75 +119,29 @@ def gen_3col(graph: Graph, variant: str = "core") -> ThreeColInstance:
     if variant not in ("core", "r"):
         raise ValueError(f"unknown variant {variant!r}")
     n = len(graph.vertices)
-    threshold = 3 * n + 2
     aux = AUX_VERTEX
     cr, cg, cb = COLOR_NAMES["r"], COLOR_NAMES["g"], COLOR_NAMES["b"]
-    entries: list = []
-    for u in graph.vertices:
-        entries.append((ConceptAssertion("Vertex", u), 1))
+    abox = [f"Vertex({u})" for u in graph.vertices]
     for u, v in graph.edge_pairs():
-        entries.append((RoleAssertion("Edge", u, v), 1))
-        entries.append((RoleAssertion("Edge", v, u), 1))
-    entries.append((ConceptAssertion("Vertex", aux), 1))
-    entries.append((RoleAssertion("Edge", aux, aux), 1))
-    entries.append((RoleAssertion("hasColour", aux, cr), 1))
-
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+        abox += [f"Edge({u},{v})", f"Edge({v},{u})"]
+    abox += [f"Vertex({aux})", f"Edge({aux},{aux})", f"hasColour({aux},{cr})"]
+    colouring = "Edge(x, y), hasColour(x, z), hasColour(y, z)"
     if variant == "core":
-        tbox = TBox(
-            {
-                ConceptInclusion(AtomicConcept("Vertex"), ExistsRole(Role("hasColour"))),
-                ConceptInclusion(ExistsRole(Role("hasColour", True)), AtomicConcept("ACol")),
-            }
-        )
-        entries.append((ConceptAssertion("ACol", cr), n + 1))
-        entries.append((ConceptAssertion("ACol", cg), n))
-        entries.append((ConceptAssertion("ACol", cb), n))
-        query = CQ(
-            (),
-            (
-                RoleAtom("Edge", x, y),
-                RoleAtom("hasColour", x, z),
-                RoleAtom("hasColour", y, z),
-                ConceptAtom("ACol", w),
-            ),
-        )
+        tbox = ["Vertex SUB EX hasColour", "EX hasColour- SUB ACol"]
+        abox += [f"ACol({cr}) {n + 1}", f"ACol({cg}) {n}", f"ACol({cb}) {n}"]
+        query = f"q() :- {colouring}, ACol(w)"
         target: tuple[str, ...] = ()
     else:
-        tbox = TBox(
-            {
-                ConceptInclusion(AtomicConcept("Vertex"), ExistsRole(Role("hasColour"))),
-                RoleInclusion(Role("hasColour"), Role("Assign")),
-            },
-            kind="r",
-        )
-        for u in graph.vertices:
-            for c in (cr, cg, cb):
-                entries.append((RoleAssertion("Assign", u, c), 1))
-        entries.append((RoleAssertion("Assign", aux, cr), 1))
-        entries.append((RoleAssertion("Reachable", aux, aux), 1))
-        for u in graph.vertices:
-            entries.append((RoleAssertion("Reachable", aux, u), 1))
-            entries.append((RoleAssertion("Reachable", u, aux), 1))
-        for u in graph.vertices:
-            for v in graph.vertices:
-                if u != v:
-                    entries.append((RoleAssertion("Reachable", u, v), 1))
-        k, l = Var("k"), Var("l")
-        query = CQ(
-            (w,),
-            (
-                RoleAtom("Edge", x, y),
-                RoleAtom("hasColour", x, z),
-                RoleAtom("hasColour", y, z),
-                RoleAtom("Assign", x, w),
-                RoleAtom("Assign", y, w),
-                RoleAtom("Reachable", x, k),
-                RoleAtom("Assign", k, l),
-            ),
-        )
+        tbox = ["KIND R", "Vertex SUB EX hasColour", "hasColour SUBR Assign"]
+        abox += [f"Assign({u},{c})" for u in graph.vertices for c in (cr, cg, cb)]
+        abox.append(f"Assign({aux},{cr})")
+        ends = (aux, *graph.vertices)
+        abox += [f"Reachable({u},{v})" for u in ends for v in ends if u != v or u == aux]
+        query = (f"q(w) :- {colouring}, Assign(x, w), Assign(y, w), "
+                 "Reachable(x, k), Assign(k, l)")
         target = (cr,)
-    return ThreeColInstance(tbox, BagABox(entries), query, threshold, target, variant)
+    return ThreeColInstance(parse_tbox("\n".join(tbox)), parse_abox("\n".join(abox)),
+                            parse_cq(query), 3 * n + 2, target, variant)
 
 
 def coloring_model(graph: Graph, coloring: dict[str, str],

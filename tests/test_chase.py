@@ -391,3 +391,27 @@ def test_dump_grows_linearly_with_depth():
     sizes = [len(chase(k, depth).union.to_text()) for depth in (1_000, 2_000, 3_000)]
     assert (sizes[2] - sizes[1]) / (sizes[1] - sizes[0]) <= 1.2
     assert sizes[2] < 1_000_000
+
+
+def _root_down_path(el):
+    """A witness's depth, its name, then (role, inverted, index) per level."""
+    steps = []
+    while type(el) is Anon:
+        steps.append((el.role.name, el.role.inverted, el.index))
+        el = el.parent
+    return len(steps), el, steps[::-1]
+
+
+def test_anonymous_sorts_witnesses_by_their_root_down_path():
+    rng = random.Random(30)
+    for _ in range(50):
+        union = chase(BagOntology(*random_instance(rng)[:2]), 3).union
+        witnesses = [el for el in union.domain if type(el) is Anon]
+        assert union.anonymous() == sorted(witnesses, key=_root_down_path)
+
+
+def test_a_witness_without_its_parent_is_outside_the_domain():
+    parent = Anon("a", Role("R"), 1)
+    BagInterpretation(["a", parent, Anon(parent, Role("S"), 1)], {}, {})
+    with pytest.raises(ValueError, match="without its parent"):
+        BagInterpretation(["a", Anon(parent, Role("S"), 1)], {}, {})

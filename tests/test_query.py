@@ -322,3 +322,19 @@ def test_rooted_invariant_under_renaming_and_duplication():
         assert is_rooted(renamed) == rooted
         duplicated = CQ(q.answer_vars, q.atoms + (q.atoms[0],))
         assert is_rooted(duplicated) == rooted
+
+
+@pytest.mark.parametrize("name", ["_z", "1x", "x-y"])
+def test_a_query_built_in_code_takes_only_variable_names_its_text_can_carry(name):
+    # `_z` is the rewriting's fresh variable; the other two cannot be parsed back.
+    with pytest.raises(ParseError, match="invalid variable name"):
+        CQ((x,), [RoleAtom("R", x, Var(name)), ConceptAtom("A", Var(name))])
+
+
+def test_a_query_built_in_code_answers_equally_on_both_paths():
+    k = BagOntology(parse_tbox("EX R- SUB A"), parse_abox("R(a,b) 2\nA(b) 1\n"))
+    w = Var("w")
+    q = CQ((x,), [RoleAtom("R", x, w), ConceptAtom("A", w)])
+    through_chase = certain_answers(q, k, via="chase")
+    assert through_chase == certain_answers(q, k, via="rewrite")
+    assert through_chase.get(("a",)) == 4

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from bago import (
     parse_graph,
     parse_tbox,
 )
+from bago.cli import main
 from bago.ontology import ConceptAssertion
 from bago.threecol import COLOR_NAMES, Graph
 from oracles import hand_built_coloring_model
@@ -125,3 +127,23 @@ def test_coloring_model_matches_the_hand_built_model():
         for variant in ("core", "r"):
             assert coloring_model(graph, coloring, variant) == \
                 hand_built_coloring_model(graph, coloring, variant)
+
+
+# The md5 of `bago gen-3col --coloring --eval-model`'s whole output: the
+# instance's text, its threshold and the coloring model's count.
+GEN_3COL_EVAL_MD5 = {
+    ("triangle", "core"): "ecfa0af22a3ebe67f56ddea9968dae6f",
+    ("triangle", "r"): "802b2a8672db3548abea8c10157f968d",
+    ("diamond", "core"): "f9a3ae756e3a7eaa240b2464c5718300",
+    ("diamond", "r"): "67ad451e1d11eaeb9fb4f83e411fe186",
+}
+
+
+@pytest.mark.parametrize("name,variant", sorted(GEN_3COL_EVAL_MD5))
+def test_gen_3col_eval_model_output_is_pinned(capsys, fixtures_dir, name, variant):
+    code = main(["gen-3col", "-G", str(fixtures_dir / f"{name}.graph"),
+                 "--coloring", str(fixtures_dir / f"{name}.coloring"),
+                 "--variant", variant, "--eval-model"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == GEN_3COL_EVAL_MD5[name, variant]
