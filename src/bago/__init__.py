@@ -21,12 +21,10 @@ from .ontology import (
     AtomicConcept,
     BagABox,
     BagOntology,
-    ConceptAssertion,
     ConceptDisjointness,
     ConceptInclusion,
     ExistsRole,
     Role,
-    RoleAssertion,
     RoleDisjointness,
     RoleInclusion,
     TBox,

@@ -30,9 +30,8 @@ cut run binds only canonical copies and weighs each by the copies of the
 full chase it stands for (see the note above `_EMPTY`); any other query
 reads the full last stage instead.
 
-Bag-algebra queries are evaluated over relations of individual names: one bag
-of name tuples per (predicate, arity): a BagABox's own store, as it is, or
-built from the named part of a BagInterpretation. These are the N-semiring
+Bag-algebra queries are evaluated over a BagABox's own store, as it is:
+one bag of name tuples per (predicate, arity). These are the N-semiring
 relations of Green, Karvounarakis and Tannen, so equal subexpressions denote
 equal bags. Evaluation is one post-order pass over an explicit stack that
 gives each node a positional key: its operator, its operands' ids and the
@@ -480,12 +479,15 @@ def _eval_resolved(q, interp, kinds):
 
 
 def eval_cq(q: CQ, i: BagInterpretation) -> AnswerBag:
-    """Bag answers: sum over valuations of the product of atom multiplicities."""
+    """Bag answers: sum over valuations of the product of atom multiplicities.
+    Inequality atoms filter: a valuation that violates one contributes nothing."""
     return _eval_resolved(q, i, dict.fromkeys(q.answer_vars, True))
 
 
 def eval_cq_neq(q: CQ, i: BagInterpretation) -> AnswerBag:
-    """As eval_cq; inequality atoms additionally discard violating valuations."""
+    """An alias of eval_cq, which already applies inequality atoms. It stays
+    because the realisability probe calls it under this name, and the tracer
+    rebinds `bago.rewrite.eval_cq_neq` to time that site as `rewrite.probe_eval`."""
     return eval_cq(q, i)
 
 
@@ -597,27 +599,15 @@ BALGQuery = Union[
 ]
 
 
-def _relations(interp: BagInterpretation) -> Relations:
-    """The named part of an interpretation as name relations; anonymous elements drop out."""
-    rels: Relations = {}
-    for name, ext in interp.concepts.items():
-        rels[(name, 1)] = {(el,): m for el, m in ext.items() if type(el) is str}
-    for name, ext in interp.roles.items():
-        rels[(name, 2)] = {pair: m for pair, m in ext.items()
-                           if type(pair[0]) is str and type(pair[1]) is str}
-    return rels
-
-
-def eval_balg(q: BALGQuery, source: Union[BagABox, BagInterpretation]) -> AnswerBag:
-    """Evaluation over the source's name relations, each distinct positional
+def eval_balg(q: BALGQuery, abox: BagABox) -> AnswerBag:
+    """Evaluation over the ABox's name relations, each distinct positional
     operation once. Tuple positions follow q.answer_vars."""
     ops, inputs, uses = _plan(q)
-    rels = source.relations if isinstance(source, BagABox) else _relations(source)
     results: list = [None] * len(ops)
     for j, op in enumerate(ops):
         if not uses[j]:  # no operation that runs reads it
             continue
-        results[j] = _apply(op, [results[c] for c in inputs[j]], rels)
+        results[j] = _apply(op, [results[c] for c in inputs[j]], abox.relations)
         for c in inputs[j]:  # a result goes once its last consumer has read it
             uses[c] -= 1
             if not uses[c]:

@@ -2,11 +2,11 @@
 
 A TBox is a finite set of inclusion and disjointness axioms over concepts
 (atomic names and existential restrictions over possibly-inverse roles) and,
-for kind "r" only, over roles. A bag ABox maps ground assertions to positive
-multiplicities, laid out once as name relations: one bag of name tuples per
-(predicate, arity), which the bag algebra, the chase's stage 0 and the
-satisfiability check read as they are; `parse_abox` merges each line straight
-into them. All values are immutable after construction.
+for kind "r" only, over roles. A bag ABox is its name relations: one bag of
+name tuples per (predicate, arity), with positive multiplicities, which the
+bag algebra, the chase's stage 0 and the satisfiability check read as they
+are; `parse_abox` merges each line straight into them. All values are
+immutable after construction.
 
 Entailment between concepts is reflexive-transitive reachability in the graph
 whose edges are the concept inclusions, augmented (kind "r" only) with the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import U64_MAX, ParseError
 
@@ -238,40 +238,8 @@ class TBox:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, order=True)
-class ConceptAssertion:
-    concept: str
-    individual: str
-
-    def __str__(self):
-        return f"{self.concept}({self.individual})"
-
-
-@dataclass(frozen=True, order=True)
-class RoleAssertion:
-    role: str
-    subject: str
-    object: str
-
-    def __str__(self):
-        return f"{self.role}({self.subject},{self.object})"
-
-
-Assertion = Union[ConceptAssertion, RoleAssertion]
-
-
 # (predicate, arity) -> bag of name tuples; a name can be a concept and a role.
 Relations = dict[tuple[str, int], dict[tuple[str, ...], int]]
-
-
-def _split(a: Assertion) -> tuple[tuple[str, int], tuple[str, ...]]:
-    if isinstance(a, ConceptAssertion):
-        return (a.concept, 1), (a.individual,)
-    return (a.role, 2), (a.subject, a.object)
-
-
-def _assertion(predicate: str, names: tuple[str, ...]) -> Assertion:
-    return (ConceptAssertion if len(names) == 1 else RoleAssertion)(predicate, *names)
 
 
 class BagABox:
@@ -279,28 +247,23 @@ class BagABox:
 
     `relations` is the only store: {(predicate, arity): {tuple of names: m}},
     a concept assertion C(a) at (C, 1) with key (a,) and a role assertion
-    R(a,b) at (R, 2) with key (a, b). Zero entries are never stored. Every
-    other view is read off it: `entries` groups the assertions by predicate,
-    not in insertion order, and `items` sorts them.
+    R(a,b) at (R, 2) with key (a, b). The ABox owns the map it is given, and
+    every multiplicity in it lies in 1..2^64 - 1.
     """
 
-    def __init__(self, entries: Mapping[Assertion, int] | Iterable[tuple[Assertion, int]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        self.relations: Relations = {}
-        for assertion, count in items:
-            if count < 1:
-                raise ValueError(f"multiplicity of {assertion} must be >= 1, got {count}")
-            key, names = _split(assertion)
-            rel = self.relations.setdefault(key, {})
-            rel[names] = rel.get(names, 0) + count
-            if rel[names] > U64_MAX:
-                raise ValueError(f"multiplicity of {assertion} exceeds the 64-bit range")
+    def __init__(self, relations: Relations | None = None):
+        self.relations: Relations = {} if relations is None else relations
+        for (p, _), rel in self.relations.items():
+            if rel and not 1 <= min(rel.values()) <= max(rel.values()) <= U64_MAX:
+                names, m = next((n, m) for n, m in rel.items() if not 1 <= m <= U64_MAX)
+                raise ValueError(f"multiplicity of {p}({','.join(names)}) "
+                                 f"must lie in 1..2^64 - 1, got {m}")
 
     def __eq__(self, other):
         return isinstance(other, BagABox) and self.relations == other.relations
 
     def __hash__(self):
-        return hash(frozenset(self.entries()))
+        return hash(tuple(self.items()))
 
     def __len__(self):
         return sum(map(len, self.relations.values()))
@@ -309,38 +272,16 @@ class BagABox:
         return f"BagABox({len(self)} assertions)"
 
     def items(self):
-        """(assertion, multiplicity) pairs sorted by arity, predicate, then names."""
-        return [(_assertion(p, names), m)
+        """((predicate, names), multiplicity) pairs sorted by arity, predicate, then names."""
+        return [((p, names), m)
                 for (p, _), rel in sorted(self.relations.items(), key=lambda kv: kv[0][::-1])
                 for names, m in sorted(rel.items())]
-
-    def entries(self):
-        """(assertion, multiplicity) pairs grouped by predicate; `items` sorts them."""
-        return [(_assertion(p, names), m)
-                for (p, _), rel in self.relations.items() for names, m in rel.items()]
-
-    def multiplicity(self, assertion: Assertion) -> int:
-        key, names = _split(assertion)
-        return self.relations.get(key, {}).get(names, 0)
-
-    def support(self) -> frozenset[Assertion]:
-        return frozenset(a for a, _ in self.entries())
 
     def individuals(self) -> tuple[str, ...]:
         return tuple(sorted({n for rel in self.relations.values() for names in rel for n in names}))
 
-    def scaled(self, factor: int) -> "BagABox":
-        """The same support with every multiplicity scaled by a positive factor."""
-        if factor < 1:
-            raise ValueError("scaling factor must be positive")
-        return BagABox((a, m * factor) for a, m in self.entries())
-
-    def flattened(self) -> "BagABox":
-        """The support with all multiplicities forced to 1."""
-        return BagABox((a, 1) for a in self.support())
-
     def to_text(self) -> str:
-        return "".join(f"{a} {m}\n" for a, m in self.items())
+        return "".join(f"{p}({','.join(names)}) {m}\n" for (p, names), m in self.items())
 
 
 @dataclass(frozen=True)
@@ -548,6 +489,4 @@ def parse_abox(text: str) -> BagABox:
             overflow = f"{pred}({','.join(names)})"
     if overflow is not None:  # summed repeated lines left the 64-bit range
         raise ParseError(f"multiplicity of {overflow} exceeds the 64-bit range")
-    abox = BagABox()
-    abox.relations = relations
-    return abox
+    return BagABox(relations)

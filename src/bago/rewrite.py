@@ -51,7 +51,6 @@ from .ontology import (
     Concept,
     ExistsRole,
     Role,
-    RoleAssertion,
     TBox,
 )
 # Unused here; kept because perfbench's traced run wraps bago.rewrite.interpretation_from_abox.
@@ -154,7 +153,9 @@ def _misshapen(q: CQ, cluster: frozenset[Var]) -> bool:
 
 def build_probe(q: CQ, cluster: frozenset[Var],
                 alpha: RoleAtom | None = None) -> tuple[CQ, BagABox, str]:
-    """The Boolean probe, its one-assertion ABox, and the anchor individual.
+    """The Boolean probe, its ABox and the anchor individual. The ABox is one
+    assertion of the linking atom's role, multiplicity 1, from the anchor to
+    `@fresh` when that atom's object lies in the cluster, and back otherwise.
 
     As in `linking_atom`, the cluster alone decides. Raises
     MultipleAnchors when the cluster links outward to two distinct
@@ -177,11 +178,8 @@ def build_probe(q: CQ, cluster: frozenset[Var],
     for v in sorted(cluster, key=term_key):
         atoms.append(InequalityAtom(v, Const(anchor)))
     probe = CQ((), atoms, allow_inequalities=True)
-    if alpha.object in cluster:
-        abox = BagABox({RoleAssertion(alpha.role, anchor, PROBE_FRESH): 1})
-    else:
-        abox = BagABox({RoleAssertion(alpha.role, PROBE_FRESH, anchor): 1})
-    return probe, abox, anchor
+    pair = (anchor, PROBE_FRESH) if alpha.object in cluster else (PROBE_FRESH, anchor)
+    return probe, BagABox({(alpha.role, 2): {pair: 1}}), anchor
 
 
 def is_realisable(tbox: TBox, q: CQ, z: Iterable[Var]) -> RealisabilityCertificate:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidGraph, ParseError
-from .ontology import BagABox, RoleAssertion, TBox, _strip_comment, parse_abox, parse_tbox
+from .ontology import BagABox, TBox, _strip_comment, parse_abox, parse_tbox
 from .chase import BagInterpretation, interpretation_from_abox
 from .query import CQ, connected_components, parse_cq
 
@@ -148,7 +148,6 @@ def coloring_model(graph: Graph, coloring: dict[str, str],
                    variant: str = "core") -> BagInterpretation:
     """The model a color assignment induces: the encoding's ABox plus one
     hasColour(u, colour of u) assertion per vertex."""
-    colours = [(RoleAssertion("hasColour", u, COLOR_NAMES[coloring[u]]), 1)
-               for u in graph.vertices]
-    abox = gen_3col(graph, variant).abox
-    return interpretation_from_abox(BagABox([*abox.entries(), *colours]))
+    text = gen_3col(graph, variant).abox.to_text()
+    text += "".join(f"hasColour({u},{COLOR_NAMES[coloring[u]]})\n" for u in graph.vertices)
+    return interpretation_from_abox(parse_abox(text))

@@ -6,11 +6,13 @@ domain-wide sums for bag-algebra queries, the bag chase one element and one
 stage at a time (concept closure, deficits, pointwise-max union and bag
 containment), the chase dump with each witness written as its whole
 ancestry, a from-scratch set-semantics chase (one witness per unsatisfied
-existential), coloring models built by hand, and the ABox text parsed as
-one assertion object per line handed to the `BagABox` constructor. Both chases compute their own inclusion closure from the
-TBox's axioms. None of it shares evaluation code with the package: it reads
-interpretations only through their extensions and accessors, and builds
-them only through the `BagInterpretation` constructor.
+existential) over (predicate, names) assertions, coloring models built by
+hand, the ABox text parsed one assertion per line, and an ABox's support,
+scalings and flattening read off its relations. Both chases compute their
+own inclusion closure from the TBox's axioms. None of it shares evaluation
+code with the package: it reads interpretations only through their
+extensions and accessors, ABoxes only through their relations, and builds
+them only through the `BagInterpretation` and `BagABox` constructors.
 """
 
 import re
@@ -21,11 +23,9 @@ from bago.errors import U64_MAX, ParseError
 from bago.ontology import (
     AtomicConcept,
     BagABox,
-    ConceptAssertion,
     ConceptInclusion,
     ExistsRole,
     Role,
-    RoleAssertion,
     check_individual,
 )
 from bago.query import ConceptAtom, Const, EqualityAtom, InequalityAtom, RoleAtom, Var
@@ -86,16 +86,14 @@ def brute_eval_cq(q, interp, z_anon=None):
     return answers
 
 
-def brute_eval_balg(node, interp):
-    """Literal structural recursion over all named tuples."""
-    named = sorted(el for el in interp.domain if type(el) is str)
+def brute_eval_balg(node, abox):
+    """Literal structural recursion over all tuples of the ABox's individuals."""
+    named = abox.individuals()
 
     def value(n, lam):
         if isinstance(n, BalgAtom):
-            names = [lam[t] if isinstance(t, Var) else t.name for t in n.terms]
-            if len(names) == 1:
-                return interp.concept_mult(n.predicate, names[0])
-            return interp.role_mult(n.predicate, names[0], names[1])
+            names = tuple(lam[t] if isinstance(t, Var) else t.name for t in n.terms)
+            return abox.relations.get((n.predicate, len(names)), {}).get(names, 0)
         if isinstance(n, BalgJoin):
             return value(n.left, lam) * value(n.right, lam)
         if isinstance(n, BalgEqFilter):
@@ -280,13 +278,12 @@ def set_chase(tbox, assertions, depth):
     concepts = {}
     roles = {}
     domain = set()
-    for a in assertions:
-        if isinstance(a, ConceptAssertion):
-            concepts.setdefault(a.concept, set()).add(a.individual)
-            domain.add(a.individual)
-        elif isinstance(a, RoleAssertion):
-            roles.setdefault(a.role, set()).add((a.subject, a.object))
-            domain.update((a.subject, a.object))
+    for predicate, names in assertions:
+        if len(names) == 1:
+            concepts.setdefault(predicate, set()).add(names[0])
+        else:
+            roles.setdefault(predicate, set()).add(names)
+        domain.update(names)
     counter = [0]
     for _ in range(depth):
         current = sorted(domain)
@@ -319,12 +316,7 @@ def set_certain_answers(q, tbox, assertions):
     """Tuples with a homomorphism into the set chase (depth = atom count)."""
     depth = sum(1 for a in q.atoms if isinstance(a, (ConceptAtom, RoleAtom)))
     concepts, roles, domain = set_chase(tbox, assertions, depth)
-    named = set()
-    for a in assertions:
-        if isinstance(a, ConceptAssertion):
-            named.add(a.individual)
-        else:
-            named.update((a.subject, a.object))
+    named = {n for _, names in assertions for n in names}
 
     # Union-find over the query terms for the equality atoms.
     parent = {}
@@ -473,10 +465,11 @@ _ASSERTION_RE = re.compile(
 
 
 def reference_parse_abox(text):
-    """The ABox parser as one assertion object per line: every line is
-    matched and checked, each individual checked again on its own, and the
-    list handed to the `BagABox` constructor, which merges it in line order."""
-    entries = []
+    """The ABox parser one assertion per line: every line is matched and
+    checked, each individual checked again on its own, and each
+    (predicate, names) count merged in line order; the merged counts are
+    then laid out as relations for the `BagABox` constructor."""
+    merged, overflow = {}, None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         pos = raw.find("#")
         stripped = (raw if pos < 0 else raw[:pos]).strip()
@@ -495,16 +488,35 @@ def reference_parse_abox(text):
             raise ParseError("multiplicity must be a positive integer", line=lineno)
         if count > U64_MAX:
             raise ParseError("multiplicity exceeds the 64-bit range", line=lineno)
-        if m.group("a2") is None:
-            check_individual(m.group("a1"), lineno)
-            entries.append((ConceptAssertion(m.group("pred"), m.group("a1")), count))
-        else:
-            check_individual(m.group("a1"), lineno)
-            check_individual(m.group("a2"), lineno)
-            entries.append(
-                (RoleAssertion(m.group("pred"), m.group("a1"), m.group("a2")), count)
-            )
-    try:
-        return BagABox(entries)
-    except ValueError as exc:  # summed repeated lines can leave the 64-bit range
-        raise ParseError(str(exc)) from None
+        names = (m.group("a1"),) if m.group("a2") is None else (m.group("a1"), m.group("a2"))
+        for name in names:
+            check_individual(name, lineno)
+        key = (m.group("pred"), names)
+        merged[key] = merged.get(key, 0) + count
+        if merged[key] > U64_MAX and overflow is None:
+            overflow = key
+    if overflow is not None:  # summed repeated lines left the 64-bit range
+        raise ParseError(f"multiplicity of {overflow[0]}({','.join(overflow[1])}) "
+                         "exceeds the 64-bit range")
+    relations = {}
+    for (predicate, names), m in merged.items():
+        relations.setdefault((predicate, len(names)), {})[names] = m
+    return BagABox(relations)
+
+
+# -- ABox views ----------------------------------------------------------------
+
+def support(abox):
+    """The ABox's assertions as (predicate, names) tuples, multiplicities dropped."""
+    return frozenset((p, names) for (p, _), rel in abox.relations.items() for names in rel)
+
+
+def scaled(abox, factor):
+    """The same support with every multiplicity times the factor."""
+    return BagABox({key: {names: m * factor for names, m in rel.items()}
+                    for key, rel in abox.relations.items()})
+
+
+def flattened(abox):
+    """The support with every multiplicity 1."""
+    return BagABox({key: dict.fromkeys(rel, 1) for key, rel in abox.relations.items()})

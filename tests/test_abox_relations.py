@@ -1,5 +1,6 @@
-"""A bag ABox kept as name relations: every view against a reference built
-from the assertion list, and evaluation never writing into the ABox."""
+"""A bag ABox is its name relations: every view against a reference built
+from (predicate, names, multiplicity) triples, the constructor's range
+check, and evaluation never writing into the ABox."""
 
 import copy
 import random
@@ -10,108 +11,88 @@ from bago import (BagABox, BagOntology, ParseError, certain_answers, eval_balg, 
                   parse_cq, parse_tbox)
 from bago import bagalg
 from bago.errors import U64_MAX
-from bago.ontology import ConceptAssertion, RoleAssertion
 from bago.randgen import random_bag_abox, random_rooted_cq
 from bago.rewrite import evaluate_rewriting, rewrite
 
 from generators import random_balg, wide_abox
+from oracles import scaled
 
 # "P" is both a concept and a role name.
 CONCEPTS, ROLES, NAMES = ("A", "B", "P"), ("R", "P"), ("a", "b", "c", "d_1")
+POOL = ([(c, (n,)) for c in CONCEPTS for n in NAMES]
+        + [(r, (u, v)) for r in ROLES for u in NAMES for v in NAMES])
 
 
-def _random_assertions(rng):
-    out = []
-    for _ in range(rng.randint(0, 15)):
-        if rng.random() < 0.5:
-            a = ConceptAssertion(rng.choice(CONCEPTS), rng.choice(NAMES))
-        else:
-            a = RoleAssertion(rng.choice(ROLES), rng.choice(NAMES), rng.choice(NAMES))
-        out.append((a, rng.randint(1, 4)))
-    if out and rng.random() < 0.5:
-        out += rng.sample(out, rng.randint(1, len(out)))  # repeated lines sum
-    return out
+def _random_triples(rng):
+    """Distinct (predicate, names) keys in random order, each with a multiplicity."""
+    keys = rng.sample(POOL, rng.randint(0, 15))
+    return [(p, names, rng.choice((1, 2, 3, 4, U64_MAX))) for p, names in keys]
 
 
-def _reference_key(a):
-    if isinstance(a, ConceptAssertion):
-        return (0, a.concept, a.individual, "")
-    return (1, a.role, a.subject, a.object)
-
-
-def _reference(assertions):
-    merged = {}
-    for a, m in assertions:
-        merged[a] = merged.get(a, 0) + m
-    return merged
-
-
-def _reference_relations(merged):
+def _relations(triples):
     rels = {}
-    for a, m in merged.items():
-        if isinstance(a, ConceptAssertion):
-            rels.setdefault((a.concept, 1), {})[(a.individual,)] = m
-        else:
-            rels.setdefault((a.role, 2), {})[(a.subject, a.object)] = m
+    for p, names, m in triples:
+        rels.setdefault((p, len(names)), {})[names] = m
     return rels
 
 
-def test_every_view_equals_the_reference_built_from_the_assertions():
+def test_every_view_equals_the_reference_built_from_triples():
     rng = random.Random(2101)
-    pool = ([ConceptAssertion(c, n) for c in CONCEPTS for n in NAMES]
-            + [RoleAssertion(r, u, v) for r in ROLES for u in NAMES for v in NAMES])
     for _ in range(300):
-        assertions = _random_assertions(rng)
-        abox, merged = BagABox(assertions), _reference(assertions)
-        ordered = sorted(merged.items(), key=lambda kv: _reference_key(kv[0]))
-        assert abox.relations == _reference_relations(merged)
-        assert abox.items() == ordered
-        assert sorted(abox.entries(), key=str) == sorted(merged.items(), key=str)
-        assert len(abox.entries()) == len(abox) == len(merged)
-        assert abox.support() == frozenset(merged)
-        assert all(abox.multiplicity(a) == merged.get(a, 0) for a in pool)
-        assert abox.individuals() == tuple(sorted(
-            {n for a in merged for n in
-             ((a.individual,) if isinstance(a, ConceptAssertion) else (a.subject, a.object))}))
-        assert abox.to_text() == "".join(f"{a} {m}\n" for a, m in ordered)
-        assert abox.scaled(3).items() == [(a, 3 * m) for a, m in ordered]
-        assert abox.flattened().items() == [(a, 1) for a, _ in ordered]
+        triples = _random_triples(rng)
+        abox = BagABox(_relations(triples))
+        ordered = sorted(triples, key=lambda t: (len(t[1]), t[0], t[1]))
+        assert abox.relations == _relations(triples)
+        assert abox.items() == [((p, names), m) for p, names, m in ordered]
+        assert len(abox) == len(triples)
+        assert abox.individuals() == tuple(sorted({n for _, names, _ in triples for n in names}))
+        assert abox.to_text() == "".join(f"{p}({','.join(names)}) {m}\n"
+                                         for p, names, m in ordered)
         assert parse_abox(abox.to_text()) == abox
-        assert BagABox(merged) == abox
+        shuffled = triples[:]
+        rng.shuffle(shuffled)
+        other = BagABox(_relations(shuffled))
+        assert other == abox and hash(other) == hash(abox)
+        if triples:
+            p, names, m = rng.choice(triples)
+            changed = BagABox(_relations(triples + [(p, names, m % 4 + 1)]))
+            assert changed != abox
+
+
+def test_the_constructor_owns_its_map_and_checks_each_multiplicity():
+    relations = {("A", 1): {("a",): U64_MAX}, ("R", 2): {("a", "b"): 1}}
+    assert BagABox(relations).relations is relations
+    assert BagABox() == BagABox({}) and len(BagABox()) == 0
+    for bad in (0, -1, U64_MAX + 1):
+        with pytest.raises(ValueError, match=r"multiplicity of R\(a,b\) must lie in"):
+            BagABox({("A", 1): {("a",): 2}, ("R", 2): {("b", "a"): 1, ("a", "b"): bad}})
 
 
 def test_equality_and_hash_ignore_insertion_order():
     rng = random.Random(2102)
     for _ in range(200):
-        assertions = _random_assertions(rng)
-        shuffled = assertions[:]
+        lines = [f"{p}({','.join(names)}) {rng.randint(1, 4)}"
+                 for p, names in rng.choices(POOL, k=rng.randint(0, 15))]
+        shuffled = lines[:]
         rng.shuffle(shuffled)
-        a, b = BagABox(assertions), BagABox(shuffled)
+        a, b = parse_abox("\n".join(lines)), parse_abox("\n".join(shuffled))
         assert a == b and hash(a) == hash(b)
         assert a.items() == b.items() and a.to_text() == b.to_text()
 
 
 def test_a_concept_and_a_role_of_one_name_are_two_relations():
-    abox = BagABox([(ConceptAssertion("P", "a"), 2), (RoleAssertion("P", "a", "b"), 3),
-                    (ConceptAssertion("P", "a"), 1)])
+    abox = parse_abox("P(a) 2\nP(a,b) 3\nP(a) 1\n")
     assert abox.relations == {("P", 1): {("a",): 3}, ("P", 2): {("a", "b"): 3}}
-    assert abox.multiplicity(ConceptAssertion("P", "a")) == 3
-    assert abox.multiplicity(RoleAssertion("P", "a", "b")) == 3
-    assert abox.multiplicity(ConceptAssertion("P", "b")) == 0
     assert len(abox) == 2
+    assert abox.items() == [(("P", ("a",)), 3), (("P", ("a", "b")), 3)]
     assert abox.to_text() == "P(a) 3\nP(a,b) 3\n"
 
 
 def test_sums_at_the_64_bit_bound_and_one_past_it():
-    a = ConceptAssertion("A", "a")
-    at = BagABox([(a, U64_MAX - 1), (a, 1)])
-    assert at.multiplicity(a) == U64_MAX
-    with pytest.raises(ValueError, match="exceeds the 64-bit range"):
-        BagABox([(a, U64_MAX), (a, 1)])
-    with pytest.raises(ValueError, match="exceeds the 64-bit range"):
-        at.scaled(2)
-    with pytest.raises(ValueError, match="must be >= 1"):
-        BagABox([(a, 0)])
+    at = parse_abox(f"A(a) {U64_MAX - 1}\nA(a)\n")
+    assert at.relations == {("A", 1): {("a",): U64_MAX}}
+    with pytest.raises(ValueError, match="must lie in"):
+        scaled(at, 2)
     assert parse_abox(f"R(a,b) {U64_MAX - 1}\nR(a,b)\n").relations == {
         ("R", 2): {("a", "b"): U64_MAX}}
     with pytest.raises(ParseError, match="exceeds the 64-bit range"):

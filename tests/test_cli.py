@@ -16,6 +16,7 @@ FIXTURE_SETS = [
     ("shared_successor", "query.cq"),
     ("head_order", "query.cq"),
     ("verdicts", "query.cq"),
+    ("shared_name", "query.cq"),
 ]
 
 

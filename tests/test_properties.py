@@ -31,7 +31,6 @@ from bago.ontology import (
     ConceptInclusion,
     ExistsRole,
     Role,
-    ConceptAssertion,
 )
 from bago.bagalg import eval_balg
 from bago.rewrite import evaluate_rewriting
@@ -43,6 +42,7 @@ from bago.randgen import (
 )
 
 from generators import random_small_cq
+from oracles import scaled
 
 _POOL = [AtomicConcept(n) for n in "ABC"] + [
     ExistsRole(Role(r, inv)) for r in "RS" for inv in (False, True)
@@ -129,15 +129,12 @@ def test_universality_consequence_on_example(managers):
 
 
 def _is_bag_model(interp: BagInterpretation, k: BagOntology) -> bool:
-    for assertion, m in k.abox.items():
-        if isinstance(assertion, ConceptAssertion):
-            if interp.concept_mult(assertion.concept, assertion.individual) < m:
+    for (predicate, names), m in k.abox.items():
+        if len(names) == 1:
+            if interp.concept_mult(predicate, names[0]) < m:
                 return False
-        else:
-            if interp.role_mult(
-                assertion.role, assertion.subject, assertion.object
-            ) < m:
-                return False
+        elif interp.role_mult(predicate, *names) < m:
+            return False
 
     def ext(concept):
         if isinstance(concept, AtomicConcept):
@@ -159,7 +156,6 @@ def test_branch_soundness_against_partitioned_evaluation():
         tbox, abox, q = random_instance(rng)
         k = BagOntology(tbox, abox)
         result = chase(k, required_depth(q))
-        stage0 = interpretation_from_abox(abox)
         rw = rewrite(q, tbox)
         realisable = {b.z: b for b in rw.branches}
         existential = q.existential_vars()
@@ -169,7 +165,7 @@ def test_branch_soundness_against_partitioned_evaluation():
                 partitioned = eval_partitioned(q, zset, result)
                 if zset in realisable:
                     compiled = realisable[zset].compiled
-                    bag = eval_balg(compiled, stage0)
+                    bag = eval_balg(compiled, abox)
                     got = {
                         tuple(t[compiled.answer_vars.index(v)] for v in q.answer_vars): m
                         for t, m in bag.items()
@@ -205,10 +201,11 @@ def test_rewriting_is_reusable_across_aboxes():
         tbox, abox, q = random_instance(rng)
         rw = rewrite(q, tbox)
         single = evaluate_rewriting(rw, abox)
-        scaled = evaluate_rewriting(rw, abox.scaled(3))
-        assert scaled.support() == single.support()
-        k_scaled = BagOntology(tbox, abox.scaled(3))
-        assert scaled == eval_cq(q, chase(k_scaled, required_depth(q)).union)
+        tripled = scaled(abox, 3)
+        answers = evaluate_rewriting(rw, tripled)
+        assert answers.support() == single.support()
+        k_scaled = BagOntology(tbox, tripled)
+        assert answers == eval_cq(q, chase(k_scaled, required_depth(q)).union)
 
 
 def _outcome(q, k, via):
@@ -228,8 +225,8 @@ def test_large_multiplicity_corpus_agrees_on_both_paths():
     for seed in range(900_000, 902_000):
         rng = random.Random(seed)
         tbox, abox, q = random_instance(rng)
-        abox = BagABox([(a, rng.choice((1, 2, 2**31, 2**62, 2**63)))
-                        for a, _ in abox.entries()])
+        abox = BagABox({key: {names: rng.choice((1, 2, 2**31, 2**62, 2**63)) for names in rel}
+                        for key, rel in abox.relations.items()})
         k = BagOntology(tbox, abox)
         try:
             via_chase = _outcome(q, k, "chase")

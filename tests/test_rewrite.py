@@ -44,7 +44,7 @@ from bago.bagalg import (
 )
 from bago.cli import main
 from bago.errors import RewriteLimitExceeded
-from bago.ontology import BagABox, RoleAssertion, check_individual
+from bago.ontology import BagABox, check_individual
 from bago.query import (
     ConceptAtom,
     Const,
@@ -98,13 +98,13 @@ def test_build_probe_shape(q_r):
         allow_inequalities=True,
     )
     assert probe == expected
-    assert probe_abox == BagABox({RoleAssertion("hasMngr", "@anchor", "@fresh"): 1})
+    assert probe_abox == BagABox({("hasMngr", 2): {("@anchor", "@fresh"): 1}})
 
 
 def test_build_probe_reversed_orientation():
     q = parse_cq("q(x) :- P(y, x), A(y)")
     probe, probe_abox, anchor = build_probe(q, {y})
-    assert probe_abox == BagABox({RoleAssertion("P", "@fresh", "@anchor"): 1})
+    assert probe_abox == BagABox({("P", 2): {("@fresh", "@anchor"): 1}})
     assert anchor == "@anchor"
 
 
@@ -112,7 +112,7 @@ def test_build_probe_uses_linked_individual_as_anchor():
     q = parse_cq('q() :- R("a", y), B(y)')
     probe, probe_abox, anchor = build_probe(q, {y})
     assert anchor == "a"
-    assert probe_abox == BagABox({RoleAssertion("R", "a", "@fresh"): 1})
+    assert probe_abox == BagABox({("R", 2): {("a", "@fresh"): 1}})
 
 
 def test_build_probe_multiple_anchors():

@@ -8,7 +8,6 @@ from bago import BagOntology, is_satisfiable, parse_abox, parse_tbox
 from bago.chase import BagInterpretation
 from bago.ontology import (
     AtomicConcept,
-    ConceptAssertion,
     ConceptDisjointness,
     ConceptInclusion,
     ExistsRole,
@@ -55,11 +54,11 @@ def _brute_satisfiable(tbox, abox):
     """Chase the support one literal stage at a time, then look for a
     declared disjoint pair in the concept closure of any element."""
     concepts, roles = {}, {}
-    for a, _ in abox.items():
-        if isinstance(a, ConceptAssertion):
-            concepts.setdefault(a.concept, {})[a.individual] = 1
+    for (predicate, names), _ in abox.items():
+        if len(names) == 1:
+            concepts.setdefault(predicate, {})[names[0]] = 1
         else:
-            roles.setdefault(a.role, {})[(a.subject, a.object)] = 1
+            roles.setdefault(predicate, {})[names] = 1
     stage = BagInterpretation(abox.individuals(), concepts, roles)
     for _ in range(2 * len(ROLES) + 2):
         stage = chase_step(stage, tbox)

@@ -21,7 +21,6 @@ from bago import (
     parse_tbox,
 )
 from bago.cli import main
-from bago.ontology import ConceptAssertion
 from bago.threecol import COLOR_NAMES, Graph
 from oracles import hand_built_coloring_model
 
@@ -47,21 +46,15 @@ def test_gen_3col_schedule():
     inst = gen_3col(parse_graph(TRIANGLE))
     assert inst.threshold == 11
     abox = inst.abox
-    assert abox.multiplicity(ConceptAssertion("ACol", "_r")) == 4
-    assert abox.multiplicity(ConceptAssertion("ACol", "_g")) == 3
-    assert abox.multiplicity(ConceptAssertion("ACol", "_b")) == 3
-    assert abox.multiplicity(ConceptAssertion("Vertex", "_aux")) == 1
+    assert abox.relations[("ACol", 1)] == {("_r",): 4, ("_g",): 3, ("_b",): 3}
+    assert abox.relations[("Vertex", 1)][("_aux",)] == 1
     assert not is_rooted(inst.query)
     assert is_satisfiable(BagOntology(inst.tbox, inst.abox))
 
 
 def test_gen_3col_single_vertex_schedule():
     inst = gen_3col(parse_graph("v only\n"))
-    total = sum(
-        inst.abox.multiplicity(ConceptAssertion("ACol", c))
-        for c in ("_r", "_g", "_b")
-    )
-    assert total == 3 * 1 + 1
+    assert sum(inst.abox.relations[("ACol", 1)].values()) == 3 * 1 + 1
 
 
 def test_gen_3col_round_trips_through_parsers():
