@@ -39,14 +39,14 @@ element. Stage 1's seeds are the names' atomic extensions and their EX R /
 EX R- out-degree sums; a later stage's seeds are EX R- at multiplicity 1 for
 every witness born along R in the stage before, the one fact such a witness
 has. Each stage pushes every seed column into the column of every concept it
-entails, taking the pointwise max (`combine("max-union")`) where two meet;
-writes each atomic column in one bulk update; and groups each EX R column's
-deficits by (role, count) into runs, which are born a run at a time. An
-element is closed once, the stage after its birth: its seeds do not change
-afterwards. The literal per-element construction, one stage at a time, is
-the tests' reference in `tests/oracles.py`. A chase that would need more
-than MAX_CHASE_ELEMENTS anonymous elements raises ChaseLimitExceeded before
-allocating any of the run that would pass it.
+entails, taking the pointwise max where two meet (`entailed_columns`, shared
+with `is_satisfiable`); writes each atomic column in one bulk update; and
+groups each EX R column's deficits by (role, count) into runs, which are born
+a run at a time. An element is closed once, the stage after its birth: its
+seeds do not change afterwards. The literal per-element construction, one
+stage at a time, is the tests' reference in `tests/oracles.py`. A chase that
+would need more than MAX_CHASE_ELEMENTS anonymous elements raises
+ChaseLimitExceeded before allocating any of the run that would pass it.
 
 Multiplicity enters the chase in one place only. Every birth below depth 1
 has count 1 (a witness's one seed has multiplicity 1), so a deficit
@@ -75,7 +75,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind, combine
+from .errors import ChaseLimitExceeded, UnsatisfiableOntology, UnsupportedTBoxKind
 from .ontology import (
     CORE,
     AtomicConcept,
@@ -84,6 +84,7 @@ from .ontology import (
     Concept,
     ExistsRole,
     Role,
+    entailed_columns,
     is_satisfiable,
 )
 from .query import CQ, ConceptAtom, RoleAtom
@@ -392,12 +393,7 @@ def _grow(k: BagOntology, depth: int, query: Optional[CQ] = None,
     for stage in range(1, min(depth, reach + 1) + 1):
         if not seeds:  # the chase terminated; later stages add nothing
             break
-        closure: dict[Concept, dict[Element, int]] = {}
-        for c0, column in seeds.items():
-            for c in tbox.concepts_entailed_by(c0):
-                col = closure.setdefault(c, column)
-                if col is not column:
-                    closure[c] = combine("max-union", col, column)
+        closure = entailed_columns(tbox, seeds)
         births = []
         for c, column in closure.items():
             if isinstance(c, AtomicConcept):

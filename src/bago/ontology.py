@@ -12,7 +12,9 @@ Entailment between concepts is reflexive-transitive reachability in the graph
 whose edges are the concept inclusions, augmented (kind "r" only) with the
 edges induced by role inclusions on the existential restrictions; a concept's
 subsumees are reachability over the same edges reversed. Role entailment
-closes the role-inclusion graph under inverse symmetry.
+closes the role-inclusion graph under inverse symmetry. Satisfiability is the
+chase's concept closure, `entailed_columns`, tested against the TBox's one
+index of disjoint pairs, `TBox.disjoint`.
 
 Text formats:
 
@@ -39,7 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import U64_MAX, ParseError
+from .errors import U64_MAX, ParseError, combine
 
 CORE = "core"
 R = "r"
@@ -156,6 +158,9 @@ class TBox:
 
         inclusions: list[tuple[Concept, Concept]] = []
         role_edges: dict[Role, set[Role]] = {}
+        # Each first side of a DISJ or DISJR axiom, mapped to its second sides;
+        # a concept never equals a role, so one map holds both kinds.
+        self.disjoint: dict[Union[Concept, Role], set] = {}
         for ax in axioms:
             if isinstance(ax, ConceptInclusion):
                 inclusions.append((ax.sub, ax.sup))
@@ -163,6 +168,8 @@ class TBox:
                 for sub, sup in ((ax.sub, ax.sup), (ax.sub.inverse, ax.sup.inverse)):
                     role_edges.setdefault(sub, set()).add(sup)
                     inclusions.append((ExistsRole(sub), ExistsRole(sup)))
+            else:
+                self.disjoint.setdefault(ax.first, set()).add(ax.second)
         concept_edges: dict[Concept, set[Concept]] = {}
         concept_back: dict[Concept, set[Concept]] = {}  # the same edges reversed
         for sub, sup in inclusions:
@@ -226,12 +233,6 @@ class TBox:
         self._concept_subsumees[c] = result
         return result
 
-    def concept_disjointness(self):
-        return [ax for ax in self.axioms if isinstance(ax, ConceptDisjointness)]
-
-    def role_disjointness(self):
-        return [ax for ax in self.axioms if isinstance(ax, RoleDisjointness)]
-
     def to_text(self) -> str:
         lines = [f"KIND {self.kind.upper()}"]
         lines.extend(sorted(str(ax) for ax in self.axioms))
@@ -292,74 +293,65 @@ class BagOntology:
 
 # -- satisfiability ----------------------------------------------------------
 
-def _disjoint_with(axioms) -> dict:
-    """Each first side of a disjointness axiom, mapped to its second sides."""
-    index: dict = {}
-    for ax in axioms:
-        index.setdefault(ax.first, set()).add(ax.second)
-    return index
+def entailed_columns(tbox: TBox, seeds: dict[Concept, dict]) -> dict[Concept, dict]:
+    """Each concept the seeds' concepts entail, mapped to the pointwise max of
+    their columns. One that a single seed reaches maps to that seed's column
+    itself, not a copy: the chase reads that as a concept with no deficit."""
+    reached: dict[Concept, list[dict]] = {}
+    for c0, column in seeds.items():
+        for c in tbox.concepts_entailed_by(c0):
+            reached.setdefault(c, []).append(column)
+    return {c: cols[0] if len(cols) == 1 else combine("max-union", *cols)
+            for c, cols in reached.items()}
 
 
 def is_satisfiable(k: BagOntology) -> bool:
     """Decide whether the ontology has a bag model.
 
-    Bag satisfiability coincides with set satisfiability of the support, so
-    only the support of the ABox is consulted: multiplicities never matter.
-    Names seeded with the same concepts are closed once, and each closure is
-    checked against an index of the declared disjoint pairs.
+    Multiplicities never matter: bag satisfiability is set satisfiability of
+    the support. The check runs the chase's concept closure, `entailed_columns`,
+    over the names' seed columns and then, stage by stage, over one witness per
+    newly reached role R, seeded with EX R- alone. It fails where an element
+    lies in the columns of two disjoint concepts, or where the roles entailed
+    on a named pair, either way round, or on a witness's edge meet a DISJR pair.
     """
-    tbox = k.tbox
-    concept_disj = _disjoint_with(tbox.concept_disjointness())
-    role_disj = _disjoint_with(tbox.role_disjointness())
-    if not concept_disj and not role_disj:
+    tbox, disjoint = k.tbox, k.tbox.disjoint
+    if not disjoint:
         return True
 
-    def violates(index, entailed):
-        return any(c in index and not index[c].isdisjoint(entailed) for c in entailed)
+    def clash(columns) -> bool:  # one key in the columns of both sides of a pair
+        return any(d in columns and not columns[c].keys().isdisjoint(columns[d])
+                   for c in columns if c in disjoint for d in disjoint[c])
 
-    # Named individuals: the concepts each one is seeded with, the roles of each pair.
-    seeds: dict[str, set[Concept]] = {}
-    pair_roles: dict[tuple[str, str], set[Role]] = {}
+    def entail(edges, role, pairs):  # the pairs, in the column of each role entailed
+        for r in tbox.roles_entailed_by(role):
+            edges.setdefault(r, {}).update(dict.fromkeys(pairs, 1))
+
+    # The names' seed columns, keyed (name,): each concept name's extension,
+    # and each role's domain and range as EX R and EX R-.
+    seeds, edges = {}, {}
     for (name, arity), rel in k.abox.relations.items():
         if arity == 1:
-            concept = AtomicConcept(name)
-            for (a,) in rel:
-                seeds.setdefault(a, set()).add(concept)
+            seeds[AtomicConcept(name)] = rel
             continue
         role = Role(name)
-        ex, ex_inverse = ExistsRole(role), ExistsRole(role.inverse)
-        forward, backward = tbox.roles_entailed_by(role), tbox.roles_entailed_by(role.inverse)
-        for u, v in rel:
-            seeds.setdefault(u, set()).add(ex)
-            seeds.setdefault(v, set()).add(ex_inverse)
-            if role_disj:
-                pair_roles.setdefault((u, v), set()).update(forward)
-                pair_roles.setdefault((v, u), set()).update(backward)
-    if any(violates(role_disj, roles) for roles in pair_roles.values()):
-        return False
-    named: set[Concept] = set()
-    for base in {frozenset(b) for b in seeds.values()}:
-        entailed = set().union(*map(tbox.concepts_entailed_by, base))
-        if violates(concept_disj, entailed):
+        seeds[ExistsRole(role)] = {(u,): 1 for u, _ in rel}
+        seeds[ExistsRole(role.inverse)] = {(v,): 1 for _, v in rel}
+        if tbox.kind == R:
+            entail(edges, role, rel)
+            entail(edges, role.inverse, [(v, u) for u, v in rel])
+    reached: set[Role] = set()
+    while seeds:
+        columns = entailed_columns(tbox, seeds)
+        if clash(columns) or clash(edges):
             return False
-        named |= entailed
-
-    # Activated roles: roles whose anonymous witnesses the chase could force.
-    # A witness along a role has the closure of its inverse's EX and a fresh
-    # edge in both orientations.
-    frontier = [c.role for c in named if isinstance(c, ExistsRole)]
-    activated = set(frontier)
-    while frontier:
-        role = frontier.pop()
-        closure = tbox.concepts_entailed_by(ExistsRole(role.inverse))
-        if (violates(concept_disj, closure)
-                or violates(role_disj, tbox.roles_entailed_by(role))
-                or violates(role_disj, tbox.roles_entailed_by(role.inverse))):
-            return False
-        for c in closure:
-            if isinstance(c, ExistsRole) and c.role not in activated:
-                activated.add(c.role)
-                frontier.append(c.role)
+        # A witness along R and its edge are keyed R; the edge read backwards is
+        # the edge of the witness along R-, which EX R- reaches the next stage.
+        fresh = {c.role for c in columns if isinstance(c, ExistsRole)} - reached
+        reached |= fresh
+        seeds, edges = {ExistsRole(r.inverse): {r: 1} for r in fresh}, {}
+        for r in fresh:
+            entail(edges, r, [r])
     return True
 
 

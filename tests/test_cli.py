@@ -447,3 +447,49 @@ def test_counts_and_thresholds_of_thousands_of_digits(capsys, tmp_path, fixtures
     for threshold in ("0" * 4299 + "3", "0" * 4300 + "3", "0" * 5000 + "3"):
         assert run(capsys, *base, "-k", threshold) == (0, "TRUE\n", "")
     assert run(capsys, *base, "-k", "0" * 5000 + "4") == past
+
+
+# Input errors of each command, as (files written under tmp_path, argv, a
+# fragment of the message). An argument naming one of those files reads it
+# there; one with a dot reads a fixture; `missing.bag` is in neither place.
+_CHECK = ["check", "-T", "t.dl", "-A", "employees/abox.bag"]
+INPUT_ERRORS = {
+    "answer-missing-abox": ({}, ["answer", "-T", "employees/tbox.dl", "-A", "missing.bag",
+                                 "-q", "employees/query.cq"], "No such file"),
+    "disj-without-operand": ({"t.dl": "DISJ\n"}, _CHECK, "expected DISJ <concept> <concept>"),
+    "disjr-one-role": ({"t.dl": "KIND R\nDISJR A\n"}, _CHECK, "expected DISJR <role> <role>"),
+    "two-subr": ({"t.dl": "KIND R\nA SUBR B SUBR C\n"}, _CHECK, "malformed role inclusion"),
+    "subr-after-two-roles": ({"t.dl": "KIND R\nA B SUBR C\n"}, _CHECK,
+                             "expected <role> SUBR <role>"),
+    "project-a-variable-twice": ({"q.balg": "(project (x x) (atom A x))\n"},
+                                 ["eval-balg", "-A", "employees/abox.bag", "-q", "q.balg"],
+                                 "projected variables must be distinct"),
+    "crosscheck-random-0": ({}, ["crosscheck", "--random", "0"], "positive instance count"),
+    "crosscheck-without-files": ({}, ["crosscheck"], "crosscheck needs -T, -A and -q"),
+    "eval-model-without-coloring": ({}, ["gen-3col", "-G", "triangle.graph", "--eval-model"],
+                                    "--eval-model needs --coloring"),
+    "duplicate-vertex": ({"g.graph": "v a b a\ne a b\n"}, ["gen-3col", "-G", "g.graph"],
+                         "duplicate vertex names"),
+    "invalid-vertex-name": ({"g.graph": "v a 1b\ne a 1b\n"}, ["gen-3col", "-G", "g.graph"],
+                            "invalid vertex name '1b'"),
+    "one-vertex-edge": ({"g.graph": "v a b\ne a\n"}, ["gen-3col", "-G", "g.graph"],
+                        "expected 'e <vertex> <vertex>'"),
+    "unknown-directive": ({"g.graph": "v a b\nedge a b\n"}, ["gen-3col", "-G", "g.graph"],
+                          "unknown graph directive 'edge'"),
+    "coloring-of-an-unknown-vertex": ({"c.coloring": "u1 r\nu2 g\nu3 b\nu4 r\n"},
+                                      ["gen-3col", "-G", "triangle.graph", "--coloring", "c.coloring"],
+                                      "colors for unknown vertices: ['u4']"),
+}
+
+
+@pytest.mark.parametrize("files,argv,message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_an_input_error_exits_2_with_one_error_line(capsys, tmp_path, fixtures_dir,
+                                                    files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files or arg == "missing.bag"
+            else str(fixtures_dir / arg) if "." in arg else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err and "Traceback" not in err

@@ -60,6 +60,16 @@ def test_parse_quoted_individuals_and_equalities():
     assert eq[0].left == Var("u")
 
 
+def test_a_constant_first_equality_answers_as_the_constant_last_one():
+    first, last = parse_cq('q(x) :- A(x), "a" = x'), parse_cq('q(x) :- A(x), x = "a"')
+    assert first.atoms == last.atoms
+    k = BagOntology(parse_tbox("B SUB A"), parse_abox("A(a) 2\nB(a) 3\nA(b)\n"))
+    for via in ("chase", "rewrite"):
+        answers = certain_answers(first, k, via=via)
+        assert answers == certain_answers(last, k, via=via)
+        assert answers.to_text() == "(a) 3\n"
+
+
 def test_safety_violation_names_variable():
     with pytest.raises(SafetyViolation) as err:
         parse_cq("q() :- x = y")
